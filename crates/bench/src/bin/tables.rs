@@ -14,6 +14,11 @@
 //!     [--min-cycles-per-sec-ratio R]
 //! ```
 //!
+//! Flags are parsed strictly, through the run-flag parser `rvliw sweep`
+//! and `rvliw explore` share: an unknown flag, a missing or malformed
+//! value, `--frames 0` or `--timeout-secs 0` is a usage error (exit 2)
+//! naming the flag.
+//!
 //! `--write` also rewrites `EXPERIMENTS.md` at the workspace root.
 //! `--threads N` overrides the worker-thread count (default: the
 //! `RVLIW_THREADS` environment variable, else all cores; `0` means auto).
@@ -92,10 +97,10 @@ use std::time::Instant;
 
 use mpeg4_enc::QualityMetrics;
 use rvliw_bench::paper;
-use rvliw_core::tables::CaseStudy;
 use rvliw_core::{
-    arch, run_me_with_tracer, run_summary, ExperimentSpec, HealthReport, Journal, Scenario,
-    ScenarioCache, SupervisorConfig, TablesSnapshot, Workload,
+    arch, flag_parse, flag_value, grid_from_specs, run_me_with_tracer, run_summary, CaseStudy,
+    ExperimentSpec, HealthReport, RunFlags, Scenario, ScenarioCache, SupervisorConfig,
+    TablesSnapshot, Workload,
 };
 use rvliw_fault::{FaultPlan, FaultProfile};
 use rvliw_isa::{MachineConfig, Substrate};
@@ -208,39 +213,15 @@ fn secs(f: impl FnOnce()) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Builds the workload for `frames` frames, sharing the cached 25-frame
-/// paper workload when possible.
-fn build_workload(frames: usize) -> std::sync::Arc<Workload> {
-    if frames == 25 {
-        Workload::paper_shared()
-    } else {
-        std::sync::Arc::new(Workload::qcif_frames(frames))
-    }
+/// Reports a usage error and returns the usage-error exit code.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("tables: {message}");
+    ExitCode::from(2)
 }
 
-/// Opens the scenario result cache for `workload`, honouring the flag
-/// precedence `--no-cache` > `--cache-dir` > `RVLIW_CACHE_DIR` > off.
-fn open_cache(
-    cache_dir: Option<&str>,
-    no_cache: bool,
-    workload: &Workload,
-    frames: usize,
-) -> Result<Option<ScenarioCache>, String> {
-    if no_cache {
-        return Ok(None);
-    }
-    let dir = match cache_dir {
-        Some(d) => std::path::PathBuf::from(d),
-        None => match rvliw_core::default_cache_dir() {
-            Some(d) => d,
-            None => return Ok(None),
-        },
-    };
-    let kind = if frames == 25 { "paper" } else { "qcif" };
-    match ScenarioCache::open(&dir, workload, kind) {
-        Ok(c) => Ok(Some(c)),
-        Err(e) => Err(format!("cache: {e}")),
-    }
+/// The per-scenario progress line.
+fn progress(label: &str) {
+    eprintln!("  scenario {label} …");
 }
 
 /// Loads experiment specs from `path`: a single `.json` file, or a
@@ -277,45 +258,30 @@ fn load_specs(path: &str) -> Result<Vec<ExperimentSpec>, String> {
         .collect()
 }
 
-/// Runs the case study — from `specs` when given, else the built-in grid —
-/// under the supervisor (with [`SupervisorConfig::default`] that is exactly
-/// the plain cached run), returning the tables plus the run's health
-/// report.
+/// The scenario list of a run: the paper grid from `specs` when given,
+/// else the built-in grid under `plan`.
 ///
 /// `substrate` pins every built-in-grid scenario to that fetch/issue
 /// substrate (the labels stay the paper's, so the tables render normally
 /// with that core's cycle counts). It never reaches the spec path — the
 /// CLI rejects `--spec --substrate` and points at the spec's own
 /// `"substrate"` axis, whose label suffixes would break the paper-grid
-/// coverage check here.
-fn run_case_study(
+/// coverage check of [`grid_from_specs`].
+fn case_grid(
     specs: Option<&[ExperimentSpec]>,
-    workload: &Workload,
     plan: FaultPlan,
-    threads: usize,
-    cache: Option<&ScenarioCache>,
-    config: &SupervisorConfig,
     substrate: Option<Substrate>,
-) -> Result<(CaseStudy, HealthReport), String> {
-    let progress = |label: &str| eprintln!("  scenario {label} …");
+) -> Result<Vec<Scenario>, String> {
     match specs {
-        Some(specs) => {
-            CaseStudy::run_from_specs_supervised(specs, workload, threads, progress, cache, config)
-                .map_err(|e| e.to_string())
-        }
-        None => {
-            let scenarios: Vec<Scenario> = CaseStudy::scenarios()
-                .into_iter()
-                .map(|sc| sc.with_fault_plan(plan))
-                .map(|sc| match substrate {
-                    Some(su) => sc.with_substrate(su),
-                    None => sc,
-                })
-                .collect();
-            Ok(CaseStudy::run_scenarios_supervised(
-                &scenarios, workload, threads, progress, cache, config,
-            ))
-        }
+        Some(specs) => grid_from_specs(specs).map_err(|e| e.to_string()),
+        None => Ok(CaseStudy::scenarios()
+            .into_iter()
+            .map(|sc| sc.with_fault_plan(plan))
+            .map(|sc| match substrate {
+                Some(su) => sc.with_substrate(su),
+                None => sc,
+            })
+            .collect()),
     }
 }
 
@@ -327,29 +293,21 @@ struct BackendPass {
     fallbacks: u64,
 }
 
-/// Times the full scenario grid once per execution backend — same specs,
+/// Times the scenario grid once per execution backend — same scenarios,
 /// workload and thread count, never cached (a cache hit measures disk, not
 /// the simulator) — and restores `chosen` as the process default.
 fn bench_backends(
-    specs: Option<&[ExperimentSpec]>,
+    scenarios: &[Scenario],
     workload: &Workload,
     threads: usize,
     chosen: ExecBackend,
-) -> Result<Vec<BackendPass>, String> {
+) -> Vec<BackendPass> {
     let mut passes = Vec::new();
     for backend in [ExecBackend::Interpreter, ExecBackend::BlockCompiled] {
         backend.set_process_default();
         let before = backend_totals();
         let t = Instant::now();
-        let (cs, _) = run_case_study(
-            specs,
-            workload,
-            FaultPlan::none(),
-            threads,
-            None,
-            &SupervisorConfig::default(),
-            None,
-        )?;
+        let cs = CaseStudy::run_scenarios(scenarios, workload, threads, progress);
         let wall_s = t.elapsed().as_secs_f64();
         let after = backend_totals();
         let simulated: u64 = cs
@@ -379,7 +337,7 @@ fn bench_backends(
         passes.push(pass);
     }
     chosen.set_process_default();
-    Ok(passes)
+    passes
 }
 
 /// The `"backends"` JSON object of the bench envelope and the metrics
@@ -461,9 +419,7 @@ fn report_run(cache: Option<&ScenarioCache>, health: Option<&HealthReport>) {
 fn run_check(
     path: &str,
     specs: Option<&[ExperimentSpec]>,
-    threads: usize,
-    cache_dir: Option<&str>,
-    no_cache: bool,
+    flags: &RunFlags,
     min_cps_ratio: Option<f64>,
     config: &SupervisorConfig,
 ) -> ExitCode {
@@ -502,30 +458,24 @@ fn run_check(
         "from the built-in grid"
     };
     eprintln!("tables --check: re-running the case study {how} on {frames} QCIF frames …");
-    let workload = build_workload(frames);
-    let cache = match open_cache(cache_dir, no_cache, &workload, frames) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("tables --check: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let t_run = Instant::now();
-    let (cs, health) = match run_case_study(
-        specs,
-        &workload,
-        FaultPlan::none(),
-        threads,
-        cache.as_ref(),
-        config,
-        None,
-    ) {
+    let run = case_grid(specs, FaultPlan::none(), None)
+        .and_then(|scenarios| Ok((scenarios, flags.open_workload(frames)?)));
+    let (scenarios, (workload, cache)) = match run {
         Ok(v) => v,
         Err(e) => {
             eprintln!("tables --check: {e}");
             return ExitCode::from(2);
         }
     };
+    let t_run = Instant::now();
+    let (cs, health) = CaseStudy::run_scenarios_supervised(
+        &scenarios,
+        &workload,
+        flags.threads,
+        progress,
+        cache.as_ref(),
+        config,
+    );
     let run_wall_s = t_run.elapsed().as_secs_f64();
     report_run(cache.as_ref(), config.is_active().then_some(&health));
     let fresh = TablesSnapshot::capture(&cs);
@@ -584,216 +534,121 @@ fn run_check(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let fault_seed = match flag_value("--fault-seed").map(|v| v.parse::<u64>()) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(e)) => {
-            eprintln!("tables: --fault-seed: {e}");
-            return ExitCode::from(2);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut write = false;
+    let mut bench_json = false;
+    let mut check_path: Option<&str> = None;
+    let mut csv_dir: Option<&str> = None;
+    let mut metrics_path: Option<&str> = None;
+    let mut trace_path: Option<&str> = None;
+    let mut spec_path: Option<&str> = None;
+    let mut baseline_cps: Option<f64> = None;
+    let mut min_cps_ratio: Option<f64> = None;
+    let mut fault_seed = 0u64;
+    let mut fault_profile = FaultProfile::None;
+    let mut substrate: Option<Substrate> = None;
+    let parsed = RunFlags::parse(&args, |arg, it| {
+        match arg {
+            "--write" => write = true,
+            "--bench-json" => bench_json = true,
+            "--check" => check_path = Some(flag_value(arg, it)?),
+            "--csv" => csv_dir = Some(flag_value(arg, it)?),
+            "--metrics-out" => metrics_path = Some(flag_value(arg, it)?),
+            "--trace" => trace_path = Some(flag_value(arg, it)?),
+            "--spec" => spec_path = Some(flag_value(arg, it)?),
+            "--baseline-cps" => baseline_cps = Some(flag_parse(arg, it)?),
+            "--min-cycles-per-sec-ratio" => match flag_parse::<f64>(arg, it)? {
+                r if r > 0.0 && r.is_finite() => min_cps_ratio = Some(r),
+                r => return Err(format!("{arg}: {r} is not a positive ratio")),
+            },
+            "--fault-seed" => fault_seed = flag_parse(arg, it)?,
+            "--fault-profile" => fault_profile = flag_parse(arg, it)?,
+            "--substrate" => substrate = Some(flag_parse(arg, it)?),
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    let flags = match parsed {
+        Ok(flags) => flags,
+        Err(e) => return usage_error(&e),
     };
-    let fault_profile = match flag_value("--fault-profile").map(|v| v.parse::<FaultProfile>()) {
-        None => FaultProfile::None,
-        Some(Ok(p)) => p,
-        Some(Err(e)) => {
-            eprintln!("tables: --fault-profile: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let threads = flags.threads;
+    let backend = flags.backend;
     let plan = FaultPlan::from_profile(fault_profile, fault_seed);
-    let threads = match flag_value("--threads") {
-        None => rvliw_core::default_threads(),
-        Some(v) => match rvliw_core::parse_threads(&v) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("tables: --threads: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let specs: Option<Vec<ExperimentSpec>> = match flag_value("--spec") {
-        None => None,
-        Some(path) => match load_specs(&path) {
-            Ok(specs) => Some(specs),
-            Err(e) => {
-                eprintln!("tables: --spec: {e}");
-                return ExitCode::from(2);
-            }
-        },
+    let specs = match spec_path.map(load_specs).transpose() {
+        Ok(specs) => specs,
+        Err(e) => return usage_error(&format!("--spec: {e}")),
     };
     if specs.is_some() && !plan.is_inert() {
-        eprintln!(
-            "tables: --spec and --fault-profile conflict; put the fault profile \
-             in the spec's \"fault\" object instead"
+        return usage_error(
+            "--spec and --fault-profile conflict; put the fault profile \
+             in the spec's \"fault\" object instead",
         );
-        return ExitCode::from(2);
     }
-    let backend = match flag_value("--backend").map(|v| v.parse::<ExecBackend>()) {
-        None => ExecBackend::Auto,
-        Some(Ok(b)) => b,
-        Some(Err(e)) => {
-            eprintln!("tables: --backend: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    backend.set_process_default();
-    let substrate = match flag_value("--substrate").map(|v| v.parse::<Substrate>()) {
-        None => None,
-        Some(Ok(s)) => Some(s),
-        Some(Err(e)) => {
-            eprintln!("tables: --substrate: {e}");
-            return ExitCode::from(2);
-        }
-    };
     if substrate.is_some() && specs.is_some() {
-        eprintln!(
-            "tables: --spec and --substrate conflict; put the substrate in the \
-             spec's \"substrate\" axis instead"
+        return usage_error(
+            "--spec and --substrate conflict; put the substrate in the \
+             spec's \"substrate\" axis instead",
         );
-        return ExitCode::from(2);
     }
-    let min_cps_ratio = match flag_value("--min-cycles-per-sec-ratio").map(|v| v.parse::<f64>()) {
-        None => None,
-        Some(Ok(r)) if r > 0.0 && r.is_finite() => Some(r),
-        Some(Ok(r)) => {
-            eprintln!("tables: --min-cycles-per-sec-ratio: {r} is not a positive ratio");
-            return ExitCode::from(2);
-        }
-        Some(Err(e)) => {
-            eprintln!("tables: --min-cycles-per-sec-ratio: {e}");
-            return ExitCode::from(2);
-        }
+    let config = match flags.supervisor() {
+        Ok(config) => config,
+        Err(e) => return usage_error(&e),
     };
-    let cache_dir = flag_value("--cache-dir");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let max_retries = match flag_value("--max-retries").map(|v| v.parse::<u32>()) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(e)) => {
-            eprintln!("tables: --max-retries: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let timeout = match flag_value("--timeout-secs").map(|v| v.parse::<u64>()) {
-        None => None,
-        Some(Ok(n)) if n > 0 => Some(std::time::Duration::from_secs(n)),
-        Some(Ok(_)) => {
-            eprintln!("tables: --timeout-secs: must be at least 1");
-            return ExitCode::from(2);
-        }
-        Some(Err(e)) => {
-            eprintln!("tables: --timeout-secs: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let journal = match flag_value("--journal") {
-        None => None,
-        Some(p) => match Journal::open(&p) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("tables: --journal {p}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let resume = match flag_value("--resume") {
-        None => std::collections::BTreeMap::new(),
-        Some(p) => match Journal::load(&p) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("tables: --resume {p}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let config = SupervisorConfig {
-        max_retries,
-        timeout,
-        journal,
-        resume,
-    };
-    if let Some(file) = flag_value("--check") {
+    if let Some(file) = check_path {
         if !plan.is_inert() {
-            eprintln!("tables: --check compares against golden tables; drop --fault-profile");
-            return ExitCode::from(2);
+            return usage_error("--check compares against golden tables; drop --fault-profile");
         }
         if substrate.is_some() {
-            eprintln!("tables: --check compares against golden VLIW tables; drop --substrate");
-            return ExitCode::from(2);
+            return usage_error("--check compares against golden VLIW tables; drop --substrate");
         }
-        return run_check(
-            &file,
-            specs.as_deref(),
-            threads,
-            cache_dir.as_deref(),
-            no_cache,
-            min_cps_ratio,
-            &config,
-        );
+        return run_check(file, specs.as_deref(), &flags, min_cps_ratio, &config);
     }
     if min_cps_ratio.is_some() {
-        eprintln!("tables: --min-cycles-per-sec-ratio only applies with --check");
-        return ExitCode::from(2);
+        return usage_error("--min-cycles-per-sec-ratio only applies with --check");
     }
-    let write = args.iter().any(|a| a == "--write");
-    let bench_json = args.iter().any(|a| a == "--bench-json");
     if !plan.is_inert() && (write || bench_json) {
-        eprintln!(
-            "tables: refusing to rewrite golden artifacts (--write / --bench-json) \
+        return usage_error(&format!(
+            "refusing to rewrite golden artifacts (--write / --bench-json) \
              under fault profile `{fault_profile}`"
-        );
-        return ExitCode::from(2);
+        ));
     }
     if substrate.is_some() && (write || bench_json) {
-        eprintln!(
-            "tables: refusing to rewrite golden artifacts (--write / --bench-json) \
-             under a forced --substrate; the checked-in tables are VLIW-only"
+        return usage_error(
+            "refusing to rewrite golden artifacts (--write / --bench-json) \
+             under a forced --substrate; the checked-in tables are VLIW-only",
         );
-        return ExitCode::from(2);
     }
-    let baseline_cps = args
-        .iter()
-        .position(|a| a == "--baseline-cps")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok());
-    let frames = match args
-        .iter()
-        .position(|a| a == "--frames")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) => n,
-        None => match &specs {
-            // Without an explicit override every spec must agree on the
-            // workload length — the scenarios share one encoded sequence.
-            Some(specs) => {
-                let frames = specs.first().map_or(25, |s| s.frames);
-                if let Some(odd) = specs.iter().find(|s| s.frames != frames) {
-                    eprintln!(
-                        "tables: specs disagree on frames ({} wants {}, `{}` wants {}); \
-                         pass --frames to override",
-                        specs[0].name, frames, odd.name, odd.frames
-                    );
-                    return ExitCode::from(2);
-                }
-                frames
+    let scenarios = match case_grid(specs.as_deref(), plan, substrate) {
+        Ok(scenarios) => scenarios,
+        Err(e) => return usage_error(&e),
+    };
+    let frames = match (flags.frames, &specs) {
+        (Some(n), _) => n,
+        // Without an explicit override every spec must agree on the
+        // workload length — the scenarios share one encoded sequence.
+        (None, Some(specs)) => {
+            let frames = specs.first().map_or(25, |s| s.frames);
+            if let Some(odd) = specs.iter().find(|s| s.frames != frames) {
+                return usage_error(&format!(
+                    "specs disagree on frames ({} wants {}, `{}` wants {}); \
+                     pass --frames to override",
+                    specs[0].name, frames, odd.name, odd.frames
+                ));
             }
-            None => 25,
-        },
+            frames
+        }
+        (None, None) => 25,
     };
 
     let mut out = String::new();
     let t0 = Instant::now();
     eprintln!("generating + encoding the {frames}-frame QCIF workload …");
     let t_encode = Instant::now();
-    let workload = build_workload(frames);
+    let (workload, cache) = match flags.open_workload(frames) {
+        Ok(v) => v,
+        Err(e) => return usage_error(&e),
+    };
     let encode_wall_s = t_encode.elapsed().as_secs_f64();
     let (n, h, v, d) = workload.report.interp_shares();
     let _ = writeln!(
@@ -829,29 +684,15 @@ fn main() -> ExitCode {
              under fault profile `{fault_profile}`, seed {fault_seed} …"
         );
     }
-    let cache = match open_cache(cache_dir.as_deref(), no_cache, &workload, frames) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("tables: {e}");
-            return ExitCode::from(2);
-        }
-    };
     let t_scenarios = Instant::now();
-    let (cs, health) = match run_case_study(
-        specs.as_deref(),
+    let (cs, health) = CaseStudy::run_scenarios_supervised(
+        &scenarios,
         &workload,
-        plan,
         threads,
+        progress,
         cache.as_ref(),
         &config,
-        substrate,
-    ) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("tables: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    );
     let scenarios_wall_s = t_scenarios.elapsed().as_secs_f64();
     report_run(cache.as_ref(), config.is_active().then_some(&health));
 
@@ -1426,21 +1267,19 @@ fn main() -> ExitCode {
     println!("{out}");
     let total_wall_s = t0.elapsed().as_secs_f64();
     eprintln!("total runtime: {total_wall_s:.1}s");
-    let metrics_path = flag_value("--metrics-out");
     // The per-backend benchmark reruns the grid once per backend; both the
     // bench envelope and the metrics report embed its result. Skipped
     // under a fault plan (where --bench-json is refused anyway and the
     // metrics replay is the only consumer): fault runs force the
-    // interpreter, so the comparison would not measure the backends.
+    // interpreter, so the comparison would not measure the backends. A
+    // forced substrate still benchmarks the VLIW grid.
     let backend_passes = if (bench_json || metrics_path.is_some()) && plan.is_inert() {
         eprintln!("benchmarking both execution backends ({threads} thread(s), uncached) …");
-        match bench_backends(specs.as_deref(), &workload, threads, backend) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("tables: backend benchmark: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let grid = match substrate {
+            Some(_) => CaseStudy::scenarios(),
+            None => scenarios.clone(),
+        };
+        Some(bench_backends(&grid, &workload, threads, backend))
     } else {
         None
     };
@@ -1510,8 +1349,8 @@ fn main() -> ExitCode {
         std::fs::write(path, json).expect("write BENCH_tables.json");
         eprintln!("wrote {path}");
     }
-    if let Some(dir) = flag_value("--csv") {
-        write_csvs(&dir, &cs).expect("write CSV files");
+    if let Some(dir) = csv_dir {
+        write_csvs(dir, &cs).expect("write CSV files");
         eprintln!("wrote table CSVs to {dir}");
     }
     if let Some(path) = metrics_path {
@@ -1527,14 +1366,9 @@ fn main() -> ExitCode {
             entries.push(format!("\"substrate\": \"{}\"", su.name()));
         }
         let mut quality: Vec<(String, QualityMetrics)> = Vec::new();
-        for sc in CaseStudy::scenarios() {
-            let sc = sc.with_fault_plan(plan);
-            let sc = match substrate {
-                Some(su) => sc.with_substrate(su),
-                None => sc,
-            };
+        for sc in &scenarios {
             let mut tracer = CountingTracer::new();
-            match run_me_with_tracer(&sc, &workload, &mut tracer) {
+            match run_me_with_tracer(sc, &workload, &mut tracer) {
                 Ok(r) => {
                     if let Some(q) = r.quality {
                         quality.push((r.label.clone(), q));
@@ -1561,10 +1395,10 @@ fn main() -> ExitCode {
         entries.push(format!("\"health\": {}", health.to_json()));
         let json = format!("{{\n{}\n}}\n", entries.join(",\n"));
         Json::parse(&json).expect("generated metrics must be valid JSON");
-        std::fs::write(&path, &json).expect("write metrics JSON");
+        std::fs::write(path, &json).expect("write metrics JSON");
         eprintln!("wrote per-scenario metrics to {path}");
     }
-    if let Some(path) = flag_value("--trace") {
+    if let Some(path) = trace_path {
         eprintln!("capturing a Chrome trace of the ORIG scenario …");
         let mut tracer = ChromeTracer::without_bundles();
         if let Err(e) = run_me_with_tracer(
@@ -1581,7 +1415,7 @@ fn main() -> ExitCode {
                 ChromeTracer::DEFAULT_MAX_EVENTS
             );
         }
-        std::fs::write(&path, tracer.to_json()).expect("write Chrome trace");
+        std::fs::write(path, tracer.to_json()).expect("write Chrome trace");
         eprintln!("wrote Chrome trace ({} events) to {path}", tracer.len());
     }
     if write {

@@ -61,11 +61,11 @@ pub use supervisor::{
     run_scenario_list_supervised, run_summary, HealthReport, Journal, SupervisorConfig,
 };
 pub use sweep::{
-    run_scenario_list, run_scenario_list_cached, Pareto, ParetoPoint, ScenarioResult,
-    SubstrateRatio, Sweep, SweepOutcome, SweepRow,
+    run_scenario_list, Pareto, ParetoPoint, ScenarioResult, SubstrateRatio, Sweep, SweepOutcome,
+    SweepRow,
 };
-pub use tables::CaseStudy;
-pub use threads::{auto_threads, default_threads, parse_threads};
+pub use tables::{grid_from_specs, CaseStudy};
+pub use threads::{auto_threads, default_threads, flag_parse, flag_value, parse_threads, RunFlags};
 pub use workload::Workload;
 
 /// The paper's initial profile: share of total execution time spent in

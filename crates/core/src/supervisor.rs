@@ -17,9 +17,12 @@
 //! keep draining. Everything that happened is summarized in a
 //! [`HealthReport`].
 //!
-//! With [`SupervisorConfig::default`] the supervised runner degrades to
-//! exactly the plain cached runner: no journal, no resume, no retries,
-//! no watchdog threads — the golden paths stay bit-identical.
+//! [`run_scenario_list_supervised`] is the only scenario runner: every
+//! table, sweep and exploration goes through it. With
+//! [`SupervisorConfig::default`] it journals nothing, resumes nothing,
+//! retries nothing and spawns no watchdog threads, which is how
+//! [`crate::run_scenario_list`], [`crate::Sweep::run`] and
+//! [`crate::CaseStudy::run_scenarios`] call it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -162,8 +165,8 @@ impl Journal {
 }
 
 /// Policy knobs for one supervised run. [`Default`] is "no supervision":
-/// the supervised runner then behaves exactly like the plain cached
-/// runner.
+/// each scenario is looked up in the cache (when one is attached) or
+/// simulated once.
 #[derive(Debug, Default)]
 pub struct SupervisorConfig {
     /// Retry a transient failure up to this many extra attempts.
@@ -179,7 +182,7 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// Whether any knob deviates from the plain runner.
+    /// Whether any knob deviates from [`SupervisorConfig::default`].
     #[must_use]
     pub fn is_active(&self) -> bool {
         self.max_retries > 0
@@ -442,10 +445,15 @@ fn backoff(sc: &Scenario, attempt: u32) {
     std::thread::sleep(Duration::from_millis(ms));
 }
 
-/// [`crate::sweep::run_scenario_list_cached`] with supervision: journal,
-/// resume, retries and watchdog per `config`, plus a [`HealthReport`] of
-/// what happened. With `SupervisorConfig::default()` the result vector is
-/// bit-identical to the plain runner's, for any thread count.
+/// The scenario runner. Runs `scenarios` across `threads` workers (`<= 1`
+/// runs serially on the calling thread) and returns one
+/// [`ScenarioResult`] per scenario in input order, plus a
+/// [`HealthReport`] of what happened. Each scenario is served from the
+/// optional `cache` (lookup before simulate; fresh measurements are
+/// recorded, failures never are) under the journal, resume, retries and
+/// watchdog of `config`. The result vector is bit-identical for any
+/// thread count and with or without the cache. `progress` is called with
+/// a scenario label as each scenario starts.
 #[must_use]
 pub fn run_scenario_list_supervised(
     scenarios: &[Scenario],
@@ -504,9 +512,9 @@ pub fn run_scenario_list_supervised(
             })
             .collect()
     } else {
-        // Work-stealing by atomic index, mirroring the plain runner:
-        // scenario costs are wildly uneven, a static partition would idle
-        // most workers.
+        // Work-stealing by atomic index: scenario costs are wildly uneven
+        // (ORIG simulates ~10× the cycles of a loop-level point), so a
+        // static partition would idle most workers.
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
@@ -583,10 +591,9 @@ mod tests {
     }
 
     #[test]
-    fn default_config_matches_plain_runner() {
+    fn default_config_matches_direct_simulation() {
         let w = Workload::tiny();
         let scenarios = vec![Scenario::orig(), Scenario::a2()];
-        let plain = crate::sweep::run_scenario_list(&scenarios, &w, 1, &|_| {});
         let (supervised, health) = run_scenario_list_supervised(
             &scenarios,
             &w,
@@ -595,8 +602,8 @@ mod tests {
             None,
             &SupervisorConfig::default(),
         );
-        for (a, b) in plain.iter().zip(&supervised) {
-            assert_eq!(ok_result(a), ok_result(b));
+        for (sc, got) in scenarios.iter().zip(&supervised) {
+            assert_eq!(ok_result(&run_me(sc, &w)), ok_result(got));
         }
         assert_eq!(health.scenarios, 2);
         assert_eq!(health.completed, 2);

@@ -1,15 +1,14 @@
 //! The sweep engine: expand an [`ExperimentSpec`] into scenarios, run them
-//! on the deterministic parallel runner, and collect a result matrix.
+//! on the scenario runner, and collect a result matrix.
 //!
-//! This is the execution seam both the tables pipeline and `rvliw sweep`
-//! sit on: [`run_scenario_list`] fans scenarios out across worker threads
-//! with per-scenario panic isolation, and results are reassembled in input
-//! order so the outcome — every cell, bit for bit — is independent of the
-//! thread count.
+//! There is one runner, [`run_scenario_list_supervised`]: it fans
+//! scenarios out across worker threads with per-scenario panic isolation
+//! and reassembles results in input order, so the outcome — every cell,
+//! bit for bit — is independent of the thread count. [`run_scenario_list`]
+//! and [`Sweep::run`] are that runner with no cache and
+//! [`SupervisorConfig::default`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use mpeg4_enc::QualityMetrics;
 use rvliw_trace::Json;
@@ -77,10 +76,12 @@ pub(crate) fn run_isolated(sc: &Scenario, workload: &Workload) -> ScenarioResult
 
 /// Runs `scenarios` across `threads` workers (`<= 1` runs serially on the
 /// calling thread), returning one [`ScenarioResult`] per scenario in input
-/// order. A failing or panicking scenario occupies its own slot without
-/// disturbing the others. `progress` is called with a scenario label as
-/// each scenario starts (from worker threads when running parallel —
-/// labels may interleave, but every label appears exactly once).
+/// order: [`run_scenario_list_supervised`] with no cache and no
+/// supervision. A failing or panicking scenario occupies its own slot
+/// without disturbing the others. `progress` is called with a scenario
+/// label as each scenario starts (from worker threads when running
+/// parallel — labels may interleave, but every label appears exactly
+/// once).
 #[must_use]
 pub fn run_scenario_list(
     scenarios: &[Scenario],
@@ -88,82 +89,8 @@ pub fn run_scenario_list(
     threads: usize,
     progress: &(impl Fn(&str) + Sync),
 ) -> Vec<ScenarioResult> {
-    run_scenario_list_cached(scenarios, workload, threads, progress, None)
-}
-
-/// Runs one scenario through the cache when one is attached: a valid
-/// cached measurement is returned without simulating; a miss simulates
-/// and records the fresh measurement. Failed scenarios are never cached.
-fn run_through_cache(
-    sc: &Scenario,
-    workload: &Workload,
-    cache: Option<&ScenarioCache>,
-) -> ScenarioResult {
-    if let Some(cache) = cache {
-        if let Some(hit) = cache.lookup(sc) {
-            return Ok(hit);
-        }
-    }
-    let result = run_isolated(sc, workload);
-    if let (Some(cache), Ok(res)) = (cache, &result) {
-        cache.record(sc, res);
-    }
-    result
-}
-
-/// [`run_scenario_list`] with an optional lookup-before-simulate cache
-/// layer. The result vector is bit-identical with or without the cache
-/// (the cache stores full measurements, not recomputations) and for any
-/// thread count.
-#[must_use]
-pub fn run_scenario_list_cached(
-    scenarios: &[Scenario],
-    workload: &Workload,
-    threads: usize,
-    progress: &(impl Fn(&str) + Sync),
-    cache: Option<&ScenarioCache>,
-) -> Vec<ScenarioResult> {
-    let n = scenarios.len();
-    if threads <= 1 {
-        return scenarios
-            .iter()
-            .map(|sc| {
-                progress(&sc.label);
-                run_through_cache(sc, workload, cache)
-            })
-            .collect();
-    }
-    // Work-stealing by atomic index: scenario costs are wildly uneven
-    // (ORIG simulates ~10× the cycles of a loop-level point), so a
-    // static partition would idle most workers.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(sc) = scenarios.get(i) else { break };
-                progress(&sc.label);
-                let r = run_through_cache(sc, workload, cache);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    Err(ScenarioError::Panic {
-                        label: scenarios[i].label.clone(),
-                        message: "scenario result missing (worker died)".to_owned(),
-                        location: None,
-                    })
-                })
-        })
-        .collect()
+    let config = SupervisorConfig::default();
+    run_scenario_list_supervised(scenarios, workload, threads, progress, None, &config).0
 }
 
 /// An expanded [`ExperimentSpec`]: the spec plus its concrete scenario
@@ -199,7 +126,8 @@ impl Sweep {
     }
 
     /// Runs every scenario over `workload` across `threads` workers and
-    /// collects the result matrix. Bit-identical for any thread count.
+    /// collects the result matrix: [`Sweep::run_supervised`] with no cache
+    /// and no supervision. Bit-identical for any thread count.
     #[must_use]
     pub fn run(
         &self,
@@ -207,31 +135,18 @@ impl Sweep {
         threads: usize,
         progress: impl Fn(&str) + Sync,
     ) -> SweepOutcome {
-        self.run_cached(workload, threads, progress, None)
+        let config = SupervisorConfig::default();
+        self.run_supervised(workload, threads, progress, None, &config)
+            .0
     }
 
-    /// [`Sweep::run`] with an optional result cache. The outcome —
-    /// including its JSON rendering — is bit-identical to an uncached
-    /// run; cache traffic is reported separately (through
+    /// Runs every scenario with an optional result cache under a
+    /// [`SupervisorConfig`]: journal every outcome, replay a resume map,
+    /// retry transients and watchdog each attempt per the config,
+    /// returning the matrix plus the run's [`HealthReport`]. The outcome —
+    /// including its JSON rendering — is bit-identical with or without the
+    /// cache; cache traffic is reported separately (through
     /// [`ScenarioCache::counts`]), never embedded in the matrix.
-    #[must_use]
-    pub fn run_cached(
-        &self,
-        workload: &Workload,
-        threads: usize,
-        progress: impl Fn(&str) + Sync,
-        cache: Option<&ScenarioCache>,
-    ) -> SweepOutcome {
-        let results =
-            run_scenario_list_cached(&self.scenarios, workload, threads, &progress, cache);
-        self.assemble(workload, results)
-    }
-
-    /// [`Sweep::run_cached`] under a [`SupervisorConfig`]: journal every
-    /// outcome, replay a resume map, retry transients and watchdog each
-    /// attempt per the config, returning the matrix plus the run's
-    /// [`HealthReport`]. With the default config the matrix is
-    /// bit-identical to [`Sweep::run_cached`].
     #[must_use]
     pub fn run_supervised(
         &self,

@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use rvliw_fault::FaultPlan;
 use rvliw_kernels::Variant;
 use rvliw_rfu::RfuBandwidth;
 
@@ -13,7 +12,6 @@ use crate::runner::{MeResult, ScenarioError};
 use crate::scenario::Scenario;
 use crate::spec::{ExperimentSpec, SpecError};
 use crate::supervisor::{run_scenario_list_supervised, HealthReport, SupervisorConfig};
-use crate::sweep::run_scenario_list_cached;
 use crate::threads::default_threads;
 use crate::workload::Workload;
 
@@ -45,12 +43,72 @@ pub struct CaseStudy {
     pub app: AppModel,
 }
 
+/// The paper grid from declarative specs — the `tables --spec` path. The
+/// specs' scenarios are unioned by label (identical duplicates collapse,
+/// e.g. every table spec carries the ORIG baseline), must cover the paper
+/// grid exactly, and come back in [`CaseStudy::scenarios`] order, ready for
+/// [`CaseStudy::run_scenarios`]: the tables are then bit-identical to the
+/// built-in grid's.
+///
+/// # Errors
+///
+/// [`SpecError::DuplicateLabel`] from a spec's own expansion, and
+/// [`SpecError::GridMismatch`] when two specs disagree about a label's
+/// configuration, a paper-grid scenario is missing, or a spec contributes
+/// an off-grid scenario (those run through `rvliw sweep`, not the tables
+/// pipeline).
+pub fn grid_from_specs(specs: &[ExperimentSpec]) -> Result<Vec<Scenario>, SpecError> {
+    let mut by_label: BTreeMap<String, Scenario> = BTreeMap::new();
+    for spec in specs {
+        for sc in spec.scenarios()? {
+            match by_label.get(&sc.label) {
+                None => {
+                    by_label.insert(sc.label.clone(), sc);
+                }
+                Some(existing) if *existing == sc => {}
+                Some(_) => {
+                    return Err(SpecError::GridMismatch {
+                        message: format!(
+                            "specs disagree about scenario `{}` (same label, \
+                             different configuration)",
+                            sc.label
+                        ),
+                    });
+                }
+            }
+        }
+    }
+    let mut ordered = Vec::new();
+    for canonical in CaseStudy::scenarios() {
+        match by_label.remove(&canonical.label) {
+            Some(sc) => ordered.push(sc),
+            None => {
+                return Err(SpecError::GridMismatch {
+                    message: format!(
+                        "paper-grid scenario `{}` is missing from the specs",
+                        canonical.label
+                    ),
+                });
+            }
+        }
+    }
+    if let Some(label) = by_label.into_keys().next() {
+        return Err(SpecError::GridMismatch {
+            message: format!(
+                "scenario `{label}` is not part of the paper grid \
+                 (off-grid specs run through `rvliw sweep`)"
+            ),
+        });
+    }
+    Ok(ordered)
+}
+
 impl CaseStudy {
     /// The paper's scenarios in presentation order: ORIG; A1–A3; the six
     /// single-line-buffer loop points (bandwidth × β); the two
     /// two-line-buffer points. Each scenario is independent — it owns its
     /// machine, memory hierarchy and RFU — which is what makes the fan-out
-    /// in [`CaseStudy::run_with_threads`] trivially sound.
+    /// in [`CaseStudy::run_scenarios`] trivially sound.
     ///
     /// The grid is declared once, as [`ExperimentSpec::paper_grid`], and
     /// expanded here; the checked-in `specs/table*.json` files union to
@@ -64,58 +122,23 @@ impl CaseStudy {
         }
     }
 
-    /// Runs every scenario of the paper over `workload`, dispatching them
-    /// across [`default_threads`] worker threads. `progress` is called with
-    /// a scenario label as each scenario starts (from worker threads when
-    /// running parallel — labels may interleave, but every label appears
-    /// exactly once).
+    /// Runs every scenario of the paper silently over `workload` on
+    /// [`default_threads`] worker threads.
     #[must_use]
-    pub fn run_with_progress(workload: &Workload, progress: impl Fn(&str) + Sync) -> Self {
-        Self::run_with_threads(workload, default_threads(), progress)
-    }
-
-    /// Runs every scenario on exactly `threads` worker threads (`<= 1`
-    /// runs serially on the calling thread). Results are reassembled in
-    /// the fixed scenario order, so the outcome — every table, bit for
-    /// bit — is independent of the thread count: each scenario owns its
-    /// own [`Machine`](rvliw_sim::Machine) and the simulation itself is
-    /// deterministic.
-    #[must_use]
-    pub fn run_with_threads(
-        workload: &Workload,
-        threads: usize,
-        progress: impl Fn(&str) + Sync,
-    ) -> Self {
-        let scenarios = Self::scenarios();
-        let results = Self::run_list(&scenarios, workload, threads, &progress, None);
-        Self::assemble(workload, &scenarios, results)
-    }
-
-    /// Runs every scenario under `plan` across `threads` workers. Each
-    /// scenario derives its fault substreams from its own label, so the
-    /// same seed perturbs every scenario deterministically regardless of
-    /// thread scheduling. An inert plan reproduces
-    /// [`Self::run_with_threads`] bit for bit.
-    #[must_use]
-    pub fn run_with_fault_plan(
-        workload: &Workload,
-        plan: FaultPlan,
-        threads: usize,
-        progress: impl Fn(&str) + Sync,
-    ) -> Self {
-        let scenarios: Vec<Scenario> = Self::scenarios()
-            .into_iter()
-            .map(|sc| sc.with_fault_plan(plan))
-            .collect();
-        let results = Self::run_list(&scenarios, workload, threads, &progress, None);
-        Self::assemble(workload, &scenarios, results)
+    pub fn run(workload: &Workload) -> Self {
+        Self::run_scenarios(&Self::scenarios(), workload, default_threads(), |_| {})
     }
 
     /// Runs an explicit scenario list — [`Self::scenarios`], possibly with
-    /// modified fault plans or cycle budgets — across `threads` workers.
-    /// The list must keep the fixed presentation order (ORIG, A1–A3, the
-    /// six loop points, the two two-line-buffer points); slots are
-    /// reassembled positionally.
+    /// modified fault plans or cycle budgets, or [`grid_from_specs`] —
+    /// across `threads` workers (`<= 1` runs serially on the calling
+    /// thread): [`Self::run_scenarios_supervised`] with no cache and no
+    /// supervision. The list must keep the fixed presentation order (ORIG,
+    /// A1–A3, the six loop points, the two two-line-buffer points); slots
+    /// are reassembled positionally, so every table is bit-identical for
+    /// any thread count. `progress` is called with a scenario label as each
+    /// scenario starts (from worker threads when running parallel — labels
+    /// may interleave, but every label appears exactly once).
     #[must_use]
     pub fn run_scenarios(
         scenarios: &[Scenario],
@@ -123,29 +146,16 @@ impl CaseStudy {
         threads: usize,
         progress: impl Fn(&str) + Sync,
     ) -> Self {
-        Self::run_scenarios_cached(scenarios, workload, threads, progress, None)
+        let config = SupervisorConfig::default();
+        Self::run_scenarios_supervised(scenarios, workload, threads, progress, None, &config).0
     }
 
     /// [`Self::run_scenarios`] with an optional result cache consulted
-    /// before each simulation. Every table is bit-identical with or
-    /// without the cache; cache traffic is reported separately via
+    /// before each simulation, under a [`SupervisorConfig`]: journal,
+    /// resume, retries and watchdog per the config, returning the case
+    /// study plus the run's [`HealthReport`]. Every table is bit-identical
+    /// with or without the cache; cache traffic is reported separately via
     /// [`ScenarioCache::counts`].
-    #[must_use]
-    pub fn run_scenarios_cached(
-        scenarios: &[Scenario],
-        workload: &Workload,
-        threads: usize,
-        progress: impl Fn(&str) + Sync,
-        cache: Option<&ScenarioCache>,
-    ) -> Self {
-        let results = Self::run_list(scenarios, workload, threads, &progress, cache);
-        Self::assemble(workload, scenarios, results)
-    }
-
-    /// [`Self::run_scenarios_cached`] under a [`SupervisorConfig`]:
-    /// journal, resume, retries and watchdog per the config, returning the
-    /// case study plus the run's [`HealthReport`]. With the default config
-    /// the tables are bit-identical to the plain cached run.
     #[must_use]
     pub fn run_scenarios_supervised(
         scenarios: &[Scenario],
@@ -158,130 +168,6 @@ impl CaseStudy {
         let (results, health) =
             run_scenario_list_supervised(scenarios, workload, threads, &progress, cache, config);
         (Self::assemble(workload, scenarios, results), health)
-    }
-
-    /// Runs `scenarios` across `threads` workers on the shared sweep
-    /// engine ([`run_scenario_list_cached`]), returning one
-    /// [`ScenarioResult`] per scenario in input order.
-    fn run_list(
-        scenarios: &[Scenario],
-        workload: &Workload,
-        threads: usize,
-        progress: &(impl Fn(&str) + Sync),
-        cache: Option<&ScenarioCache>,
-    ) -> Vec<ScenarioResult> {
-        run_scenario_list_cached(scenarios, workload, threads, progress, cache)
-    }
-
-    /// Runs the case study from declarative specs — the `tables --spec`
-    /// path. The specs' scenarios are unioned by label (identical
-    /// duplicates collapse, e.g. every table spec carries the ORIG
-    /// baseline) and must cover the paper grid exactly; the union then
-    /// runs through [`Self::run_scenarios`] in canonical order, so the
-    /// result is bit-identical to [`Self::run_with_threads`].
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError::DuplicateLabel`] from a spec's own expansion, and
-    /// [`SpecError::GridMismatch`] when two specs disagree about a label's
-    /// configuration, a paper-grid scenario is missing, or a spec
-    /// contributes an off-grid scenario (those run through `rvliw sweep`,
-    /// not the tables pipeline).
-    pub fn run_from_specs(
-        specs: &[ExperimentSpec],
-        workload: &Workload,
-        threads: usize,
-        progress: impl Fn(&str) + Sync,
-    ) -> Result<Self, SpecError> {
-        Self::run_from_specs_cached(specs, workload, threads, progress, None)
-    }
-
-    /// [`Self::run_from_specs`] with an optional result cache — the warm
-    /// fast path of `tables --spec --check`. Bit-identical to the cold
-    /// path: hits return the full stored measurement.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::run_from_specs`].
-    pub fn run_from_specs_cached(
-        specs: &[ExperimentSpec],
-        workload: &Workload,
-        threads: usize,
-        progress: impl Fn(&str) + Sync,
-        cache: Option<&ScenarioCache>,
-    ) -> Result<Self, SpecError> {
-        let ordered = Self::specs_to_grid(specs)?;
-        Ok(Self::run_scenarios_cached(
-            &ordered, workload, threads, progress, cache,
-        ))
-    }
-
-    /// [`Self::run_from_specs_cached`] under a [`SupervisorConfig`],
-    /// returning the case study plus the run's [`HealthReport`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::run_from_specs`].
-    pub fn run_from_specs_supervised(
-        specs: &[ExperimentSpec],
-        workload: &Workload,
-        threads: usize,
-        progress: impl Fn(&str) + Sync,
-        cache: Option<&ScenarioCache>,
-        config: &SupervisorConfig,
-    ) -> Result<(Self, HealthReport), SpecError> {
-        let ordered = Self::specs_to_grid(specs)?;
-        Ok(Self::run_scenarios_supervised(
-            &ordered, workload, threads, progress, cache, config,
-        ))
-    }
-
-    /// Unions the specs' scenarios by label and orders them onto the
-    /// paper grid, rejecting disagreements, gaps and off-grid extras.
-    fn specs_to_grid(specs: &[ExperimentSpec]) -> Result<Vec<Scenario>, SpecError> {
-        let mut by_label: BTreeMap<String, Scenario> = BTreeMap::new();
-        for spec in specs {
-            for sc in spec.scenarios()? {
-                match by_label.get(&sc.label) {
-                    None => {
-                        by_label.insert(sc.label.clone(), sc);
-                    }
-                    Some(existing) if *existing == sc => {}
-                    Some(_) => {
-                        return Err(SpecError::GridMismatch {
-                            message: format!(
-                                "specs disagree about scenario `{}` (same label, \
-                                 different configuration)",
-                                sc.label
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        let mut ordered = Vec::new();
-        for canonical in Self::scenarios() {
-            match by_label.remove(&canonical.label) {
-                Some(sc) => ordered.push(sc),
-                None => {
-                    return Err(SpecError::GridMismatch {
-                        message: format!(
-                            "paper-grid scenario `{}` is missing from the specs",
-                            canonical.label
-                        ),
-                    });
-                }
-            }
-        }
-        if let Some(label) = by_label.into_keys().next() {
-            return Err(SpecError::GridMismatch {
-                message: format!(
-                    "scenario `{label}` is not part of the paper grid \
-                     (off-grid specs run through `rvliw sweep`)"
-                ),
-            });
-        }
-        Ok(ordered)
     }
 
     /// Reassembles per-scenario results (in the fixed order [`Self::scenarios`]
@@ -340,12 +226,6 @@ impl CaseStudy {
             two_lb,
             app,
         }
-    }
-
-    /// Runs silently on the default thread count.
-    #[must_use]
-    pub fn run(workload: &Workload) -> Self {
-        Self::run_with_progress(workload, |_| {})
     }
 
     /// Every scenario slot in presentation order.

@@ -108,8 +108,8 @@ use std::process::ExitCode;
 
 use rvliw::asm::{parse_program, schedule_st200, Code};
 use rvliw::exp::{
-    arch, run_explore, run_summary, ExperimentSpec, ExploreSpec, Journal, ScenarioCache,
-    SimSession, SupervisorConfig, Sweep, Workload,
+    arch, flag_parse, flag_value, run_explore, run_summary, ExperimentSpec, ExploreSpec, RunFlags,
+    ScenarioCache, SimSession, Sweep,
 };
 use rvliw::fault::{FaultPlan, FaultProfile};
 use rvliw::isa::{Bundle, Gpr, MachineConfig, Substrate};
@@ -273,100 +273,27 @@ fn execute(path: &str, rest: &[String], trace: bool) -> Result<(), String> {
 /// declarative experiment spec and run its scenario matrix on the
 /// deterministic parallel runner.
 fn run_sweep(rest: &[String]) -> Result<(), String> {
-    let mut path: Option<String> = None;
-    let mut threads = rvliw::exp::default_threads();
-    let mut frames: Option<usize> = None;
-    let mut out_path: Option<String> = None;
+    let mut path: Option<&str> = None;
+    let mut out_path: Option<&str> = None;
     let mut pareto = false;
-    let mut pareto_out: Option<String> = None;
-    let mut cache_dir = rvliw::exp::default_cache_dir();
-    let mut no_cache = false;
-    let mut journal_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut max_retries = 0u32;
-    let mut timeout_secs: Option<u64> = None;
-    let mut metrics_out: Option<String> = None;
+    let mut pareto_out: Option<&str> = None;
+    let mut metrics_out: Option<&str> = None;
     let mut substrate: Option<Substrate> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--spec" => {
-                path = Some(it.next().ok_or("--spec needs a spec file")?.clone());
-            }
-            "--journal" => {
-                journal_path = Some(it.next().ok_or("--journal needs an output file")?.clone());
-            }
-            "--resume" => {
-                resume_path = Some(it.next().ok_or("--resume needs a journal file")?.clone());
-            }
-            "--max-retries" => {
-                let v = it.next().ok_or("--max-retries needs an integer")?;
-                max_retries = v.parse().map_err(|e| format!("--max-retries: {e}"))?;
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs needs a positive integer")?;
-                let n: u64 = v.parse().map_err(|e| format!("--timeout-secs: {e}"))?;
-                if n == 0 {
-                    return Err("--timeout-secs: must be at least 1".to_owned());
-                }
-                timeout_secs = Some(n);
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    it.next()
-                        .ok_or("--metrics-out needs an output file")?
-                        .clone(),
-                );
-            }
+    let flags = RunFlags::parse(rest, |arg, it| {
+        match arg {
+            "--spec" => path = Some(flag_value(arg, it)?),
+            "--out" => out_path = Some(flag_value(arg, it)?),
             "--pareto" => pareto = true,
-            "--pareto-out" => {
-                pareto_out = Some(
-                    it.next()
-                        .ok_or("--pareto-out needs an output file")?
-                        .clone(),
-                );
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs an integer (0 = auto)")?;
-                threads = rvliw::exp::parse_threads(v).map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--frames" => {
-                let v = it.next().ok_or("--frames needs a positive integer")?;
-                let n = v.parse::<usize>().map_err(|e| format!("--frames: {e}"))?;
-                if n == 0 {
-                    return Err("--frames: must be at least 1".to_owned());
-                }
-                frames = Some(n);
-            }
-            "--out" => {
-                out_path = Some(it.next().ok_or("--out needs an output file")?.clone());
-            }
-            "--cache-dir" => {
-                cache_dir = Some(it.next().ok_or("--cache-dir needs a directory")?.into());
-            }
-            "--no-cache" => no_cache = true,
-            "--backend" => {
-                it.next()
-                    .ok_or("--backend needs a backend name")?
-                    .parse::<ExecBackend>()?
-                    .set_process_default();
-            }
-            "--substrate" => {
-                substrate = Some(
-                    it.next()
-                        .ok_or("--substrate needs a substrate name")?
-                        .parse::<Substrate>()?,
-                );
-            }
-            other if !other.starts_with('-') && path.is_none() => {
-                path = Some(other.to_owned());
-            }
-            other => return Err(format!("unknown sweep argument `{other}`")),
+            "--pareto-out" => pareto_out = Some(flag_value(arg, it)?),
+            "--metrics-out" => metrics_out = Some(flag_value(arg, it)?),
+            "--substrate" => substrate = Some(flag_parse(arg, it)?),
+            _ if !arg.starts_with('-') && path.is_none() => path = Some(arg),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let path =
         path.ok_or("no spec file (pass a spec path, positionally or through --spec FILE)")?;
-    let path = path.as_str();
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = ExperimentSpec::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
     if let Some(su) = substrate {
@@ -377,40 +304,18 @@ fn run_sweep(rest: &[String]) -> Result<(), String> {
             .collect();
     }
     let sweep = Sweep::expand(spec).map_err(|e| format!("{path}: {e}"))?;
-    let frames = frames.unwrap_or(sweep.spec().frames);
+    let frames = flags.frames.unwrap_or(sweep.spec().frames);
     eprintln!(
-        "encoding {frames}-frame workload, then {} scenarios on {threads} thread(s)",
-        sweep.scenarios().len()
+        "encoding {frames}-frame workload, then {} scenarios on {} thread(s)",
+        sweep.scenarios().len(),
+        flags.threads
     );
-    // The 25-frame paper workload is cached process-wide; anything else is
-    // encoded fresh for this run.
-    let (workload, workload_kind) = if frames == 25 {
-        ((*Workload::paper_shared()).clone(), "paper")
-    } else {
-        (Workload::qcif_frames(frames), "qcif")
-    };
-    let cache = match cache_dir.filter(|_| !no_cache) {
-        Some(dir) => {
-            Some(ScenarioCache::open(dir, &workload, workload_kind).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
-    let config = SupervisorConfig {
-        max_retries,
-        timeout: timeout_secs.map(std::time::Duration::from_secs),
-        journal: match &journal_path {
-            Some(p) => Some(Journal::open(p).map_err(|e| format!("--journal {p}: {e}"))?),
-            None => None,
-        },
-        resume: match &resume_path {
-            Some(p) => Journal::load(p).map_err(|e| format!("--resume {p}: {e}"))?,
-            None => std::collections::BTreeMap::new(),
-        },
-    };
+    let (workload, cache) = flags.open_workload(frames)?;
+    let config = flags.supervisor()?;
     let supervised = config.is_active();
     let (outcome, health) = sweep.run_supervised(
         &workload,
-        threads,
+        flags.threads,
         |label| eprintln!("  running {label}"),
         cache.as_ref(),
         &config,
@@ -449,11 +354,11 @@ fn run_sweep(rest: &[String]) -> Result<(), String> {
             m.insert("cache".to_owned(), cache.counts().to_json());
         }
         m.insert("health".to_owned(), health.to_json());
-        std::fs::write(&mpath, Json::Obj(m).to_string()).map_err(|e| format!("{mpath}: {e}"))?;
+        std::fs::write(mpath, Json::Obj(m).to_string()).map_err(|e| format!("{mpath}: {e}"))?;
         eprintln!("wrote run metrics to {mpath}");
     }
     if let Some(out_path) = out_path {
-        std::fs::write(&out_path, outcome.to_json_string())
+        std::fs::write(out_path, outcome.to_json_string())
             .map_err(|e| format!("{out_path}: {e}"))?;
         eprintln!("wrote result matrix to {out_path}");
     }
@@ -463,7 +368,7 @@ fn run_sweep(rest: &[String]) -> Result<(), String> {
             print!("{}", partition.to_json_string());
         }
         if let Some(pp) = pareto_out {
-            std::fs::write(&pp, partition.to_json_string()).map_err(|e| format!("{pp}: {e}"))?;
+            std::fs::write(pp, partition.to_json_string()).map_err(|e| format!("{pp}: {e}"))?;
             eprintln!("wrote Pareto partition to {pp}");
         }
     }
@@ -484,128 +389,44 @@ fn run_sweep(rest: &[String]) -> Result<(), String> {
 /// JSON on stdout. Progress and cache/health summaries go to stderr so
 /// stdout stays byte-stable for a fixed seed.
 fn run_explore_cmd(rest: &[String]) -> Result<(), String> {
-    let mut path: Option<String> = None;
+    let mut path: Option<&str> = None;
     let mut seed = 0u64;
-    let mut threads = rvliw::exp::default_threads();
-    let mut frames: Option<usize> = None;
-    let mut out_path: Option<String> = None;
-    let mut cache_dir = rvliw::exp::default_cache_dir();
-    let mut no_cache = false;
-    let mut journal_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut max_retries = 0u32;
-    let mut timeout_secs: Option<u64> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--spec" => {
-                path = Some(it.next().ok_or("--spec needs a spec file")?.clone());
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs an integer")?;
-                seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs an integer (0 = auto)")?;
-                threads = rvliw::exp::parse_threads(v).map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--frames" => {
-                let v = it.next().ok_or("--frames needs a positive integer")?;
-                let n = v.parse::<usize>().map_err(|e| format!("--frames: {e}"))?;
-                if n == 0 {
-                    return Err("--frames: must be at least 1".to_owned());
-                }
-                frames = Some(n);
-            }
-            "--out" => {
-                out_path = Some(it.next().ok_or("--out needs an output file")?.clone());
-            }
-            "--cache-dir" => {
-                cache_dir = Some(it.next().ok_or("--cache-dir needs a directory")?.into());
-            }
-            "--no-cache" => no_cache = true,
-            "--backend" => {
-                it.next()
-                    .ok_or("--backend needs a backend name")?
-                    .parse::<ExecBackend>()?
-                    .set_process_default();
-            }
-            "--journal" => {
-                journal_path = Some(it.next().ok_or("--journal needs an output file")?.clone());
-            }
-            "--resume" => {
-                resume_path = Some(it.next().ok_or("--resume needs a journal file")?.clone());
-            }
-            "--max-retries" => {
-                let v = it.next().ok_or("--max-retries needs an integer")?;
-                max_retries = v.parse().map_err(|e| format!("--max-retries: {e}"))?;
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs needs a positive integer")?;
-                let n: u64 = v.parse().map_err(|e| format!("--timeout-secs: {e}"))?;
-                if n == 0 {
-                    return Err("--timeout-secs: must be at least 1".to_owned());
-                }
-                timeout_secs = Some(n);
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    it.next()
-                        .ok_or("--metrics-out needs an output file")?
-                        .clone(),
-                );
-            }
-            other if !other.starts_with('-') && path.is_none() => {
-                path = Some(other.to_owned());
-            }
-            other => return Err(format!("unknown explore argument `{other}`")),
+    let mut out_path: Option<&str> = None;
+    let mut metrics_out: Option<&str> = None;
+    let flags = RunFlags::parse(rest, |arg, it| {
+        match arg {
+            "--spec" => path = Some(flag_value(arg, it)?),
+            "--seed" => seed = flag_parse(arg, it)?,
+            "--out" => out_path = Some(flag_value(arg, it)?),
+            "--metrics-out" => metrics_out = Some(flag_value(arg, it)?),
+            _ if !arg.starts_with('-') && path.is_none() => path = Some(arg),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let path =
         path.ok_or("no spec file (pass a spec path, positionally or through --spec FILE)")?;
-    let path = path.as_str();
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = ExploreSpec::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(frames) = frames {
+    if let Some(frames) = flags.frames {
         spec.frames = frames;
     }
     eprintln!(
-        "exploring {} ({} design points, budget {}, strategy {}, seed {seed}) on {threads} \
+        "exploring {} ({} design points, budget {}, strategy {}, seed {seed}) on {} \
          thread(s)",
         spec.name,
         spec.space.size(),
         spec.budget,
-        spec.strategy.token()
+        spec.strategy.token(),
+        flags.threads
     );
-    let (workload, workload_kind) = if spec.frames == 25 {
-        ((*Workload::paper_shared()).clone(), "paper")
-    } else {
-        (Workload::qcif_frames(spec.frames), "qcif")
-    };
-    let cache = match cache_dir.filter(|_| !no_cache) {
-        Some(dir) => {
-            Some(ScenarioCache::open(dir, &workload, workload_kind).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
-    let config = SupervisorConfig {
-        max_retries,
-        timeout: timeout_secs.map(std::time::Duration::from_secs),
-        journal: match &journal_path {
-            Some(p) => Some(Journal::open(p).map_err(|e| format!("--journal {p}: {e}"))?),
-            None => None,
-        },
-        resume: match &resume_path {
-            Some(p) => Journal::load(p).map_err(|e| format!("--resume {p}: {e}"))?,
-            None => std::collections::BTreeMap::new(),
-        },
-    };
+    let (workload, cache) = flags.open_workload(spec.frames)?;
+    let config = flags.supervisor()?;
     let outcome = run_explore(
         &spec,
         seed,
         &workload,
-        threads,
+        flags.threads,
         |label| eprintln!("  evaluating {label}"),
         cache.as_ref(),
         &config,
@@ -635,11 +456,11 @@ fn run_explore_cmd(rest: &[String]) -> Result<(), String> {
             "revisits".to_owned(),
             Json::Num(outcome.revisits.to_string()),
         );
-        std::fs::write(&mpath, Json::Obj(m).to_string()).map_err(|e| format!("{mpath}: {e}"))?;
+        std::fs::write(mpath, Json::Obj(m).to_string()).map_err(|e| format!("{mpath}: {e}"))?;
         eprintln!("wrote run metrics to {mpath}");
     }
     if let Some(out_path) = out_path {
-        std::fs::write(&out_path, outcome.to_json_string())
+        std::fs::write(out_path, outcome.to_json_string())
             .map_err(|e| format!("{out_path}: {e}"))?;
         eprintln!("wrote outcome to {out_path}");
     }

@@ -8,14 +8,14 @@
 
 use std::path::{Path, PathBuf};
 
-use rvliw_core::{
-    verify_cache, CaseStudy, ExperimentSpec, Scenario, ScenarioCache, Sweep, TablesSnapshot,
-    Workload,
+use rvliw::exp::{
+    grid_from_specs, verify_cache, CaseStudy, ExperimentSpec, Scenario, ScenarioCache,
+    SupervisorConfig, Sweep, TablesSnapshot, Workload,
 };
-use rvliw_fault::{FaultPlan, FaultProfile};
+use rvliw::fault::{FaultPlan, FaultProfile};
 
 fn specs_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("specs")
 }
 
 fn load_spec(name: &str) -> ExperimentSpec {
@@ -53,16 +53,18 @@ fn open(dir: &Path, w: &Workload) -> ScenarioCache {
 #[test]
 fn table_specs_cold_then_warm_are_bit_identical() {
     let w = Workload::tiny();
-    let specs = table_specs();
+    let grid = grid_from_specs(&table_specs()).expect("specs cover the grid");
     let dir = tmpdir("tables");
+    let cached = |threads: usize, cache: &ScenarioCache| {
+        let config = SupervisorConfig::default();
+        CaseStudy::run_scenarios_supervised(&grid, &w, threads, |_| {}, Some(cache), &config).0
+    };
 
-    let uncached = CaseStudy::run_from_specs(&specs, &w, 2, |_| {}).expect("specs cover the grid");
+    let uncached = CaseStudy::run_scenarios(&grid, &w, 2, |_| {});
     let want = TablesSnapshot::capture(&uncached).cells;
 
     let cold = open(&dir, &w);
-    let cs = CaseStudy::run_from_specs_cached(&specs, &w, 1, |_| {}, Some(&cold))
-        .expect("cold run completes");
-    assert_eq!(TablesSnapshot::capture(&cs).cells, want);
+    assert_eq!(TablesSnapshot::capture(&cached(1, &cold)).cells, want);
     let counts = cold.counts();
     assert_eq!(counts.hits, 0, "first run over an empty cache cannot hit");
     assert_eq!(counts.misses, 12, "one miss per grid scenario");
@@ -70,10 +72,8 @@ fn table_specs_cold_then_warm_are_bit_identical() {
 
     for threads in [1, 4] {
         let warm = open(&dir, &w);
-        let cs = CaseStudy::run_from_specs_cached(&specs, &w, threads, |_| {}, Some(&warm))
-            .expect("warm run completes");
         assert_eq!(
-            TablesSnapshot::capture(&cs).cells,
+            TablesSnapshot::capture(&cached(threads, &warm)).cells,
             want,
             "warm tables drifted at {threads} thread(s)"
         );
@@ -96,6 +96,7 @@ fn table_specs_cold_then_warm_are_bit_identical() {
 #[test]
 fn sweep_json_matrices_are_bit_identical_cold_and_warm() {
     let w = Workload::tiny();
+    let config = SupervisorConfig::default();
     let names = [
         "table1.json",
         "table2.json",
@@ -110,11 +111,11 @@ fn sweep_json_matrices_are_bit_identical_cold_and_warm() {
         let dir = tmpdir("sweep");
         let sweep = Sweep::expand(load_spec(name)).expect("spec expands");
         let cold_cache = open(&dir, &w);
-        let cold = sweep.run_cached(&w, 1, |_| {}, Some(&cold_cache));
+        let (cold, _) = sweep.run_supervised(&w, 1, |_| {}, Some(&cold_cache), &config);
         assert!(cold.is_complete(), "{name}: cold sweep must complete");
         for threads in [1, 4] {
             let warm_cache = open(&dir, &w);
-            let warm = sweep.run_cached(&w, threads, |_| {}, Some(&warm_cache));
+            let (warm, _) = sweep.run_supervised(&w, threads, |_| {}, Some(&warm_cache), &config);
             assert_eq!(
                 cold.to_json_string(),
                 warm.to_json_string(),
@@ -151,7 +152,7 @@ fn faulty_and_clean_runs_never_share_cache_entries() {
         Scenario::orig().with_fault_plan(FaultPlan::from_profile(FaultProfile::Latency, 8));
     assert_ne!(cache.key_for(&faulty), cache.key_for(&reseeded));
 
-    let faulty_result = rvliw_core::run_me(&faulty, &w).expect("latency jitter only slows the run");
+    let faulty_result = rvliw::exp::run_me(&faulty, &w).expect("latency jitter only slows the run");
     cache.record(&faulty, &faulty_result);
     assert_eq!(
         cache.lookup(&clean),
@@ -159,7 +160,7 @@ fn faulty_and_clean_runs_never_share_cache_entries() {
         "a faulty measurement must not satisfy a clean lookup"
     );
 
-    let clean_result = rvliw_core::run_me(&clean, &w).expect("clean run completes");
+    let clean_result = rvliw::exp::run_me(&clean, &w).expect("clean run completes");
     cache.record(&clean, &clean_result);
     assert_eq!(cache.lookup(&clean), Some(clean_result.clone()));
     assert_eq!(cache.lookup(&faulty), Some(faulty_result.clone()));

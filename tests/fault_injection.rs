@@ -3,15 +3,23 @@
 //! thread counts, a runaway scenario trips the cycle-budget watchdog, and
 //! one failing scenario never perturbs the measurements of the others.
 
-use rvliw_core::{run_me, CaseStudy, Scenario, ScenarioError, Workload};
-use rvliw_fault::{FaultPlan, FaultProfile};
-use rvliw_sim::SimError;
+use rvliw::exp::{run_me, CaseStudy, Scenario, ScenarioError, Workload};
+use rvliw::fault::{FaultPlan, FaultProfile};
+use rvliw::sim::SimError;
+
+/// The paper grid with every scenario under `plan`.
+fn grid_under(plan: FaultPlan) -> Vec<Scenario> {
+    CaseStudy::scenarios()
+        .into_iter()
+        .map(|sc| sc.with_fault_plan(plan))
+        .collect()
+}
 
 #[test]
 fn zero_fault_plan_is_bit_identical_to_no_plan() {
     let w = Workload::tiny();
-    let plain = CaseStudy::run_with_threads(&w, 2, |_| {});
-    let zero = CaseStudy::run_with_fault_plan(&w, FaultPlan::none(), 2, |_| {});
+    let plain = CaseStudy::run_scenarios(&CaseStudy::scenarios(), &w, 2, |_| {});
+    let zero = CaseStudy::run_scenarios(&grid_under(FaultPlan::none()), &w, 2, |_| {});
     assert!(plain.is_complete() && zero.is_complete());
     assert_eq!(plain.orig, zero.orig);
     assert_eq!(plain.instr, zero.instr);
@@ -22,9 +30,9 @@ fn zero_fault_plan_is_bit_identical_to_no_plan() {
 #[test]
 fn seeded_fault_runs_are_deterministic_across_thread_counts() {
     let w = Workload::tiny();
-    let plan = FaultPlan::from_profile(FaultProfile::Chaos, 42);
-    let serial = CaseStudy::run_with_fault_plan(&w, plan, 1, |_| {});
-    let parallel = CaseStudy::run_with_fault_plan(&w, plan, 4, |_| {});
+    let grid = grid_under(FaultPlan::from_profile(FaultProfile::Chaos, 42));
+    let serial = CaseStudy::run_scenarios(&grid, &w, 1, |_| {});
+    let parallel = CaseStudy::run_scenarios(&grid, &w, 4, |_| {});
     // Substreams are derived from (seed, component, scenario label), so
     // which faults fire — and every resulting measurement or error — is
     // independent of thread scheduling.
@@ -49,7 +57,7 @@ fn runaway_scenario_trips_the_cycle_budget() {
 #[test]
 fn failing_scenario_leaves_every_other_cell_bit_identical() {
     let w = Workload::tiny();
-    let baseline = CaseStudy::run_with_threads(&w, 2, |_| {});
+    let baseline = CaseStudy::run_scenarios(&CaseStudy::scenarios(), &w, 2, |_| {});
     // Poison one scenario (A2) with an impossible cycle budget.
     let mut scenarios = CaseStudy::scenarios();
     let poisoned = 2;

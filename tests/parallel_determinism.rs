@@ -3,15 +3,16 @@
 
 use std::sync::Mutex;
 
-use rvliw_core::{CaseStudy, Workload};
+use rvliw::exp::{CaseStudy, Workload};
 
 #[test]
 fn parallel_case_study_matches_serial_bit_for_bit() {
     let w = Workload::tiny();
-    let serial = CaseStudy::run_with_threads(&w, 1, |_| {});
+    let grid = CaseStudy::scenarios();
+    let serial = CaseStudy::run_scenarios(&grid, &w, 1, |_| {});
 
     let labels = Mutex::new(Vec::new());
-    let parallel = CaseStudy::run_with_threads(&w, 4, |label| {
+    let parallel = CaseStudy::run_scenarios(&grid, &w, 4, |label| {
         labels.lock().unwrap().push(label.to_string());
     });
 
@@ -38,5 +39,5 @@ fn parallel_case_study_matches_serial_bit_for_bit() {
 fn thread_count_env_override_parses() {
     // `default_threads` is process-global state; only assert the invariant
     // that it is at least one without mutating the environment.
-    assert!(rvliw_core::default_threads() >= 1);
+    assert!(rvliw::exp::default_threads() >= 1);
 }

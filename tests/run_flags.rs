@@ -1,0 +1,93 @@
+//! The strict run-flag parser `rvliw sweep`, `rvliw explore` and `tables`
+//! share: bad input is an error naming the flag — never a panic, a silent
+//! default or an ignored argument — and every run flag reaches the
+//! workload, cache and supervision it configures.
+
+use std::path::PathBuf;
+use std::time::Duration;
+
+use rvliw::exp::{flag_parse, flag_value, RunFlags};
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rvliw-run-flags-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Parses `line` with a command-specific handler shaped like the one
+/// `tables` passes: a switch, a path-valued flag and two parsed values.
+fn parse(line: &str) -> Result<RunFlags, String> {
+    let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+    RunFlags::parse(&args, |arg, it| {
+        match arg {
+            "--write" => {}
+            "--check" => drop(flag_value(arg, it)?),
+            "--fault-seed" => drop(flag_parse::<u64>(arg, it)?),
+            "--baseline-cps" => drop(flag_parse::<f64>(arg, it)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })
+}
+
+#[test]
+fn bad_flags_are_errors_naming_the_flag() {
+    for (line, flag) in [
+        ("--frames 0", "--frames"),
+        ("--frames two", "--frames"),
+        ("--frames", "--frames"),
+        ("--no-such-flag", "--no-such-flag"),
+        ("--write stray", "stray"),
+        ("--threads many", "--threads"),
+        ("--max-retries -1", "--max-retries"),
+        ("--timeout-secs 0", "--timeout-secs"),
+        ("--backend warp", "--backend"),
+        ("--cache-dir", "--cache-dir"),
+        ("--fault-seed", "--fault-seed"),
+        ("--baseline-cps abc", "--baseline-cps"),
+        ("--check", "--check"),
+    ] {
+        match parse(line) {
+            Ok(_) => panic!("`{line}` must be rejected"),
+            Err(e) => assert!(
+                e.contains(flag),
+                "`{line}`: error `{e}` does not name {flag}"
+            ),
+        }
+    }
+}
+
+#[test]
+fn every_run_flag_is_accepted_and_applied() {
+    let dir = tmpdir("all");
+    let journal = dir.join("run.jsonl");
+    let line = format!(
+        "--write --threads 3 --frames 2 --cache-dir {} --no-cache --backend auto \
+         --journal {j} --resume {j} --max-retries 2 --timeout-secs 9 \
+         --fault-seed 7 --baseline-cps 1.5 --check BENCH_tables.json",
+        dir.display(),
+        j = journal.display()
+    );
+    let flags = parse(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+    assert_eq!(flags.threads, 3);
+    assert_eq!(flags.frames, Some(2));
+    // The journal is opened before the resume file is read, so resuming
+    // from the journal being written works on a fresh path.
+    let config = flags.supervisor().unwrap();
+    assert_eq!(config.max_retries, 2);
+    assert_eq!(config.timeout, Some(Duration::from_secs(9)));
+    assert!(config.journal.is_some() && config.resume.is_empty());
+    // `--no-cache` wins over `--cache-dir`.
+    let (workload, cache) = flags.open_workload(2).unwrap();
+    assert_eq!(workload.frames.len(), 2);
+    assert!(cache.is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn no_run_flags_mean_no_supervision() {
+    let flags = parse("").unwrap();
+    assert!(flags.threads >= 1);
+    assert_eq!(flags.frames, None);
+    assert!(!flags.supervisor().unwrap().is_active());
+}

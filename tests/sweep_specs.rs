@@ -8,12 +8,13 @@
 
 use std::path::{Path, PathBuf};
 
-use rvliw_core::{
-    CaseStudy, ExperimentSpec, Scenario, SpecError, Sweep, SweepAxes, TablesSnapshot, Workload,
+use rvliw::exp::{
+    grid_from_specs, CaseStudy, ExperimentSpec, Scenario, SpecError, Sweep, SweepAxes,
+    TablesSnapshot, Workload,
 };
 
 fn specs_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("specs")
 }
 
 fn load_spec(name: &str) -> ExperimentSpec {
@@ -65,6 +66,9 @@ fn table_specs_union_to_the_paper_grid() {
             .unwrap_or_else(|| panic!("specs miss `{}`", want.label));
         assert_eq!(got, want, "spec scenario `{}` drifted", want.label);
     }
+    // `grid_from_specs` performs that union and puts it in canonical order.
+    let grid = grid_from_specs(&table_specs()).expect("table specs cover the grid");
+    assert_eq!(grid, canonical);
 }
 
 /// Spec-driven tables are bit-identical to the built-in grid on a tiny
@@ -72,10 +76,9 @@ fn table_specs_union_to_the_paper_grid() {
 #[test]
 fn spec_driven_tables_match_builtin_grid_bit_for_bit() {
     let workload = Workload::tiny();
-    let specs = table_specs();
-    let from_specs = CaseStudy::run_from_specs(&specs, &workload, 2, |_| {})
-        .expect("table specs cover the grid");
-    let builtin = CaseStudy::run_with_threads(&workload, 1, |_| {});
+    let grid = grid_from_specs(&table_specs()).expect("table specs cover the grid");
+    let from_specs = CaseStudy::run_scenarios(&grid, &workload, 2, |_| {});
+    let builtin = CaseStudy::run_scenarios(&CaseStudy::scenarios(), &workload, 1, |_| {});
     assert!(from_specs.is_complete() && builtin.is_complete());
     assert_eq!(
         TablesSnapshot::capture(&from_specs).cells,
@@ -113,8 +116,7 @@ fn offgrid_spec_runs_deterministically_across_thread_counts() {
 fn offgrid_spec_is_rejected_by_the_tables_pipeline() {
     let mut specs = table_specs();
     specs.push(load_spec("offgrid_beta_sweep.json"));
-    let workload = Workload::tiny();
-    match CaseStudy::run_from_specs(&specs, &workload, 1, |_| {}) {
+    match grid_from_specs(&specs) {
         Err(SpecError::GridMismatch { message }) => {
             assert!(message.contains("not part of the paper grid"), "{message}");
         }
@@ -143,8 +145,7 @@ fn duplicate_labels_are_a_typed_error() {
 #[test]
 fn missing_grid_coverage_is_a_typed_error() {
     let specs = vec![load_spec("table1.json")];
-    let workload = Workload::tiny();
-    match CaseStudy::run_from_specs(&specs, &workload, 1, |_| {}) {
+    match grid_from_specs(&specs) {
         Err(SpecError::GridMismatch { message }) => {
             assert!(message.contains("missing"), "{message}");
         }
