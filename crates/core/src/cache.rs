@@ -27,7 +27,7 @@ use mpeg4_enc::QualityMetrics;
 use rvliw_asm::Code;
 use rvliw_cache::{CacheCounts, CacheError, CacheKey, KeyBuilder, ResultCache};
 use rvliw_fault::FaultPlan;
-use rvliw_isa::{encode_op, Substrate};
+use rvliw_isa::encode_op;
 use rvliw_kernels::{build_getsad_approx, build_mb_prep, build_me_loop_call, DriverKind, Variant};
 use rvliw_mem::MemStats;
 use rvliw_rfu::{RfuBandwidth, RfuStats};
@@ -35,9 +35,8 @@ use rvliw_sim::SimStats;
 use rvliw_trace::Json;
 
 use crate::runner::MeResult;
-use crate::scenario::{
-    approx_token, parse_approx, parse_search, sad_approx_to_rfu, search_token, Kind, Scenario,
-};
+use crate::scenario::{sad_approx_to_rfu, Kind, Scenario};
+use crate::spec::DESCRIBED;
 use crate::sweep::run_scenario_list;
 use crate::workload::Workload;
 
@@ -173,10 +172,13 @@ fn num(v: u64) -> Json {
     Json::Num(v.to_string())
 }
 
-fn mem_to_json(m: &MemStats) -> Json {
-    // Exhaustive destructuring: adding a MemStats field breaks this
-    // function until the serialization (and RESULT_SCHEMA) is updated.
-    let MemStats {
+// Each codec names its struct's fields once; the generated writer
+// destructures exhaustively, so adding a field to one of these structs
+// breaks the build until it is listed here (bump RESULT_SCHEMA with it).
+rvliw_trace::json_codec!(
+    mem_to_json,
+    mem_from_json,
+    MemStats {
         loads,
         stores,
         d_hits,
@@ -191,50 +193,13 @@ fn mem_to_json(m: &MemStats) -> Json {
         pf_redundant,
         pf_useful,
         pf_late,
-    } = *m;
-    let mut o = BTreeMap::new();
-    o.insert("loads".to_owned(), num(loads));
-    o.insert("stores".to_owned(), num(stores));
-    o.insert("d_hits".to_owned(), num(d_hits));
-    o.insert("d_misses".to_owned(), num(d_misses));
-    o.insert("d_late_covered".to_owned(), num(d_late_covered));
-    o.insert("d_stall_cycles".to_owned(), num(d_stall_cycles));
-    o.insert("writebacks".to_owned(), num(writebacks));
-    o.insert("i_misses".to_owned(), num(i_misses));
-    o.insert("i_stall_cycles".to_owned(), num(i_stall_cycles));
-    o.insert("pf_issued".to_owned(), num(pf_issued));
-    o.insert("pf_dropped".to_owned(), num(pf_dropped));
-    o.insert("pf_redundant".to_owned(), num(pf_redundant));
-    o.insert("pf_useful".to_owned(), num(pf_useful));
-    o.insert("pf_late".to_owned(), num(pf_late));
-    Json::Obj(o)
-}
+    }
+);
 
-fn field(j: &Json, key: &str) -> Option<u64> {
-    j.get(key).and_then(Json::as_u64)
-}
-
-fn mem_from_json(j: &Json) -> Option<MemStats> {
-    Some(MemStats {
-        loads: field(j, "loads")?,
-        stores: field(j, "stores")?,
-        d_hits: field(j, "d_hits")?,
-        d_misses: field(j, "d_misses")?,
-        d_late_covered: field(j, "d_late_covered")?,
-        d_stall_cycles: field(j, "d_stall_cycles")?,
-        writebacks: field(j, "writebacks")?,
-        i_misses: field(j, "i_misses")?,
-        i_stall_cycles: field(j, "i_stall_cycles")?,
-        pf_issued: field(j, "pf_issued")?,
-        pf_dropped: field(j, "pf_dropped")?,
-        pf_redundant: field(j, "pf_redundant")?,
-        pf_useful: field(j, "pf_useful")?,
-        pf_late: field(j, "pf_late")?,
-    })
-}
-
-fn core_to_json(s: &SimStats) -> Json {
-    let SimStats {
+rvliw_trace::json_codec!(
+    core_to_json,
+    core_from_json,
+    SimStats {
         cycles,
         bundles,
         ops,
@@ -244,47 +209,13 @@ fn core_to_json(s: &SimStats) -> Json {
         branch_stall_cycles,
         ifetch_stall_cycles,
         ops_by_class,
-    } = *s;
-    let mut o = BTreeMap::new();
-    o.insert("cycles".to_owned(), num(cycles));
-    o.insert("bundles".to_owned(), num(bundles));
-    o.insert("ops".to_owned(), num(ops));
-    o.insert("interlock_stalls".to_owned(), num(interlock_stalls));
-    o.insert("rfu_busy_stalls".to_owned(), num(rfu_busy_stalls));
-    o.insert("branches_taken".to_owned(), num(branches_taken));
-    o.insert("branch_stall_cycles".to_owned(), num(branch_stall_cycles));
-    o.insert("ifetch_stall_cycles".to_owned(), num(ifetch_stall_cycles));
-    o.insert(
-        "ops_by_class".to_owned(),
-        Json::Arr(ops_by_class.iter().map(|&v| num(v)).collect()),
-    );
-    Json::Obj(o)
-}
-
-fn core_from_json(j: &Json) -> Option<SimStats> {
-    let classes = j.get("ops_by_class")?.as_array()?;
-    if classes.len() != 5 {
-        return None;
     }
-    let mut ops_by_class = [0u64; 5];
-    for (slot, v) in ops_by_class.iter_mut().zip(classes) {
-        *slot = v.as_u64()?;
-    }
-    Some(SimStats {
-        cycles: field(j, "cycles")?,
-        bundles: field(j, "bundles")?,
-        ops: field(j, "ops")?,
-        interlock_stalls: field(j, "interlock_stalls")?,
-        rfu_busy_stalls: field(j, "rfu_busy_stalls")?,
-        branches_taken: field(j, "branches_taken")?,
-        branch_stall_cycles: field(j, "branch_stall_cycles")?,
-        ifetch_stall_cycles: field(j, "ifetch_stall_cycles")?,
-        ops_by_class,
-    })
-}
+);
 
-fn rfu_to_json(s: &RfuStats) -> Json {
-    let RfuStats {
+rvliw_trace::json_codec!(
+    rfu_to_json,
+    rfu_from_json,
+    RfuStats {
         inits,
         reconfigs,
         reconfig_penalty_cycles,
@@ -301,49 +232,26 @@ fn rfu_to_json(s: &RfuStats) -> Json {
         lbb_misses,
         loop_stall_cycles,
         loop_busy_cycles,
-    } = *s;
-    let mut o = BTreeMap::new();
-    o.insert("inits".to_owned(), num(inits));
-    o.insert("reconfigs".to_owned(), num(reconfigs));
-    o.insert(
-        "reconfig_penalty_cycles".to_owned(),
-        num(reconfig_penalty_cycles),
-    );
-    o.insert("sends".to_owned(), num(sends));
-    o.insert("execs".to_owned(), num(execs));
-    o.insert("loops".to_owned(), num(loops));
-    o.insert("dct_loops".to_owned(), num(dct_loops));
-    o.insert("mb_prefetches".to_owned(), num(mb_prefetches));
-    o.insert("mb_prefetch_lines".to_owned(), num(mb_prefetch_lines));
-    o.insert("lba_waits".to_owned(), num(lba_waits));
-    o.insert("lba_wait_cycles".to_owned(), num(lba_wait_cycles));
-    o.insert("lbb_hits".to_owned(), num(lbb_hits));
-    o.insert("lbb_late".to_owned(), num(lbb_late));
-    o.insert("lbb_misses".to_owned(), num(lbb_misses));
-    o.insert("loop_stall_cycles".to_owned(), num(loop_stall_cycles));
-    o.insert("loop_busy_cycles".to_owned(), num(loop_busy_cycles));
-    Json::Obj(o)
-}
+    }
+);
 
-fn rfu_from_json(j: &Json) -> Option<RfuStats> {
-    Some(RfuStats {
-        inits: field(j, "inits")?,
-        reconfigs: field(j, "reconfigs")?,
-        reconfig_penalty_cycles: field(j, "reconfig_penalty_cycles")?,
-        sends: field(j, "sends")?,
-        execs: field(j, "execs")?,
-        loops: field(j, "loops")?,
-        dct_loops: field(j, "dct_loops")?,
-        mb_prefetches: field(j, "mb_prefetches")?,
-        mb_prefetch_lines: field(j, "mb_prefetch_lines")?,
-        lba_waits: field(j, "lba_waits")?,
-        lba_wait_cycles: field(j, "lba_wait_cycles")?,
-        lbb_hits: field(j, "lbb_hits")?,
-        lbb_late: field(j, "lbb_late")?,
-        lbb_misses: field(j, "lbb_misses")?,
-        loop_stall_cycles: field(j, "loop_stall_cycles")?,
-        loop_busy_cycles: field(j, "loop_busy_cycles")?,
-    })
+rvliw_trace::json_codec!(
+    fault_to_json,
+    fault_from_json,
+    FaultPlan {
+        seed,
+        mem_latency_ppm,
+        mem_latency_max,
+        flush_ppm,
+        lb_delay_ppm,
+        lb_delay_max,
+        lb_stuck_ppm,
+        bitflip_ppm,
+    }
+);
+
+fn field(j: &Json, key: &str) -> Option<u64> {
+    j.get(key).and_then(Json::as_u64)
 }
 
 /// Serializes a measurement for storage.
@@ -408,54 +316,14 @@ pub fn me_result_from_json(j: &Json) -> Option<MeResult> {
     })
 }
 
-fn fault_to_json(p: &FaultPlan) -> Json {
-    let FaultPlan {
-        seed,
-        mem_latency_ppm,
-        mem_latency_max,
-        flush_ppm,
-        lb_delay_ppm,
-        lb_delay_max,
-        lb_stuck_ppm,
-        bitflip_ppm,
-    } = *p;
-    let mut o = BTreeMap::new();
-    o.insert("seed".to_owned(), num(seed));
-    o.insert(
-        "mem_latency_ppm".to_owned(),
-        num(u64::from(mem_latency_ppm)),
-    );
-    o.insert("mem_latency_max".to_owned(), num(mem_latency_max));
-    o.insert("flush_ppm".to_owned(), num(u64::from(flush_ppm)));
-    o.insert("lb_delay_ppm".to_owned(), num(u64::from(lb_delay_ppm)));
-    o.insert("lb_delay_max".to_owned(), num(lb_delay_max));
-    o.insert("lb_stuck_ppm".to_owned(), num(u64::from(lb_stuck_ppm)));
-    o.insert("bitflip_ppm".to_owned(), num(u64::from(bitflip_ppm)));
-    Json::Obj(o)
-}
-
-fn ppm(j: &Json, key: &str) -> Option<u32> {
-    field(j, key).and_then(|v| u32::try_from(v).ok())
-}
-
-fn fault_from_json(j: &Json) -> Option<FaultPlan> {
-    Some(FaultPlan {
-        seed: field(j, "seed")?,
-        mem_latency_ppm: ppm(j, "mem_latency_ppm")?,
-        mem_latency_max: field(j, "mem_latency_max")?,
-        flush_ppm: ppm(j, "flush_ppm")?,
-        lb_delay_ppm: ppm(j, "lb_delay_ppm")?,
-        lb_delay_max: field(j, "lb_delay_max")?,
-        lb_stuck_ppm: ppm(j, "lb_stuck_ppm")?,
-        bitflip_ppm: ppm(j, "bitflip_ppm")?,
-    })
-}
-
-/// A descriptor of the scenario, enough for `verify` to rebuild
-/// preset-configured scenarios and re-simulate them. Scenarios with
-/// custom machine/memory/reconfiguration settings rebuild to a different
-/// key and are reported as unverifiable rather than mis-verified.
-fn scenario_desc(sc: &Scenario) -> Json {
+/// A descriptor of the scenario, enough for `verify` to rebuild it and
+/// re-simulate: the kind, cycle budget, fault plan and label, plus every
+/// spec axis whose value differs from the kind's preset (written and read
+/// back through the spec axis table). Scenarios with settings no axis
+/// expresses rebuild to a different key and are reported as unverifiable
+/// rather than mis-verified.
+#[must_use]
+pub fn scenario_desc(sc: &Scenario) -> Json {
     let mut o = BTreeMap::new();
     match &sc.kind {
         Kind::Instruction(v) => {
@@ -477,13 +345,6 @@ fn scenario_desc(sc: &Scenario) -> Json {
         }
     }
     o.insert(
-        "lbb_bank_lines".to_owned(),
-        match sc.lbb_bank_lines {
-            Some(n) => num(n as u64),
-            None => Json::Null,
-        },
-    );
-    o.insert(
         "cycle_limit".to_owned(),
         match sc.cycle_limit {
             Some(n) => num(n),
@@ -492,54 +353,40 @@ fn scenario_desc(sc: &Scenario) -> Json {
     );
     o.insert("fault".to_owned(), fault_to_json(&sc.fault));
     o.insert("label".to_owned(), Json::Str(sc.label.clone()));
-    // Omitted when at their defaults, so descriptors of full-quality
-    // scenarios are byte-identical to those written before the
-    // approximation axis existed.
-    if !sc.approx.is_exact() {
-        o.insert("approx".to_owned(), Json::Str(approx_token(sc.approx)));
-    }
-    if let Some(search) = sc.search {
-        o.insert("search".to_owned(), Json::Str(search_token(search)));
-    }
-    // Same discipline for the substrate axis: descriptors of VLIW
-    // scenarios stay byte-identical to pre-substrate ones, and `verify`
-    // can rebuild scalar entries from the stored token.
-    if sc.substrate() != Substrate::Vliw4 {
-        o.insert(
-            "substrate".to_owned(),
-            Json::Str(sc.substrate().name().to_owned()),
-        );
+    for axis in DESCRIBED {
+        axis.describe(sc, &mut o);
     }
     Json::Obj(o)
 }
 
-fn scenario_from_desc(j: &Json) -> Option<Scenario> {
-    let mut sc = match j.get("kind")?.as_str()? {
+/// Rebuilds a scenario from its [`scenario_desc`] (`None` when the
+/// descriptor does not parse).
+#[must_use]
+pub fn scenario_from_desc(j: &Json) -> Option<Scenario> {
+    let kind = match j.get("kind")?.as_str()? {
         "instruction" => {
             let name = j.get("variant")?.as_str()?;
-            let variant = Variant::all().into_iter().find(|v| v.name() == name)?;
-            Scenario::instruction(variant)
+            Kind::Instruction(Variant::all().into_iter().find(|v| v.name() == name)?)
         }
         "loop" => {
             let label = j.get("bandwidth")?.as_str()?;
-            let bandwidth = RfuBandwidth::all()
-                .into_iter()
-                .find(|b| b.label() == label)?;
-            let beta = field(j, "beta")?;
-            if j.get("two_lb")? == &Json::Bool(true) {
-                if bandwidth != RfuBandwidth::B1x32 {
-                    return None;
-                }
-                Scenario::loop_two_lb(beta)
-            } else {
-                Scenario::loop_level(bandwidth, beta)
+            Kind::Loop {
+                bandwidth: RfuBandwidth::all()
+                    .into_iter()
+                    .find(|b| b.label() == label)?,
+                beta: field(j, "beta")?,
+                two_line_buffers: j.get("two_lb")? == &Json::Bool(true),
             }
         }
         _ => return None,
     };
-    match j.get("lbb_bank_lines")? {
-        Json::Null => {}
-        v => sc.lbb_bank_lines = Some(usize::try_from(v.as_u64()?).ok()?),
+    let mut sc = Scenario::preset(&kind);
+    if sc.kind != kind {
+        // A two-line-buffer entry at a bandwidth other than 1x32.
+        return None;
+    }
+    for axis in DESCRIBED {
+        axis.restore(j, &mut sc)?;
     }
     match j.get("cycle_limit")? {
         Json::Null => {}
@@ -547,15 +394,6 @@ fn scenario_from_desc(j: &Json) -> Option<Scenario> {
     }
     sc.fault = fault_from_json(j.get("fault")?)?;
     sc.label = j.get("label")?.as_str()?.to_owned();
-    if let Some(v) = j.get("approx") {
-        sc.approx = parse_approx(v.as_str()?)?;
-    }
-    if let Some(v) = j.get("search") {
-        sc.search = Some(parse_search(v.as_str()?)?);
-    }
-    if let Some(v) = j.get("substrate") {
-        sc = sc.with_substrate(v.as_str()?.parse().ok()?);
-    }
     Some(sc)
 }
 
@@ -798,6 +636,8 @@ pub fn verify_cache(
 mod tests {
     use super::*;
     use crate::runner::run_me;
+    use crate::spec::{DcacheSpec, ExperimentSpec, ReconfigSpec, SweepAxes};
+    use rvliw_isa::Substrate;
 
     fn tmpdir(tag: &str) -> PathBuf {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -854,13 +694,96 @@ mod tests {
                 }),
             Scenario::a2().with_substrate(Substrate::ScalarInOrder),
             Scenario::loop_level(RfuBandwidth::B2x64, 1).with_substrate(Substrate::ScalarInOrder),
+            Scenario::loop_two_lb(5).with_lbb_bank_lines(17),
         ];
-        for sc in scenarios {
+        // Points only a spec expresses: D$ geometry, reconfiguration and
+        // prefetch-depth axes (dc=, rc=, pf=), alone and combined.
+        let spec = ExperimentSpec::from_json_str(
+            r#"{"name": "desc", "sweeps": [
+                {"kind": "instruction", "variants": ["A1"], "prefetch": [null, 4],
+                 "dcache": [null, "16k/2w"]},
+                {"kind": "loop", "bandwidths": ["1x64"], "betas": [3],
+                 "reconfig": [{"penalty": 0}, {"penalty": 100, "contexts": 2,
+                               "prefetch_hiding": true}],
+                 "prefetch": [null, 16], "dcache": ["64k/8w"]}
+            ]}"#,
+        )
+        .unwrap();
+        let from_spec = spec.scenarios().unwrap();
+        assert_eq!(from_spec.len(), 8);
+        for sc in scenarios.into_iter().chain(from_spec) {
             let desc = scenario_desc(&sc);
             let back = scenario_from_desc(&desc).unwrap();
             assert_eq!(back, sc, "descriptor must rebuild {}", sc.label);
             assert_eq!(scenario_key(&back, digest), scenario_key(&sc, digest));
         }
+    }
+
+    #[test]
+    fn parent_format_descriptors_still_rebuild() {
+        // Written before descriptors went through the axis table: the
+        // line-buffer key is always present (null by default).
+        let desc = Json::parse(
+            r#"{"approx":"rows/2","bandwidth":"1x32","beta":1,"cycle_limit":null,
+                "fault":{"bitflip_ppm":0,"flush_ppm":0,"lb_delay_max":0,"lb_delay_ppm":0,
+                         "lb_stuck_ppm":0,"mem_latency_max":0,"mem_latency_ppm":0,"seed":0},
+                "kind":"loop","label":"2LB b=1 lbb=17 ap=rows/2","lbb_bank_lines":17,
+                "substrate":"scalar","two_lb":true}"#,
+        )
+        .unwrap();
+        let mut want = Scenario::loop_two_lb(1)
+            .with_lbb_bank_lines(17)
+            .with_approx(mpeg4_enc::ApproxSad::SubsampledRows { step: 2 })
+            .with_substrate(Substrate::ScalarInOrder);
+        want.label = "2LB b=1 lbb=17 ap=rows/2".to_owned();
+        assert_eq!(scenario_from_desc(&desc), Some(want));
+        let desc = Json::parse(
+            r#"{"cycle_limit":null,"fault":{"bitflip_ppm":0,"flush_ppm":0,"lb_delay_max":0,
+                "lb_delay_ppm":0,"lb_stuck_ppm":0,"mem_latency_max":0,"mem_latency_ppm":0,
+                "seed":0},"kind":"instruction","label":"Orig","lbb_bank_lines":null,
+                "variant":"Orig"}"#,
+        )
+        .unwrap();
+        assert_eq!(scenario_from_desc(&desc), Some(Scenario::orig()));
+    }
+
+    #[test]
+    fn spec_axis_entries_are_verifiable() {
+        let dir = tmpdir("axes");
+        let w = Workload::tiny();
+        let cache = ScenarioCache::open(&dir, &w, "tiny").unwrap();
+        let mut sweep = SweepAxes::loop_grid(vec![RfuBandwidth::B1x32], vec![1]);
+        if let SweepAxes::Loop {
+            dcache, reconfig, ..
+        } = &mut sweep
+        {
+            *dcache = vec![
+                None,
+                Some(DcacheSpec {
+                    capacity_kb: 16,
+                    ways: 2,
+                }),
+            ];
+            *reconfig = vec![
+                ReconfigSpec::zero(),
+                ReconfigSpec {
+                    penalty: 50,
+                    contexts: 1,
+                    prefetch_hiding: false,
+                },
+            ];
+        }
+        let scenarios = ExperimentSpec::new("axes")
+            .sweep(sweep)
+            .scenarios()
+            .unwrap();
+        for sc in &scenarios {
+            cache.record(sc, &run_me(sc, &w).unwrap());
+        }
+        let report = verify_cache(&dir, 10, 1).unwrap();
+        assert!(report.is_clean(), "divergent: {:?}", report.divergent);
+        assert_eq!((report.checked, report.unverifiable), (4, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -910,11 +833,9 @@ mod tests {
         let dir = tmpdir("custom");
         let w = Workload::tiny();
         let cache = ScenarioCache::open(&dir, &w, "tiny").unwrap();
-        // An ablation the descriptor cannot express: shrunken Line
-        // Buffer B. The descriptor stores it, but wait — lbb_bank_lines
-        // *is* expressible. Use a custom machine config knob instead.
+        // A knob no spec axis expresses: the memory fill latency.
         let mut sc = Scenario::loop_two_lb(1);
-        sc.mem = rvliw_mem::MemConfig::st200(); // not the preset loop-level mem
+        sc.mem.fill_latency += 1;
         sc.label = "custom-mem".to_owned();
         let fresh = run_me(&sc, &w).unwrap();
         cache.record(&sc, &fresh);

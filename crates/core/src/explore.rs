@@ -44,9 +44,11 @@ use rvliw_rfu::RfuBandwidth;
 use rvliw_trace::Json;
 
 use crate::cache::ScenarioCache;
+use crate::scenario::Scenario;
 use crate::spec::{
-    as_obj, check_keys, parse_u64, parse_usize, pretty, req_arr, req_str, schema, DcacheSpec,
-    ExperimentSpec, ReconfigSpec, SpecError, SweepAxes,
+    as_obj, bind, check_keys, parse_usize, pretty, req_str, schema, DcacheSpec, ExperimentSpec,
+    Grid, ReconfigSpec, SpecError, SweepAxes, APPROX, BANDWIDTHS, BETAS, DCACHE, ENGINE,
+    LBB_BANK_LINES, PREFETCH, RECONFIG, SEARCH, SUBSTRATE, TWO_LINE_BUFFERS,
 };
 use crate::supervisor::{run_scenario_list_supervised, SupervisorConfig};
 use crate::sweep::{fnum, ParetoPoint};
@@ -159,6 +161,14 @@ impl EngineChoice {
     pub fn parse(s: &str) -> Option<Self> {
         EngineChoice::all().into_iter().find(|e| e.token() == s)
     }
+
+    /// The loop-level bandwidth and line-buffer scheme this engine runs.
+    pub(crate) fn loop_fields(self) -> (RfuBandwidth, bool) {
+        match self {
+            EngineChoice::Loop(bw) => (bw, false),
+            EngineChoice::TwoLb => (RfuBandwidth::B1x32, true),
+        }
+    }
 }
 
 /// The searchable axes. Every axis is a non-empty, duplicate-free list
@@ -193,30 +203,42 @@ impl ExploreSpace {
         ExploreSpace {
             engine,
             betas,
-            lbb_bank_lines: vec![None],
-            reconfig: vec![ReconfigSpec::zero()],
-            prefetch: vec![None],
-            dcache: vec![None],
-            approx: vec![ApproxSad::Exact],
-            search: vec![None],
-            substrate: vec![Substrate::Vliw4],
+            lbb_bank_lines: LBB_BANK_LINES.defaults(),
+            reconfig: RECONFIG.defaults(),
+            prefetch: PREFETCH.defaults(),
+            dcache: DCACHE.defaults(),
+            approx: APPROX.defaults(),
+            search: SEARCH.defaults(),
+            substrate: SUBSTRATE.defaults(),
+        }
+    }
+
+    /// The axes bound to their values, in candidate-index order.
+    fn grid(&self) -> Grid<'_> {
+        Grid {
+            template: Scenario::loop_level(RfuBandwidth::B1x32, 1),
+            columns: vec![
+                bind(&ENGINE, &self.engine),
+                bind(&BETAS, &self.betas),
+                bind(&LBB_BANK_LINES, &self.lbb_bank_lines),
+                bind(&RECONFIG, &self.reconfig),
+                bind(&PREFETCH, &self.prefetch),
+                bind(&DCACHE, &self.dcache),
+                bind(&APPROX, &self.approx),
+                bind(&SEARCH, &self.search),
+                bind(&SUBSTRATE, &self.substrate),
+            ],
         }
     }
 
     /// Per-axis cardinalities, candidate-index order.
     #[must_use]
     pub fn lens(&self) -> [usize; AXES] {
-        [
-            self.engine.len(),
-            self.betas.len(),
-            self.lbb_bank_lines.len(),
-            self.reconfig.len(),
-            self.prefetch.len(),
-            self.dcache.len(),
-            self.approx.len(),
-            self.search.len(),
-            self.substrate.len(),
-        ]
+        let mut lens = [0; AXES];
+        for (len, c) in lens.iter_mut().zip(&self.grid().columns) {
+            *len = c.len();
+        }
+        lens
     }
 
     /// Total number of design points (saturating).
@@ -229,199 +251,30 @@ impl ExploreSpace {
 
     fn to_json(&self) -> Json {
         let mut m = BTreeMap::new();
-        m.insert(
-            "engine".to_owned(),
-            Json::Arr(
-                self.engine
-                    .iter()
-                    .map(|e| Json::Str(e.token().to_owned()))
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "betas".to_owned(),
-            Json::Arr(
-                self.betas
-                    .iter()
-                    .map(|b| Json::Num(b.to_string()))
-                    .collect(),
-            ),
-        );
-        if self.lbb_bank_lines != [None] {
-            m.insert(
-                "lbb_bank_lines".to_owned(),
-                Json::Arr(
-                    self.lbb_bank_lines
-                        .iter()
-                        .map(|l| match l {
-                            None => Json::Null,
-                            Some(n) => Json::Num(n.to_string()),
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        if self.reconfig != [ReconfigSpec::zero()] {
-            m.insert(
-                "reconfig".to_owned(),
-                Json::Arr(self.reconfig.iter().map(|r| r.to_json()).collect()),
-            );
-        }
-        SweepAxes::mem_axes_to_json(&mut m, &self.prefetch, &self.dcache);
-        SweepAxes::axes_to_json(&mut m, &self.approx, &self.search, &self.substrate);
+        self.grid().emit(&mut m);
         Json::Obj(m)
     }
 
+    /// Parses the space at `path`. Every axis must be non-empty and free
+    /// of values that label a point alike — a duplicate would alias two
+    /// candidate indices onto one scenario label, corrupting both the
+    /// memo and the archive.
     fn from_json(j: &Json, path: &str) -> Result<Self, SpecError> {
         let m = as_obj(j, path)?;
-        check_keys(
-            m,
-            &[
-                "engine",
-                "betas",
-                "lbb_bank_lines",
-                "reconfig",
-                "prefetch",
-                "dcache",
-                "approx",
-                "search",
-                "substrate",
-            ],
-            path,
-        )?;
-        let engine_arr = req_arr(m, "engine", path)?;
-        if engine_arr.is_empty() {
-            return Err(schema(format!("{path}.engine"), "must not be empty"));
-        }
-        let engine = engine_arr
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let p = format!("{path}.engine[{i}]");
-                let s = v.as_str().ok_or_else(|| schema(&p, "expected a string"))?;
-                EngineChoice::parse(s).ok_or_else(|| {
-                    schema(
-                        p,
-                        format!("unknown engine `{s}` (want 1x32, 1x64, 2x64, 2lb)"),
-                    )
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let beta_arr = req_arr(m, "betas", path)?;
-        if beta_arr.is_empty() {
-            return Err(schema(format!("{path}.betas"), "must not be empty"));
-        }
-        let betas = beta_arr
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let p = format!("{path}.betas[{i}]");
-                let b = parse_u64(v, &p)?;
-                if b == 0 {
-                    return Err(schema(p, "beta must be at least 1"));
-                }
-                Ok(b)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let lbb_bank_lines = match m.get("lbb_bank_lines") {
-            None => vec![None],
-            Some(v) => {
-                let p = format!("{path}.lbb_bank_lines");
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| schema(&p, "expected an array of lines-or-null"))?;
-                if arr.is_empty() {
-                    return Err(schema(p, "must not be empty"));
-                }
-                arr.iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let p = format!("{p}[{i}]");
-                        match v {
-                            Json::Null => Ok(None),
-                            other => {
-                                let n = parse_usize(other, &p)?;
-                                if n == 0 {
-                                    return Err(schema(
-                                        p,
-                                        "per-bank capacity must be at least 1 line",
-                                    ));
-                                }
-                                Ok(Some(n))
-                            }
-                        }
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-        };
-        let reconfig = match m.get("reconfig") {
-            None => vec![ReconfigSpec::zero()],
-            Some(v) => {
-                let p = format!("{path}.reconfig");
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| schema(&p, "expected an array of reconfig objects"))?;
-                if arr.is_empty() {
-                    return Err(schema(p, "must not be empty"));
-                }
-                arr.iter()
-                    .enumerate()
-                    .map(|(i, v)| ReconfigSpec::from_json(v, &format!("{p}[{i}]")))
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-        };
+        check_keys(m, &Self::new(Vec::new(), Vec::new()).grid().keys(), path)?;
         let space = ExploreSpace {
-            engine,
-            betas,
-            lbb_bank_lines,
-            reconfig,
-            prefetch: SweepAxes::prefetch_axis_from_json(m, path)?,
-            dcache: SweepAxes::dcache_axis_from_json(m, path)?,
-            approx: SweepAxes::approx_axis_from_json(m, path)?,
-            search: SweepAxes::search_axis_from_json(m, path)?,
-            substrate: SweepAxes::substrate_axis_from_json(m, path)?,
+            engine: ENGINE.parse_axis(m, path)?,
+            betas: BETAS.parse_axis(m, path)?,
+            lbb_bank_lines: LBB_BANK_LINES.parse_axis(m, path)?,
+            reconfig: RECONFIG.parse_axis(m, path)?,
+            prefetch: PREFETCH.parse_axis(m, path)?,
+            dcache: DCACHE.parse_axis(m, path)?,
+            approx: APPROX.parse_axis(m, path)?,
+            search: SEARCH.parse_axis(m, path)?,
+            substrate: SUBSTRATE.parse_axis(m, path)?,
         };
-        space.check_no_duplicates(path)?;
+        space.grid().check_distinct(path)?;
         Ok(space)
-    }
-
-    /// Rejects duplicate values on any axis — a duplicate would alias two
-    /// candidate indices onto one scenario label, corrupting both the
-    /// memo and the archive. Reconfig specs are compared after
-    /// normalizing zero-penalty models (contexts are ignored when the
-    /// penalty is 0, so all zero-penalty specs are the same label).
-    fn check_no_duplicates(&self, path: &str) -> Result<(), SpecError> {
-        fn no_dups<T: PartialEq>(axis: &[T], path: &str, key: &str) -> Result<(), SpecError> {
-            for i in 1..axis.len() {
-                if axis[..i].contains(&axis[i]) {
-                    return Err(schema(
-                        format!("{path}.{key}[{i}]"),
-                        "duplicate axis value (it would alias scenario labels)",
-                    ));
-                }
-            }
-            Ok(())
-        }
-        no_dups(&self.engine, path, "engine")?;
-        no_dups(&self.betas, path, "betas")?;
-        no_dups(&self.lbb_bank_lines, path, "lbb_bank_lines")?;
-        let normalized: Vec<ReconfigSpec> = self
-            .reconfig
-            .iter()
-            .map(|r| {
-                if r.penalty == 0 {
-                    ReconfigSpec::zero()
-                } else {
-                    *r
-                }
-            })
-            .collect();
-        no_dups(&normalized, path, "reconfig")?;
-        no_dups(&self.prefetch, path, "prefetch")?;
-        no_dups(&self.dcache, path, "dcache")?;
-        no_dups(&self.approx, path, "approx")?;
-        no_dups(&self.search, path, "search")?;
-        no_dups(&self.substrate, path, "substrate")
     }
 }
 
@@ -637,41 +490,21 @@ impl ExploreSpec {
         if candidate.len() != AXES {
             return None;
         }
-        let s = &self.space;
-        let engine = *s.engine.get(*candidate.first()?)?;
-        let beta = *s.betas.get(*candidate.get(1)?)?;
-        let lbb = *s.lbb_bank_lines.get(*candidate.get(2)?)?;
-        let rc = *s.reconfig.get(*candidate.get(3)?)?;
-        let pf = *s.prefetch.get(*candidate.get(4)?)?;
-        let dc = *s.dcache.get(*candidate.get(5)?)?;
-        let ap = *s.approx.get(*candidate.get(6)?)?;
-        let se = *s.search.get(*candidate.get(7)?)?;
-        let su = *s.substrate.get(*candidate.get(8)?)?;
-        let (bandwidths, two_lb) = match engine {
-            EngineChoice::Loop(bw) => (vec![bw], vec![false]),
-            EngineChoice::TwoLb => (vec![RfuBandwidth::B1x32], vec![true]),
-        };
-        Some(ExperimentSpec {
-            name: format!("{}-point", self.name),
-            title: None,
-            frames: self.frames,
-            baseline: None,
-            fault_profile: FaultProfile::None,
-            fault_seed: 0,
-            cycle_limit: None,
-            sweeps: vec![SweepAxes::Loop {
-                bandwidths,
-                betas: vec![beta],
-                two_line_buffers: two_lb,
-                lbb_bank_lines: vec![lbb],
-                reconfig: vec![rc],
-                prefetch: vec![pf],
-                dcache: vec![dc],
-                approx: vec![ap],
-                search: vec![se],
-                substrate: vec![su],
-            }],
-        })
+        // The point is the one-value loop sweep whose JSON names the
+        // candidate's values, parsed the way `rvliw sweep --spec` parses
+        // it. The engine splits into the sweep's bandwidth and scheme.
+        let (bandwidth, two_lb) = self.space.engine.get(candidate[0])?.loop_fields();
+        let mut m = BTreeMap::new();
+        m.insert("kind".to_owned(), Json::Str("loop".to_owned()));
+        BANDWIDTHS.emit_axis(&[bandwidth], &mut m);
+        TWO_LINE_BUFFERS.emit_axis(&[two_lb], &mut m);
+        for (c, &i) in self.space.grid().columns.iter().zip(candidate).skip(1) {
+            m.insert(c.key().to_owned(), Json::Arr(vec![c.value(i)?]));
+        }
+        let sweep = SweepAxes::from_json(&Json::Obj(m), "point").ok()?;
+        let mut point = ExperimentSpec::new(&format!("{}-point", self.name)).sweep(sweep);
+        point.frames = self.frames;
+        Some(point)
     }
 }
 

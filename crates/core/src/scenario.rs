@@ -278,6 +278,24 @@ impl Scenario {
         }
     }
 
+    /// The preset scenario of a kind: [`Scenario::instruction`],
+    /// [`Scenario::loop_level`] or [`Scenario::loop_two_lb`] (which runs
+    /// at 1x32 whatever bandwidth `kind` names).
+    #[must_use]
+    pub fn preset(kind: &Kind) -> Self {
+        match *kind {
+            Kind::Instruction(variant) => Scenario::instruction(variant),
+            Kind::Loop {
+                beta,
+                two_line_buffers: true,
+                ..
+            } => Scenario::loop_two_lb(beta),
+            Kind::Loop {
+                bandwidth, beta, ..
+            } => Scenario::loop_level(bandwidth, beta),
+        }
+    }
+
     /// The ME-loop configuration of a loop-level scenario (for a given
     /// frame stride).
     ///

@@ -3,10 +3,12 @@
 //! An [`ExperimentSpec`] is a serializable description of a scenario grid:
 //! which design-space axes to sweep (kernel variant, RFU bandwidth,
 //! technology scaling β, line-buffer scheme and geometry, reconfiguration
-//! model) plus run-wide knobs (workload frames, baseline label, fault
-//! profile/seed, cycle budget). The sweep engine (`crate::sweep`) expands
-//! it into concrete [`Scenario`]s and runs them on the deterministic
-//! parallel runner.
+//! model, prefetch depth, data-cache geometry, SAD approximation, search
+//! algorithm, substrate) plus run-wide knobs (workload frames, baseline
+//! label, fault profile/seed, cycle budget). The sweep engine
+//! (`crate::sweep`) expands it into concrete [`Scenario`]s and runs them
+//! on the deterministic parallel runner. Every axis is one entry of the
+//! axis table below, which explorations and cache descriptors share.
 //!
 //! Specs serialize as hand-rolled JSON over [`rvliw_trace::Json`] — the
 //! build environment is offline, so no serde. Parsing is strict: unknown
@@ -31,7 +33,8 @@ use rvliw_mem::{CacheGeometry, ReplacementPolicy};
 use rvliw_rfu::{ReconfigModel, RfuBandwidth};
 use rvliw_trace::Json;
 
-use crate::scenario::{approx_token, parse_approx, parse_search, search_token, Scenario};
+use crate::explore::EngineChoice;
+use crate::scenario::{approx_token, parse_approx, parse_search, search_token, Kind, Scenario};
 
 /// Why a spec could not be parsed or expanded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +103,7 @@ pub struct ReconfigSpec {
 impl ReconfigSpec {
     /// The paper's baseline: reconfiguration is free.
     #[must_use]
-    pub fn zero() -> Self {
+    pub const fn zero() -> Self {
         ReconfigSpec {
             penalty: 0,
             contexts: 1,
@@ -119,17 +122,6 @@ impl ReconfigSpec {
             m.with_prefetch_hiding()
         } else {
             m
-        }
-    }
-
-    /// Label suffix distinguishing non-baseline models (empty for the
-    /// zero-penalty baseline, so paper-grid labels are unchanged).
-    pub(crate) fn label_suffix(&self) -> String {
-        if self.penalty == 0 {
-            String::new()
-        } else {
-            let pf = if self.prefetch_hiding { "+pf" } else { "" };
-            format!(" rc={}x{}{}", self.penalty, self.contexts, pf)
         }
     }
 
@@ -229,6 +221,574 @@ impl DcacheSpec {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The axis table.
+//
+// Every design-space axis is written down once, below. Sweeps
+// (`SweepAxes`), explorations (`ExploreSpace`) and the result cache's
+// scenario descriptors bind these entries to their values and drive
+// parsing, emitting, cross-product expansion, duplicate checks and
+// descriptor round trips through them. A new axis is one entry here plus
+// a field on the spaces that sweep it.
+// ---------------------------------------------------------------------------
+
+/// One design-space axis: its JSON key and default, the codec of one
+/// value, and how a value lands on a [`Scenario`] and reads back from one.
+pub(crate) struct Axis<T: 'static> {
+    /// The JSON key (also the cache-descriptor key).
+    pub(crate) key: &'static str,
+    /// The error for a present key whose value is not an array.
+    expected: &'static str,
+    /// What a missing key stands for (`None`: the key is required).
+    default: Option<T>,
+    /// Parses one value found at `path`.
+    parse: fn(&Json, &str) -> Result<T, SpecError>,
+    /// Emits one value.
+    emit: fn(&T) -> Json,
+    /// Applies one value to the point being built. Kind axes (variant,
+    /// bandwidth, β, line-buffer scheme, engine) re-derive the preset, so
+    /// they come before every other axis of a space.
+    apply: fn(&mut Scenario, &T),
+    /// The label suffix of one value (empty for kind axes and defaults,
+    /// so paper-grid labels and cache keys are unchanged).
+    suffix: fn(&T) -> String,
+    /// Reads the value back from a scenario, for cache descriptors
+    /// (`None` for kind axes: descriptors store the scenario kind).
+    read: Option<fn(&Scenario) -> T>,
+}
+
+impl<T: Clone + PartialEq> Axis<T> {
+    /// The axis a spec with no entry for it sweeps: `[default]`, or
+    /// empty for a required axis.
+    pub(crate) fn defaults(&self) -> Vec<T> {
+        self.default.iter().cloned().collect()
+    }
+
+    /// Parses this axis out of a spec object at `path`: a missing key
+    /// means `[default]`; a present one must be a non-empty array.
+    pub(crate) fn parse_axis(
+        &self,
+        m: &BTreeMap<String, Json>,
+        path: &str,
+    ) -> Result<Vec<T>, SpecError> {
+        let p = format!("{path}.{}", self.key);
+        let Some(v) = m.get(self.key) else {
+            return match &self.default {
+                Some(d) => Ok(vec![d.clone()]),
+                None => Err(schema(p, "missing required key")),
+            };
+        };
+        let arr = v.as_array().ok_or_else(|| schema(&p, self.expected))?;
+        if arr.is_empty() {
+            return Err(schema(p, "must not be empty"));
+        }
+        arr.iter()
+            .enumerate()
+            .map(|(i, v)| (self.parse)(v, &format!("{p}[{i}]")))
+            .collect()
+    }
+
+    /// Writes `values` into a spec object, omitting them when they are
+    /// exactly `[default]`.
+    pub(crate) fn emit_axis(&self, values: &[T], m: &mut BTreeMap<String, Json>) {
+        if self
+            .default
+            .as_ref()
+            .is_some_and(|d| values == std::slice::from_ref(d))
+        {
+            return;
+        }
+        m.insert(
+            self.key.to_owned(),
+            Json::Arr(values.iter().map(self.emit).collect()),
+        );
+    }
+}
+
+/// An [`Axis`] bound to its values in one sweep or exploration space.
+pub(crate) trait Column {
+    /// The axis key.
+    fn key(&self) -> &'static str;
+    /// The number of values.
+    fn len(&self) -> usize;
+    /// Applies value `i` to the point being built and appends its label
+    /// suffix.
+    fn apply(&self, i: usize, sc: &mut Scenario);
+    /// Writes the whole axis into a spec object (omitted at its default).
+    fn emit(&self, m: &mut BTreeMap<String, Json>);
+    /// Value `i` as JSON (`None` when out of range).
+    fn value(&self, i: usize) -> Option<Json>;
+}
+
+struct Bound<'a, T: 'static> {
+    axis: &'static Axis<T>,
+    values: &'a [T],
+}
+
+impl<T: Clone + PartialEq> Column for Bound<'_, T> {
+    fn key(&self) -> &'static str {
+        self.axis.key
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn apply(&self, i: usize, sc: &mut Scenario) {
+        if let Some(v) = self.values.get(i) {
+            (self.axis.apply)(sc, v);
+            sc.label.push_str(&(self.axis.suffix)(v));
+        }
+    }
+
+    fn emit(&self, m: &mut BTreeMap<String, Json>) {
+        self.axis.emit_axis(self.values, m);
+    }
+
+    fn value(&self, i: usize) -> Option<Json> {
+        self.values.get(i).map(self.axis.emit)
+    }
+}
+
+/// Binds `axis` to `values`.
+pub(crate) fn bind<'a, T: Clone + PartialEq>(
+    axis: &'static Axis<T>,
+    values: &'a [T],
+) -> Box<dyn Column + 'a> {
+    Box::new(Bound { axis, values })
+}
+
+/// A sweep or exploration space as the axis table sees it: the preset
+/// every point starts from and the bound axes, in expansion order.
+pub(crate) struct Grid<'a> {
+    pub(crate) template: Scenario,
+    pub(crate) columns: Vec<Box<dyn Column + 'a>>,
+}
+
+impl Grid<'_> {
+    /// The axis keys, in order.
+    pub(crate) fn keys(&self) -> Vec<&'static str> {
+        self.columns.iter().map(|c| c.key()).collect()
+    }
+
+    /// The number of points (the product of the axis lengths,
+    /// saturating: spec input sizes the axes).
+    pub(crate) fn len(&self) -> usize {
+        self.columns
+            .iter()
+            .fold(1usize, |acc, c| acc.saturating_mul(c.len()))
+    }
+
+    /// Writes every axis into a spec object.
+    pub(crate) fn emit(&self, m: &mut BTreeMap<String, Json>) {
+        for c in &self.columns {
+            c.emit(m);
+        }
+    }
+
+    /// The scenario at one index per axis.
+    pub(crate) fn point(&self, idx: &[usize]) -> Scenario {
+        let mut sc = self.template.clone();
+        for (c, &i) in self.columns.iter().zip(idx) {
+            c.apply(i, &mut sc);
+        }
+        sc
+    }
+
+    /// Every point of the cross product, leftmost axis outermost.
+    pub(crate) fn points(&self) -> impl Iterator<Item = Scenario> + '_ {
+        let lens: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
+        (0..self.len()).map(move |mut rest| {
+            let mut idx = vec![0; lens.len()];
+            for (slot, &len) in idx.iter_mut().zip(&lens).rev() {
+                *slot = rest % len;
+                rest /= len;
+            }
+            self.point(&idx)
+        })
+    }
+
+    /// Rejects an axis holding two values that label a point alike —
+    /// they would alias two candidates onto one scenario label. (All
+    /// zero-penalty reconfiguration models share the empty suffix, for
+    /// instance.)
+    pub(crate) fn check_distinct(&self, path: &str) -> Result<(), SpecError> {
+        for c in &self.columns {
+            let labels: Vec<String> = (0..c.len())
+                .map(|i| {
+                    let mut sc = self.template.clone();
+                    c.apply(i, &mut sc);
+                    sc.label
+                })
+                .collect();
+            for i in 1..labels.len() {
+                if labels[..i].contains(&labels[i]) {
+                    return Err(schema(
+                        format!("{path}.{}[{i}]", c.key()),
+                        "duplicate axis value (it would alias scenario labels)",
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// An axis a cache descriptor records (one with [`Axis::read`]).
+pub(crate) trait Described: Sync {
+    /// Writes the scenario's value into `m` when it is not the default.
+    fn describe(&self, sc: &Scenario, m: &mut BTreeMap<String, Json>);
+    /// Applies the value `desc` records, if any (`None` when it does not
+    /// parse).
+    fn restore(&self, desc: &Json, sc: &mut Scenario) -> Option<()>;
+}
+
+impl<T: PartialEq + Sync> Described for Axis<T> {
+    fn describe(&self, sc: &Scenario, m: &mut BTreeMap<String, Json>) {
+        if let Some(read) = self.read {
+            let v = read(sc);
+            if self.default.as_ref() != Some(&v) {
+                m.insert(self.key.to_owned(), (self.emit)(&v));
+            }
+        }
+    }
+
+    fn restore(&self, desc: &Json, sc: &mut Scenario) -> Option<()> {
+        if let Some(j) = desc.get(self.key) {
+            let v = (self.parse)(j, self.key).ok()?;
+            (self.apply)(sc, &v);
+        }
+        Some(())
+    }
+}
+
+/// The axes a cache descriptor records beside the scenario kind.
+pub(crate) static DESCRIBED: [&dyn Described; 7] = [
+    &LBB_BANK_LINES,
+    &RECONFIG,
+    &PREFETCH,
+    &DCACHE,
+    &APPROX,
+    &SEARCH,
+    &SUBSTRATE,
+];
+
+fn no_suffix<T>(_: &T) -> String {
+    String::new()
+}
+
+fn string<'a>(v: &'a Json, path: &str) -> Result<&'a str, SpecError> {
+    v.as_str().ok_or_else(|| schema(path, "expected a string"))
+}
+
+fn string_or_null<T>(
+    v: &Json,
+    path: &str,
+    parse: impl FnOnce(&str) -> Result<T, SpecError>,
+) -> Result<Option<T>, SpecError> {
+    match v {
+        Json::Null => Ok(None),
+        other => parse(
+            other
+                .as_str()
+                .ok_or_else(|| schema(path, "expected a string or null"))?,
+        )
+        .map(Some),
+    }
+}
+
+/// A positive count or `null`; `zero` is the error for 0.
+fn count_or_null(v: &Json, path: &str, zero: &str) -> Result<Option<usize>, SpecError> {
+    match v {
+        Json::Null => Ok(None),
+        other => match parse_usize(other, path)? {
+            0 => Err(schema(path, zero)),
+            n => Ok(Some(n)),
+        },
+    }
+}
+
+fn count_json(n: &Option<usize>) -> Json {
+    n.map_or(Json::Null, |n| Json::Num(n.to_string()))
+}
+
+/// Edits the loop kind of the point being built and re-derives its
+/// preset (label, memory configuration) from the edited kind.
+fn edit_loop(sc: &mut Scenario, edit: impl FnOnce(&mut RfuBandwidth, &mut u64, &mut bool)) {
+    if let Kind::Loop {
+        mut bandwidth,
+        mut beta,
+        mut two_line_buffers,
+    } = sc.kind
+    {
+        edit(&mut bandwidth, &mut beta, &mut two_line_buffers);
+        *sc = Scenario::preset(&Kind::Loop {
+            bandwidth,
+            beta,
+            two_line_buffers,
+        });
+    }
+}
+
+/// Instruction-level kernel variants (Table 1).
+pub(crate) static VARIANTS: Axis<Variant> = Axis {
+    key: "variants",
+    expected: "expected an array",
+    default: None,
+    parse: |v, p| {
+        let s = string(v, p)?;
+        Variant::all()
+            .into_iter()
+            .find(|var| var.name() == s)
+            .ok_or_else(|| schema(p, format!("unknown variant `{s}` (want Orig, A1, A2, A3)")))
+    },
+    emit: |v| Json::Str(v.name().to_owned()),
+    apply: |sc, &v| *sc = Scenario::instruction(v),
+    suffix: no_suffix,
+    read: None,
+};
+
+/// RFU data bandwidths (Tables 2–6).
+pub(crate) static BANDWIDTHS: Axis<RfuBandwidth> = Axis {
+    key: "bandwidths",
+    expected: "expected an array",
+    default: None,
+    parse: |v, p| {
+        let s = string(v, p)?;
+        RfuBandwidth::all()
+            .into_iter()
+            .find(|b| b.label() == s)
+            .ok_or_else(|| {
+                schema(
+                    p,
+                    format!("unknown bandwidth `{s}` (want 1x32, 1x64, 2x64)"),
+                )
+            })
+    },
+    emit: |b| Json::Str(b.label().to_owned()),
+    apply: |sc, &b| edit_loop(sc, |bandwidth, _, _| *bandwidth = b),
+    suffix: no_suffix,
+    read: None,
+};
+
+/// Technology-scaling factors β (each ≥ 1).
+pub(crate) static BETAS: Axis<u64> = Axis {
+    key: "betas",
+    expected: "expected an array",
+    default: None,
+    parse: |v, p| match parse_u64(v, p)? {
+        0 => Err(schema(p, "beta must be at least 1")),
+        b => Ok(b),
+    },
+    emit: |b| Json::Num(b.to_string()),
+    apply: |sc, &b| edit_loop(sc, |_, beta, _| *beta = b),
+    suffix: no_suffix,
+    read: None,
+};
+
+/// Line-buffer schemes (`true` = the two-buffer scheme of Table 7).
+pub(crate) static TWO_LINE_BUFFERS: Axis<bool> = Axis {
+    key: "two_line_buffers",
+    expected: "expected an array of booleans",
+    default: Some(false),
+    parse: |v, p| match v {
+        Json::Bool(b) => Ok(*b),
+        _ => Err(schema(p, "expected a boolean")),
+    },
+    emit: |&b| Json::Bool(b),
+    apply: |sc, &two| edit_loop(sc, |_, _, two_lb| *two_lb = two),
+    suffix: no_suffix,
+    read: None,
+};
+
+/// Explore's combined engine axis: a loop-level bandwidth or the
+/// two-line-buffer scheme (one axis, so candidates never alias).
+pub(crate) static ENGINE: Axis<EngineChoice> = Axis {
+    key: "engine",
+    expected: "expected an array",
+    default: None,
+    parse: |v, p| {
+        let s = string(v, p)?;
+        EngineChoice::parse(s).ok_or_else(|| {
+            schema(
+                p,
+                format!("unknown engine `{s}` (want 1x32, 1x64, 2x64, 2lb)"),
+            )
+        })
+    },
+    emit: |e| Json::Str(e.token().to_owned()),
+    apply: |sc, &e| {
+        edit_loop(sc, |bandwidth, _, two_lb| {
+            (*bandwidth, *two_lb) = e.loop_fields();
+        });
+    },
+    suffix: no_suffix,
+    read: None,
+};
+
+/// Line Buffer B per-bank capacities (`None` = the paper's 34).
+pub(crate) static LBB_BANK_LINES: Axis<Option<usize>> = Axis {
+    key: "lbb_bank_lines",
+    expected: "expected an array of lines-or-null",
+    default: Some(None),
+    parse: |v, p| count_or_null(v, p, "per-bank capacity must be at least 1 line"),
+    emit: count_json,
+    apply: |sc, &lines| sc.lbb_bank_lines = lines,
+    suffix: |l| l.map_or_else(String::new, |n| format!(" lbb={n}")),
+    read: Some(|sc| sc.lbb_bank_lines),
+};
+
+/// Reconfiguration models.
+pub(crate) static RECONFIG: Axis<ReconfigSpec> = Axis {
+    key: "reconfig",
+    expected: "expected an array of reconfig objects",
+    default: Some(ReconfigSpec::zero()),
+    parse: ReconfigSpec::from_json,
+    emit: |r| r.to_json(),
+    apply: |sc, r| sc.reconfig = r.model(),
+    suffix: |r| {
+        if r.penalty == 0 {
+            String::new()
+        } else {
+            let pf = if r.prefetch_hiding { "+pf" } else { "" };
+            format!(" rc={}x{}{}", r.penalty, r.contexts, pf)
+        }
+    },
+    read: Some(|sc| {
+        let m = &sc.reconfig;
+        if m.penalty() == 0 {
+            ReconfigSpec::zero()
+        } else {
+            ReconfigSpec {
+                penalty: m.penalty(),
+                contexts: m.contexts(),
+                prefetch_hiding: m.prefetch_hiding(),
+            }
+        }
+    }),
+};
+
+/// Prefetch-buffer depths (`None` = the kind's default: 8 entries for
+/// instruction-level points, 64 for loop-level).
+pub(crate) static PREFETCH: Axis<Option<usize>> = Axis {
+    key: "prefetch",
+    expected: "expected an array of depths-or-null",
+    default: Some(None),
+    parse: |v, p| count_or_null(v, p, "prefetch depth must be at least 1 entry"),
+    emit: count_json,
+    apply: |sc, &pf| {
+        if let Some(n) = pf {
+            sc.mem.prefetch_entries = n;
+        }
+    },
+    suffix: |pf| pf.map_or_else(String::new, |n| format!(" pf={n}")),
+    read: Some(|sc| {
+        let n = sc.mem.prefetch_entries;
+        (n != Scenario::preset(&sc.kind).mem.prefetch_entries).then_some(n)
+    }),
+};
+
+/// Data-cache geometry overrides (`None` = the paper's 32 KB 4-way).
+pub(crate) static DCACHE: Axis<Option<DcacheSpec>> = Axis {
+    key: "dcache",
+    expected: "expected an array of geometry tokens or nulls",
+    default: Some(None),
+    parse: |v, p| {
+        string_or_null(v, p, |s| {
+            DcacheSpec::parse(s).ok_or_else(|| {
+                schema(
+                    p,
+                    format!(
+                        "bad dcache geometry `{s}` (want CAPk/WAYSw with power-of-two \
+                         capacity <= 4096k and ways <= 16, e.g. 16k/2w)"
+                    ),
+                )
+            })
+        })
+    },
+    emit: |d| d.map_or(Json::Null, |d| Json::Str(d.token())),
+    apply: |sc, d| {
+        if let Some(d) = d {
+            sc.mem.dcache = d.geometry();
+        }
+    },
+    suffix: |d| d.map_or_else(String::new, |d| format!(" dc={}", d.token())),
+    read: Some(|sc| {
+        let g = sc.mem.dcache;
+        (g != Scenario::preset(&sc.kind).mem.dcache).then_some(DcacheSpec {
+            capacity_kb: g.capacity / 1024,
+            ways: g.ways,
+        })
+    }),
+};
+
+/// SAD approximations (default `[exact]`).
+pub(crate) static APPROX: Axis<ApproxSad> = Axis {
+    key: "approx",
+    expected: "expected an array of approx tokens",
+    default: Some(ApproxSad::Exact),
+    parse: |v, p| {
+        let s = string(v, p)?;
+        parse_approx(s).ok_or_else(|| {
+            schema(
+                p,
+                format!("unknown approximation `{s}` (want exact, rows/N, bits/N or early/N)"),
+            )
+        })
+    },
+    emit: |&a| Json::Str(approx_token(a)),
+    apply: |sc, &a| sc.approx = a,
+    suffix: |&a| {
+        if a.is_exact() {
+            String::new()
+        } else {
+            format!(" ap={}", approx_token(a))
+        }
+    },
+    read: Some(|sc| sc.approx),
+};
+
+/// Search-algorithm overrides (`None` = the workload's own search).
+pub(crate) static SEARCH: Axis<Option<SearchAlgorithm>> = Axis {
+    key: "search",
+    expected: "expected an array of search tokens or nulls",
+    default: Some(None),
+    parse: |v, p| {
+        string_or_null(v, p, |s| {
+            parse_search(s).ok_or_else(|| {
+                schema(
+                    p,
+                    format!(
+                        "unknown search `{s}` (want diamond, three-step, full/R or spiral/R/T)"
+                    ),
+                )
+            })
+        })
+    },
+    emit: |s| s.map_or(Json::Null, |s| Json::Str(search_token(s))),
+    apply: |sc, &s| sc.search = s,
+    suffix: |s| s.map_or_else(String::new, |s| format!(" se={}", search_token(s))),
+    read: Some(|sc| sc.search),
+};
+
+/// Fetch/issue substrates (default `[vliw4]`).
+pub(crate) static SUBSTRATE: Axis<Substrate> = Axis {
+    key: "substrate",
+    expected: "expected an array of substrate tokens",
+    default: Some(Substrate::Vliw4),
+    parse: |v, p| string(v, p)?.parse::<Substrate>().map_err(|e| schema(p, e)),
+    emit: |s| Json::Str(s.name().to_owned()),
+    apply: |sc, &s| sc.machine.substrate = s,
+    suffix: |&s| {
+        if s == Substrate::Vliw4 {
+            String::new()
+        } else {
+            format!(" su={}", s.name())
+        }
+    },
+    read: Some(Scenario::substrate),
+};
+
 /// One sweep of an [`ExperimentSpec`]: either a list of instruction-level
 /// kernel variants or a cross-product of loop-level axes.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,11 +847,11 @@ impl SweepAxes {
     pub fn instruction(variants: Vec<Variant>) -> Self {
         SweepAxes::Instruction {
             variants,
-            prefetch: vec![None],
-            dcache: vec![None],
-            approx: vec![ApproxSad::Exact],
-            search: vec![None],
-            substrate: vec![Substrate::Vliw4],
+            prefetch: PREFETCH.defaults(),
+            dcache: DCACHE.defaults(),
+            approx: APPROX.defaults(),
+            search: SEARCH.defaults(),
+            substrate: SUBSTRATE.defaults(),
         }
     }
 
@@ -303,14 +863,14 @@ impl SweepAxes {
         SweepAxes::Loop {
             bandwidths,
             betas,
-            two_line_buffers: vec![false],
-            lbb_bank_lines: vec![None],
-            reconfig: vec![ReconfigSpec::zero()],
-            prefetch: vec![None],
-            dcache: vec![None],
-            approx: vec![ApproxSad::Exact],
-            search: vec![None],
-            substrate: vec![Substrate::Vliw4],
+            two_line_buffers: TWO_LINE_BUFFERS.defaults(),
+            lbb_bank_lines: LBB_BANK_LINES.defaults(),
+            reconfig: RECONFIG.defaults(),
+            prefetch: PREFETCH.defaults(),
+            dcache: DCACHE.defaults(),
+            approx: APPROX.defaults(),
+            search: SEARCH.defaults(),
+            substrate: SUBSTRATE.defaults(),
         }
     }
 
@@ -318,18 +878,14 @@ impl SweepAxes {
     /// to 1×32 by the scheme).
     #[must_use]
     pub fn loop_two_lb(betas: Vec<u64>) -> Self {
-        SweepAxes::Loop {
-            bandwidths: vec![RfuBandwidth::B1x32],
-            betas,
-            two_line_buffers: vec![true],
-            lbb_bank_lines: vec![None],
-            reconfig: vec![ReconfigSpec::zero()],
-            prefetch: vec![None],
-            dcache: vec![None],
-            approx: vec![ApproxSad::Exact],
-            search: vec![None],
-            substrate: vec![Substrate::Vliw4],
+        let mut axes = Self::loop_grid(vec![RfuBandwidth::B1x32], betas);
+        if let SweepAxes::Loop {
+            two_line_buffers, ..
+        } = &mut axes
+        {
+            *two_line_buffers = vec![true];
         }
+        axes
     }
 
     /// Replaces the SAD-approximation axis (either sweep kind).
@@ -365,71 +921,10 @@ impl SweepAxes {
         self
     }
 
-    /// Replaces the prefetch-depth axis (either sweep kind).
-    #[must_use]
-    pub fn with_prefetch_axis(mut self, axis: Vec<Option<usize>>) -> Self {
-        match &mut self {
-            SweepAxes::Instruction { prefetch, .. } | SweepAxes::Loop { prefetch, .. } => {
-                *prefetch = axis;
-            }
-        }
-        self
-    }
-
-    /// Replaces the data-cache geometry axis (either sweep kind).
-    #[must_use]
-    pub fn with_dcache_axis(mut self, axis: Vec<Option<DcacheSpec>>) -> Self {
-        match &mut self {
-            SweepAxes::Instruction { dcache, .. } | SweepAxes::Loop { dcache, .. } => {
-                *dcache = axis;
-            }
-        }
-        self
-    }
-
     /// The number of scenarios this sweep expands to.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            SweepAxes::Instruction {
-                variants,
-                prefetch,
-                dcache,
-                approx,
-                search,
-                substrate,
-            } => {
-                variants.len()
-                    * prefetch.len()
-                    * dcache.len()
-                    * approx.len()
-                    * search.len()
-                    * substrate.len()
-            }
-            SweepAxes::Loop {
-                bandwidths,
-                betas,
-                two_line_buffers,
-                lbb_bank_lines,
-                reconfig,
-                prefetch,
-                dcache,
-                approx,
-                search,
-                substrate,
-            } => {
-                bandwidths.len()
-                    * betas.len()
-                    * two_line_buffers.len()
-                    * lbb_bank_lines.len()
-                    * reconfig.len()
-                    * prefetch.len()
-                    * dcache.len()
-                    * approx.len()
-                    * search.len()
-                    * substrate.len()
-            }
-        }
+        self.grid().len()
     }
 
     /// Whether the sweep expands to no scenarios.
@@ -438,268 +933,8 @@ impl SweepAxes {
         self.len() == 0
     }
 
-    /// Serializes the shared `approx`/`search`/`substrate` axes into `m`,
-    /// omitting each when at its default (so paper-grid specs are
-    /// unchanged).
-    pub(crate) fn axes_to_json(
-        m: &mut BTreeMap<String, Json>,
-        approx: &[ApproxSad],
-        search: &[Option<SearchAlgorithm>],
-        substrate: &[Substrate],
-    ) {
-        if approx != [ApproxSad::Exact] {
-            m.insert(
-                "approx".to_owned(),
-                Json::Arr(approx.iter().map(|&a| Json::Str(approx_token(a))).collect()),
-            );
-        }
-        if search != [None] {
-            m.insert(
-                "search".to_owned(),
-                Json::Arr(
-                    search
-                        .iter()
-                        .map(|s| match s {
-                            None => Json::Null,
-                            Some(alg) => Json::Str(search_token(*alg)),
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        if substrate != [Substrate::Vliw4] {
-            m.insert(
-                "substrate".to_owned(),
-                Json::Arr(
-                    substrate
-                        .iter()
-                        .map(|s| Json::Str(s.name().to_owned()))
-                        .collect(),
-                ),
-            );
-        }
-    }
-
-    /// Serializes the shared `prefetch`/`dcache` memory axes into `m`,
-    /// omitting each when at its default (`[None]`), so pre-existing
-    /// specs are unchanged.
-    pub(crate) fn mem_axes_to_json(
-        m: &mut BTreeMap<String, Json>,
-        prefetch: &[Option<usize>],
-        dcache: &[Option<DcacheSpec>],
-    ) {
-        if prefetch != [None] {
-            m.insert(
-                "prefetch".to_owned(),
-                Json::Arr(
-                    prefetch
-                        .iter()
-                        .map(|p| match p {
-                            None => Json::Null,
-                            Some(n) => Json::Num(n.to_string()),
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        if dcache != [None] {
-            m.insert(
-                "dcache".to_owned(),
-                Json::Arr(
-                    dcache
-                        .iter()
-                        .map(|d| match d {
-                            None => Json::Null,
-                            Some(d) => Json::Str(d.token()),
-                        })
-                        .collect(),
-                ),
-            );
-        }
-    }
-
-    pub(crate) fn prefetch_axis_from_json(
-        m: &BTreeMap<String, Json>,
-        path: &str,
-    ) -> Result<Vec<Option<usize>>, SpecError> {
-        match m.get("prefetch") {
-            None => Ok(vec![None]),
-            Some(v) => {
-                let p = format!("{path}.prefetch");
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| schema(&p, "expected an array of depths-or-null"))?;
-                if arr.is_empty() {
-                    return Err(schema(p, "must not be empty"));
-                }
-                arr.iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let p = format!("{p}[{i}]");
-                        match v {
-                            Json::Null => Ok(None),
-                            other => {
-                                let n = parse_usize(other, &p)?;
-                                if n == 0 {
-                                    return Err(schema(
-                                        p,
-                                        "prefetch depth must be at least 1 entry",
-                                    ));
-                                }
-                                Ok(Some(n))
-                            }
-                        }
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    pub(crate) fn dcache_axis_from_json(
-        m: &BTreeMap<String, Json>,
-        path: &str,
-    ) -> Result<Vec<Option<DcacheSpec>>, SpecError> {
-        match m.get("dcache") {
-            None => Ok(vec![None]),
-            Some(v) => {
-                let p = format!("{path}.dcache");
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| schema(&p, "expected an array of geometry tokens or nulls"))?;
-                if arr.is_empty() {
-                    return Err(schema(p, "must not be empty"));
-                }
-                arr.iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let p = format!("{p}[{i}]");
-                        match v {
-                            Json::Null => Ok(None),
-                            other => {
-                                let s = other
-                                    .as_str()
-                                    .ok_or_else(|| schema(&p, "expected a string or null"))?;
-                                DcacheSpec::parse(s).map(Some).ok_or_else(|| {
-                                    schema(
-                                        p,
-                                        format!(
-                                            "bad dcache geometry `{s}` (want CAPk/WAYSw with \
-                                             power-of-two capacity <= 4096k and ways <= 16, \
-                                             e.g. 16k/2w)"
-                                        ),
-                                    )
-                                })
-                            }
-                        }
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    pub(crate) fn approx_axis_from_json(
-        m: &BTreeMap<String, Json>,
-        path: &str,
-    ) -> Result<Vec<ApproxSad>, SpecError> {
-        match m.get("approx") {
-            None => Ok(vec![ApproxSad::Exact]),
-            Some(v) => {
-                let p = format!("{path}.approx");
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| schema(&p, "expected an array of approx tokens"))?;
-                if arr.is_empty() {
-                    return Err(schema(p, "must not be empty"));
-                }
-                arr.iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let p = format!("{p}[{i}]");
-                        let s = v.as_str().ok_or_else(|| schema(&p, "expected a string"))?;
-                        parse_approx(s).ok_or_else(|| {
-                            schema(
-                                p,
-                                format!(
-                                    "unknown approximation `{s}` (want exact, rows/N, \
-                                     bits/N or early/N)"
-                                ),
-                            )
-                        })
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    pub(crate) fn search_axis_from_json(
-        m: &BTreeMap<String, Json>,
-        path: &str,
-    ) -> Result<Vec<Option<SearchAlgorithm>>, SpecError> {
-        match m.get("search") {
-            None => Ok(vec![None]),
-            Some(v) => {
-                let p = format!("{path}.search");
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| schema(&p, "expected an array of search tokens or nulls"))?;
-                if arr.is_empty() {
-                    return Err(schema(p, "must not be empty"));
-                }
-                arr.iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let p = format!("{p}[{i}]");
-                        match v {
-                            Json::Null => Ok(None),
-                            other => {
-                                let s = other
-                                    .as_str()
-                                    .ok_or_else(|| schema(&p, "expected a string or null"))?;
-                                parse_search(s).map(Some).ok_or_else(|| {
-                                    schema(
-                                        p,
-                                        format!(
-                                            "unknown search `{s}` (want diamond, three-step, \
-                                             full/R or spiral/R/T)"
-                                        ),
-                                    )
-                                })
-                            }
-                        }
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    pub(crate) fn substrate_axis_from_json(
-        m: &BTreeMap<String, Json>,
-        path: &str,
-    ) -> Result<Vec<Substrate>, SpecError> {
-        match m.get("substrate") {
-            None => Ok(vec![Substrate::Vliw4]),
-            Some(v) => {
-                let p = format!("{path}.substrate");
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| schema(&p, "expected an array of substrate tokens"))?;
-                if arr.is_empty() {
-                    return Err(schema(p, "must not be empty"));
-                }
-                arr.iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let p = format!("{p}[{i}]");
-                        let s = v.as_str().ok_or_else(|| schema(&p, "expected a string"))?;
-                        s.parse::<Substrate>().map_err(|e| schema(p, e))
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut m = BTreeMap::new();
+    /// The sweep's axes bound to their values, in expansion order.
+    fn grid(&self) -> Grid<'_> {
         match self {
             SweepAxes::Instruction {
                 variants,
@@ -708,20 +943,17 @@ impl SweepAxes {
                 approx,
                 search,
                 substrate,
-            } => {
-                m.insert("kind".to_owned(), Json::Str("instruction".to_owned()));
-                m.insert(
-                    "variants".to_owned(),
-                    Json::Arr(
-                        variants
-                            .iter()
-                            .map(|v| Json::Str(v.name().to_owned()))
-                            .collect(),
-                    ),
-                );
-                Self::mem_axes_to_json(&mut m, prefetch, dcache);
-                Self::axes_to_json(&mut m, approx, search, substrate);
-            }
+            } => Grid {
+                template: Scenario::orig(),
+                columns: vec![
+                    bind(&VARIANTS, variants),
+                    bind(&PREFETCH, prefetch),
+                    bind(&DCACHE, dcache),
+                    bind(&APPROX, approx),
+                    bind(&SEARCH, search),
+                    bind(&SUBSTRATE, substrate),
+                ],
+            },
             SweepAxes::Loop {
                 bandwidths,
                 betas,
@@ -733,238 +965,99 @@ impl SweepAxes {
                 approx,
                 search,
                 substrate,
-            } => {
-                m.insert("kind".to_owned(), Json::Str("loop".to_owned()));
-                m.insert(
-                    "bandwidths".to_owned(),
-                    Json::Arr(
-                        bandwidths
-                            .iter()
-                            .map(|b| Json::Str(b.label().to_owned()))
-                            .collect(),
+            } => Grid {
+                template: Scenario::loop_level(RfuBandwidth::B1x32, 1),
+                columns: vec![
+                    bind(&BANDWIDTHS, bandwidths),
+                    bind(&BETAS, betas),
+                    bind(&TWO_LINE_BUFFERS, two_line_buffers),
+                    bind(&LBB_BANK_LINES, lbb_bank_lines),
+                    bind(&RECONFIG, reconfig),
+                    bind(&PREFETCH, prefetch),
+                    bind(&DCACHE, dcache),
+                    bind(&APPROX, approx),
+                    bind(&SEARCH, search),
+                    bind(&SUBSTRATE, substrate),
+                ],
+            },
+        }
+    }
+
+    /// Rejects a bandwidth other than 1x32 beside the two-line-buffer
+    /// scheme, which runs at 1x32 only: such a point would otherwise run
+    /// silently at 1x32 under another bandwidth's name.
+    fn check_two_lb(&self, path: &str) -> Result<(), SpecError> {
+        if let SweepAxes::Loop {
+            bandwidths,
+            two_line_buffers,
+            ..
+        } = self
+        {
+            let other = bandwidths.iter().find(|&&b| b != RfuBandwidth::B1x32);
+            if let (Some(bw), true) = (other, two_line_buffers.contains(&true)) {
+                return Err(schema(
+                    format!("{path}.{}", BANDWIDTHS.key),
+                    format!(
+                        "bandwidth {} cannot run the two-line-buffer scheme, which is \
+                         1x32 only (split the sweep)",
+                        bw.label()
                     ),
-                );
-                m.insert(
-                    "betas".to_owned(),
-                    Json::Arr(betas.iter().map(|b| Json::Num(b.to_string())).collect()),
-                );
-                if *two_line_buffers != [false] {
-                    m.insert(
-                        "two_line_buffers".to_owned(),
-                        Json::Arr(two_line_buffers.iter().map(|&b| Json::Bool(b)).collect()),
-                    );
-                }
-                if *lbb_bank_lines != [None] {
-                    m.insert(
-                        "lbb_bank_lines".to_owned(),
-                        Json::Arr(
-                            lbb_bank_lines
-                                .iter()
-                                .map(|l| match l {
-                                    None => Json::Null,
-                                    Some(n) => Json::Num(n.to_string()),
-                                })
-                                .collect(),
-                        ),
-                    );
-                }
-                if *reconfig != [ReconfigSpec::zero()] {
-                    m.insert(
-                        "reconfig".to_owned(),
-                        Json::Arr(reconfig.iter().map(|r| r.to_json()).collect()),
-                    );
-                }
-                Self::mem_axes_to_json(&mut m, prefetch, dcache);
-                Self::axes_to_json(&mut m, approx, search, substrate);
+                ));
             }
         }
+        Ok(())
+    }
+
+    fn to_json(&self) -> Json {
+        let mut m = BTreeMap::new();
+        let kind = match self {
+            SweepAxes::Instruction { .. } => "instruction",
+            SweepAxes::Loop { .. } => "loop",
+        };
+        m.insert("kind".to_owned(), Json::Str(kind.to_owned()));
+        self.grid().emit(&mut m);
         Json::Obj(m)
     }
 
-    fn from_json(j: &Json, path: &str) -> Result<Self, SpecError> {
+    pub(crate) fn from_json(j: &Json, path: &str) -> Result<Self, SpecError> {
         let m = as_obj(j, path)?;
-        let kind = req_str(m, "kind", path)?;
-        match kind {
-            "instruction" => {
-                check_keys(
-                    m,
-                    &[
-                        "kind",
-                        "variants",
-                        "prefetch",
-                        "dcache",
-                        "approx",
-                        "search",
-                        "substrate",
-                    ],
-                    path,
-                )?;
-                let arr = req_arr(m, "variants", path)?;
-                if arr.is_empty() {
-                    return Err(schema(format!("{path}.variants"), "must not be empty"));
-                }
-                let variants = arr
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let p = format!("{path}.variants[{i}]");
-                        let s = v.as_str().ok_or_else(|| schema(&p, "expected a string"))?;
-                        Variant::all()
-                            .into_iter()
-                            .find(|var| var.name() == s)
-                            .ok_or_else(|| {
-                                schema(p, format!("unknown variant `{s}` (want Orig, A1, A2, A3)"))
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(SweepAxes::Instruction {
-                    variants,
-                    prefetch: Self::prefetch_axis_from_json(m, path)?,
-                    dcache: Self::dcache_axis_from_json(m, path)?,
-                    approx: Self::approx_axis_from_json(m, path)?,
-                    search: Self::search_axis_from_json(m, path)?,
-                    substrate: Self::substrate_axis_from_json(m, path)?,
-                })
+        let template = match req_str(m, "kind", path)? {
+            "instruction" => Self::instruction(Vec::new()),
+            "loop" => Self::loop_grid(Vec::new(), Vec::new()),
+            other => {
+                return Err(schema(
+                    format!("{path}.kind"),
+                    format!("unknown sweep kind `{other}` (want instruction or loop)"),
+                ))
             }
-            "loop" => {
-                check_keys(
-                    m,
-                    &[
-                        "kind",
-                        "bandwidths",
-                        "betas",
-                        "two_line_buffers",
-                        "lbb_bank_lines",
-                        "reconfig",
-                        "prefetch",
-                        "dcache",
-                        "approx",
-                        "search",
-                        "substrate",
-                    ],
-                    path,
-                )?;
-                let bw_arr = req_arr(m, "bandwidths", path)?;
-                if bw_arr.is_empty() {
-                    return Err(schema(format!("{path}.bandwidths"), "must not be empty"));
-                }
-                let bandwidths = bw_arr
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let p = format!("{path}.bandwidths[{i}]");
-                        let s = v.as_str().ok_or_else(|| schema(&p, "expected a string"))?;
-                        RfuBandwidth::all()
-                            .into_iter()
-                            .find(|b| b.label() == s)
-                            .ok_or_else(|| {
-                                schema(
-                                    p,
-                                    format!("unknown bandwidth `{s}` (want 1x32, 1x64, 2x64)"),
-                                )
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let beta_arr = req_arr(m, "betas", path)?;
-                if beta_arr.is_empty() {
-                    return Err(schema(format!("{path}.betas"), "must not be empty"));
-                }
-                let betas = beta_arr
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let p = format!("{path}.betas[{i}]");
-                        let b = parse_u64(v, &p)?;
-                        if b == 0 {
-                            return Err(schema(p, "beta must be at least 1"));
-                        }
-                        Ok(b)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let two_line_buffers = match m.get("two_line_buffers") {
-                    None => vec![false],
-                    Some(v) => {
-                        let p = format!("{path}.two_line_buffers");
-                        let arr = v
-                            .as_array()
-                            .ok_or_else(|| schema(&p, "expected an array of booleans"))?;
-                        if arr.is_empty() {
-                            return Err(schema(p, "must not be empty"));
-                        }
-                        arr.iter()
-                            .enumerate()
-                            .map(|(i, v)| match v {
-                                Json::Bool(b) => Ok(*b),
-                                _ => Err(schema(format!("{p}[{i}]"), "expected a boolean")),
-                            })
-                            .collect::<Result<Vec<_>, _>>()?
-                    }
-                };
-                let lbb_bank_lines = match m.get("lbb_bank_lines") {
-                    None => vec![None],
-                    Some(v) => {
-                        let p = format!("{path}.lbb_bank_lines");
-                        let arr = v
-                            .as_array()
-                            .ok_or_else(|| schema(&p, "expected an array of lines-or-null"))?;
-                        if arr.is_empty() {
-                            return Err(schema(p, "must not be empty"));
-                        }
-                        arr.iter()
-                            .enumerate()
-                            .map(|(i, v)| {
-                                let p = format!("{p}[{i}]");
-                                match v {
-                                    Json::Null => Ok(None),
-                                    other => {
-                                        let n = parse_usize(other, &p)?;
-                                        if n == 0 {
-                                            return Err(schema(
-                                                p,
-                                                "per-bank capacity must be at least 1 line",
-                                            ));
-                                        }
-                                        Ok(Some(n))
-                                    }
-                                }
-                            })
-                            .collect::<Result<Vec<_>, _>>()?
-                    }
-                };
-                let reconfig = match m.get("reconfig") {
-                    None => vec![ReconfigSpec::zero()],
-                    Some(v) => {
-                        let p = format!("{path}.reconfig");
-                        let arr = v
-                            .as_array()
-                            .ok_or_else(|| schema(&p, "expected an array of reconfig objects"))?;
-                        if arr.is_empty() {
-                            return Err(schema(p, "must not be empty"));
-                        }
-                        arr.iter()
-                            .enumerate()
-                            .map(|(i, v)| ReconfigSpec::from_json(v, &format!("{p}[{i}]")))
-                            .collect::<Result<Vec<_>, _>>()?
-                    }
-                };
-                Ok(SweepAxes::Loop {
-                    bandwidths,
-                    betas,
-                    two_line_buffers,
-                    lbb_bank_lines,
-                    reconfig,
-                    prefetch: Self::prefetch_axis_from_json(m, path)?,
-                    dcache: Self::dcache_axis_from_json(m, path)?,
-                    approx: Self::approx_axis_from_json(m, path)?,
-                    search: Self::search_axis_from_json(m, path)?,
-                    substrate: Self::substrate_axis_from_json(m, path)?,
-                })
-            }
-            other => Err(schema(
-                format!("{path}.kind"),
-                format!("unknown sweep kind `{other}` (want instruction or loop)"),
-            )),
-        }
+        };
+        let mut allowed = vec!["kind"];
+        allowed.extend(template.grid().keys());
+        check_keys(m, &allowed, path)?;
+        let axes = match template {
+            SweepAxes::Instruction { .. } => SweepAxes::Instruction {
+                variants: VARIANTS.parse_axis(m, path)?,
+                prefetch: PREFETCH.parse_axis(m, path)?,
+                dcache: DCACHE.parse_axis(m, path)?,
+                approx: APPROX.parse_axis(m, path)?,
+                search: SEARCH.parse_axis(m, path)?,
+                substrate: SUBSTRATE.parse_axis(m, path)?,
+            },
+            SweepAxes::Loop { .. } => SweepAxes::Loop {
+                bandwidths: BANDWIDTHS.parse_axis(m, path)?,
+                betas: BETAS.parse_axis(m, path)?,
+                two_line_buffers: TWO_LINE_BUFFERS.parse_axis(m, path)?,
+                lbb_bank_lines: LBB_BANK_LINES.parse_axis(m, path)?,
+                reconfig: RECONFIG.parse_axis(m, path)?,
+                prefetch: PREFETCH.parse_axis(m, path)?,
+                dcache: DCACHE.parse_axis(m, path)?,
+                approx: APPROX.parse_axis(m, path)?,
+                search: SEARCH.parse_axis(m, path)?,
+                substrate: SUBSTRATE.parse_axis(m, path)?,
+            },
+        };
+        axes.check_two_lb(path)?;
+        Ok(axes)
     }
 }
 
@@ -1052,130 +1145,24 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// [`SpecError::DuplicateLabel`] when two expanded points share a
-    /// label (labels key fault substreams and snapshot cells).
+    /// label (labels key fault substreams and snapshot cells), and
+    /// [`SpecError::Schema`] when a sweep pairs the two-line-buffer scheme
+    /// with a bandwidth other than 1x32.
     pub fn scenarios(&self) -> Result<Vec<Scenario>, SpecError> {
         let plan = self.fault_plan();
         let mut out: Vec<Scenario> = Vec::new();
         let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut push = |mut sc: Scenario| -> Result<(), SpecError> {
-            sc = sc.with_fault_plan(plan);
-            if let Some(limit) = self.cycle_limit {
-                sc = sc.with_cycle_limit(limit);
-            }
-            if !seen.insert(sc.label.clone()) {
-                return Err(SpecError::DuplicateLabel { label: sc.label });
-            }
-            out.push(sc);
-            Ok(())
-        };
-        // Applies one (prefetch, dcache) memory point to a scenario,
-        // appending label suffixes for non-default values. Default points
-        // leave the scenario and its label untouched, so paper-grid
-        // labels (and cache keys) are unchanged.
-        let mem_point = |mut sc: Scenario, pf: Option<usize>, dc: Option<DcacheSpec>| {
-            if let Some(entries) = pf {
-                sc.mem.prefetch_entries = entries;
-                sc.label.push_str(&format!(" pf={entries}"));
-            }
-            if let Some(geom) = dc {
-                sc.mem.dcache = geom.geometry();
-                sc.label.push_str(&format!(" dc={}", geom.token()));
-            }
-            sc
-        };
-        // Applies one (approx, search, substrate) point to a scenario,
-        // appending the label suffixes that keep expanded labels unique
-        // per point. Default points leave the scenario and its label
-        // untouched, so paper-grid labels are unchanged.
-        let quality_point =
-            |mut sc: Scenario, ap: ApproxSad, se: Option<SearchAlgorithm>, su: Substrate| {
-                if !ap.is_exact() {
-                    sc = sc.with_approx(ap);
-                    sc.label.push_str(&format!(" ap={}", approx_token(ap)));
+        for (i, sweep) in self.sweeps.iter().enumerate() {
+            sweep.check_two_lb(&format!("spec.sweeps[{i}]"))?;
+            for mut sc in sweep.grid().points() {
+                sc = sc.with_fault_plan(plan);
+                if let Some(limit) = self.cycle_limit {
+                    sc = sc.with_cycle_limit(limit);
                 }
-                if let Some(alg) = se {
-                    sc = sc.with_search(alg);
-                    sc.label.push_str(&format!(" se={}", search_token(alg)));
+                if !seen.insert(sc.label.clone()) {
+                    return Err(SpecError::DuplicateLabel { label: sc.label });
                 }
-                if su != Substrate::Vliw4 {
-                    sc = sc.with_substrate(su);
-                    sc.label.push_str(&format!(" su={}", su.name()));
-                }
-                sc
-            };
-        for sweep in &self.sweeps {
-            match sweep {
-                SweepAxes::Instruction {
-                    variants,
-                    prefetch,
-                    dcache,
-                    approx,
-                    search,
-                    substrate,
-                } => {
-                    for &v in variants {
-                        for &pf in prefetch {
-                            for &dc in dcache {
-                                for &ap in approx {
-                                    for &se in search {
-                                        for &su in substrate {
-                                            let sc = mem_point(Scenario::instruction(v), pf, dc);
-                                            push(quality_point(sc, ap, se, su))?;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                SweepAxes::Loop {
-                    bandwidths,
-                    betas,
-                    two_line_buffers,
-                    lbb_bank_lines,
-                    reconfig,
-                    prefetch,
-                    dcache,
-                    approx,
-                    search,
-                    substrate,
-                } => {
-                    for &bw in bandwidths {
-                        for &beta in betas {
-                            for &two_lb in two_line_buffers {
-                                for &lbb in lbb_bank_lines {
-                                    for &rc in reconfig {
-                                        for &pf in prefetch {
-                                            for &dc in dcache {
-                                                for &ap in approx {
-                                                    for &se in search {
-                                                        for &su in substrate {
-                                                            let mut sc = if two_lb {
-                                                                Scenario::loop_two_lb(beta)
-                                                            } else {
-                                                                Scenario::loop_level(bw, beta)
-                                                            };
-                                                            if let Some(lines) = lbb {
-                                                                sc = sc.with_lbb_bank_lines(lines);
-                                                                sc.label.push_str(&format!(
-                                                                    " lbb={lines}"
-                                                                ));
-                                                            }
-                                                            sc = sc.with_reconfig(rc.model());
-                                                            sc.label.push_str(&rc.label_suffix());
-                                                            sc = mem_point(sc, pf, dc);
-                                                            push(quality_point(sc, ap, se, su))?;
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+                out.push(sc);
             }
         }
         Ok(out)
@@ -1465,25 +1452,24 @@ mod tests {
     }
 
     #[test]
-    fn two_lb_with_multiple_bandwidths_is_a_duplicate() {
-        // loop_two_lb forces 1x32, so extra bandwidths collapse onto the
-        // same label — rejected, not silently aliased.
-        let spec = ExperimentSpec::new("dup2").sweep(SweepAxes::Loop {
-            bandwidths: vec![RfuBandwidth::B1x32, RfuBandwidth::B1x64],
-            betas: vec![1],
-            two_line_buffers: vec![true],
-            lbb_bank_lines: vec![None],
-            reconfig: vec![ReconfigSpec::zero()],
-            prefetch: vec![None],
-            dcache: vec![None],
-            approx: vec![ApproxSad::Exact],
-            search: vec![None],
-            substrate: vec![Substrate::Vliw4],
-        });
-        assert!(matches!(
-            spec.scenarios(),
-            Err(SpecError::DuplicateLabel { .. })
-        ));
+    fn two_lb_with_another_bandwidth_is_a_schema_error() {
+        // The two-line-buffer scheme runs at 1x32 only, so another
+        // bandwidth beside it is rejected rather than silently run at
+        // 1x32 under its own name.
+        let mut axes = SweepAxes::loop_two_lb(vec![1]);
+        if let SweepAxes::Loop { bandwidths, .. } = &mut axes {
+            *bandwidths = vec![RfuBandwidth::B1x32, RfuBandwidth::B1x64];
+        }
+        let spec = ExperimentSpec::new("dup2")
+            .sweep(SweepAxes::instruction(vec![Variant::Orig]))
+            .sweep(axes);
+        match spec.scenarios() {
+            Err(SpecError::Schema { path, message }) => {
+                assert_eq!(path, "spec.sweeps[1].bandwidths");
+                assert!(message.contains("1x64"), "{message}");
+            }
+            other => panic!("expected a schema error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1669,6 +1655,12 @@ mod tests {
                  \"bandwidths\": [\"1x32\"], \"betas\": [1], \
                  \"reconfig\": [{\"penalty\": 5, \"contexts\": 0}]}]}",
                 "resident context",
+            ),
+            (
+                "{\"name\": \"x\", \"sweeps\": [{\"kind\": \"loop\", \
+                 \"bandwidths\": [\"2x64\"], \"betas\": [1], \
+                 \"two_line_buffers\": [true]}]}",
+                "spec.sweeps[0].bandwidths: bandwidth 2x64 cannot run the two-line-buffer",
             ),
         ] {
             match ExperimentSpec::from_json_str(text) {

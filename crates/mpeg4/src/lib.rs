@@ -39,7 +39,6 @@ pub mod dct;
 pub mod decoder;
 pub mod encoder;
 pub mod footprint;
-pub mod huffman;
 pub mod mc;
 pub mod me;
 pub mod psnr;

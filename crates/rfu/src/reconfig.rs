@@ -110,6 +110,19 @@ impl ReconfigModel {
         self.penalty
     }
 
+    /// The number of resident configuration contexts (`usize::MAX` for
+    /// the zero-penalty baseline).
+    #[must_use]
+    pub fn contexts(&self) -> usize {
+        self.contexts
+    }
+
+    /// Whether configuration prefetch hides idle time behind loads.
+    #[must_use]
+    pub fn prefetch_hiding(&self) -> bool {
+        self.prefetch_hiding
+    }
+
     /// Resident contexts, least recently used first.
     #[must_use]
     pub fn resident(&self) -> &[u16] {

@@ -126,6 +126,78 @@ impl fmt::Display for Json {
     }
 }
 
+/// A field value [`json_codec!`] knows how to write and read back.
+pub trait JsonField: Sized {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+    /// The value back from JSON (`None` on a type or range mismatch).
+    fn from_json(j: &Json) -> Option<Self>;
+}
+
+impl JsonField for u64 {
+    fn to_json(&self) -> Json {
+        Json::Num(self.to_string())
+    }
+    fn from_json(j: &Json) -> Option<Self> {
+        j.as_u64()
+    }
+}
+
+impl JsonField for u32 {
+    fn to_json(&self) -> Json {
+        Json::Num(self.to_string())
+    }
+    fn from_json(j: &Json) -> Option<Self> {
+        u32::try_from(j.as_u64()?).ok()
+    }
+}
+
+impl<T: JsonField + Copy + Default, const N: usize> JsonField for [T; N] {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(JsonField::to_json).collect())
+    }
+    fn from_json(j: &Json) -> Option<Self> {
+        let items = j.as_array()?;
+        if items.len() != N {
+            return None;
+        }
+        let mut out = [T::default(); N];
+        for (slot, v) in out.iter_mut().zip(items) {
+            *slot = T::from_json(v)?;
+        }
+        Some(out)
+    }
+}
+
+/// Declares a JSON object codec for a plain struct from one list of its
+/// fields: `json_codec!(to_fn, from_fn, Type { a, b, c })` defines
+/// `fn to_fn(&Type) -> Json` (an object keyed by field name) and
+/// `fn from_fn(&Json) -> Option<Type>`. Every field type implements
+/// [`JsonField`].
+///
+/// The writer destructures the struct exhaustively, so adding a field to
+/// `Type` is a compile error until the list names it.
+#[macro_export]
+macro_rules! json_codec {
+    ($to:ident, $from:ident, $ty:ident { $($field:ident),* $(,)? }) => {
+        fn $to(v: &$ty) -> $crate::Json {
+            let $ty { $($field),* } = v;
+            let mut o = ::std::collections::BTreeMap::new();
+            $(o.insert(
+                stringify!($field).to_owned(),
+                $crate::json::JsonField::to_json($field),
+            );)*
+            $crate::Json::Obj(o)
+        }
+
+        fn $from(j: &$crate::Json) -> Option<$ty> {
+            Some($ty {
+                $($field: $crate::json::JsonField::from_json(j.get(stringify!($field))?)?,)*
+            })
+        }
+    };
+}
+
 /// Escapes `s` for inclusion inside a JSON string literal.
 #[must_use]
 pub fn escape_json(s: &str) -> String {
@@ -352,6 +424,46 @@ mod tests {
         let src = r#"{"k":[1,"two",{"n":null}]}"#;
         let v = Json::parse(src).unwrap();
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        hits: u64,
+        ppm: u32,
+        by_class: [u64; 2],
+    }
+
+    json_codec!(
+        pair_to_json,
+        pair_from_json,
+        Pair {
+            hits,
+            ppm,
+            by_class
+        }
+    );
+
+    #[test]
+    fn field_list_codec_round_trips_and_rejects_mismatches() {
+        let p = Pair {
+            hits: u64::MAX,
+            ppm: 7,
+            by_class: [1, 2],
+        };
+        let j = pair_to_json(&p);
+        assert_eq!(
+            j.to_string(),
+            format!("{{\"by_class\":[1,2],\"hits\":{},\"ppm\":7}}", u64::MAX)
+        );
+        assert_eq!(pair_from_json(&j), Some(p));
+        for bad in [
+            r#"{"by_class":[1,2],"hits":1}"#,
+            r#"{"by_class":[1],"hits":1,"ppm":7}"#,
+            r#"{"by_class":[1,2],"hits":1,"ppm":4294967296}"#,
+            r#"{"by_class":[1,2],"hits":"1","ppm":7}"#,
+        ] {
+            assert_eq!(pair_from_json(&Json::parse(bad).unwrap()), None, "{bad}");
+        }
     }
 
     #[test]

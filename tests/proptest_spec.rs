@@ -5,10 +5,17 @@
 //! 2. Sweep expansion counts are the cross-product of the axes.
 //! 3. Arbitrary malformed spec JSON — printable junk and mangled
 //!    fragments of the real schema alike — yields a typed `SpecError`,
-//!    never a panic (the pattern of `proptest_asm_parse.rs`).
+//!    never a panic, from both the sweep and the exploration parser (the
+//!    pattern of `proptest_asm_parse.rs`).
+//! 4. Every expanded scenario rebuilds from its cache descriptor to an
+//!    equal scenario with an equal cache key, so `rvliw cache verify` can
+//!    re-simulate every spec-expressible entry.
 
 use proptest::prelude::*;
 
+use rvliw::cache::KeyBuilder;
+use rvliw::exp::cache::{scenario_desc, scenario_from_desc, scenario_key};
+use rvliw::exp::explore::ExploreSpec;
 use rvliw::exp::{DcacheSpec, ExperimentSpec, ReconfigSpec, SpecError, Substrate, SweepAxes};
 use rvliw::fault::FaultProfile;
 use rvliw::kernels::Variant;
@@ -109,16 +116,21 @@ fn arb_axes() -> impl Strategy<Value = SweepAxes> {
     prop_oneof![
         (
             arb_variants(),
-            arb_approx_axis(),
-            arb_search_axis(),
-            arb_substrate_axis()
+            (arb_prefetch_axis(), arb_dcache_axis()),
+            (arb_approx_axis(), arb_search_axis(), arb_substrate_axis()),
         )
-            .prop_map(|(v, ap, se, su)| {
-                SweepAxes::instruction(v)
-                    .with_approx_axis(ap)
-                    .with_search_axis(se)
-                    .with_substrate_axis(su)
-            }),
+            .prop_map(
+                |(variants, (prefetch, dcache), (approx, search, substrate))| {
+                    SweepAxes::Instruction {
+                        variants,
+                        prefetch,
+                        dcache,
+                        approx,
+                        search,
+                        substrate,
+                    }
+                }
+            ),
         (
             proptest::collection::vec(
                 prop_oneof![
@@ -137,7 +149,7 @@ fn arb_axes() -> impl Strategy<Value = SweepAxes> {
         )
             .prop_map(
                 |(
-                    bandwidths,
+                    mut bandwidths,
                     betas,
                     two_line_buffers,
                     lbb_bank_lines,
@@ -145,6 +157,10 @@ fn arb_axes() -> impl Strategy<Value = SweepAxes> {
                     (prefetch, dcache),
                     (approx, search, substrate),
                 )| {
+                    // The two-line-buffer scheme runs at 1x32 only.
+                    if two_line_buffers.contains(&true) {
+                        bandwidths = vec![RfuBandwidth::B1x32];
+                    }
                     SweepAxes::Loop {
                         bandwidths,
                         betas,
@@ -192,6 +208,17 @@ fn arb_spec() -> impl Strategy<Value = ExperimentSpec> {
         )
 }
 
+/// Feeds `text` to both spec parsers (and expands what parses): each
+/// must return a typed error or a value, never panic.
+fn parse_both(text: &str) {
+    if let Ok(spec) = ExperimentSpec::from_json_str(text) {
+        let _ = spec.scenarios();
+    }
+    if let Ok(spec) = ExploreSpec::from_json_str(text) {
+        let _ = spec.point_spec(&[0; rvliw::exp::explore::AXES]);
+    }
+}
+
 /// Arbitrary printable text (plus newlines and tabs).
 fn arb_text() -> impl Strategy<Value = String> {
     proptest::collection::vec(
@@ -232,9 +259,7 @@ proptest! {
     /// a typed `SpecError` or parses cleanly.
     #[test]
     fn malformed_spec_json_errors_never_panic(text in arb_text()) {
-        if let Ok(spec) = ExperimentSpec::from_json_str(&text) {
-            let _ = spec.scenarios();
-        }
+        parse_both(&text);
     }
 
     /// Mangled mixtures of real schema fragments never panic either — this
@@ -254,6 +279,12 @@ proptest! {
                 Just("\"reconfig\": [{\"penalty\": 1e99}]".to_owned()),
                 Just("\"lbb_bank_lines\": [null, 0],".to_owned()),
                 Just("\"frames\": 999999999999999999999999,".to_owned()),
+                Just("\"dcache\": [\"16k/3w\", null],".to_owned()),
+                Just("\"prefetch\": [0],".to_owned()),
+                Just("\"engine\": [\"2lb\", \"9x9\"],".to_owned()),
+                Just("\"approx\": [\"rows/1\"],".to_owned()),
+                Just("\"space\": {".to_owned()),
+                Just("{\"name\": \"x\", \"budget\": 3, \"strategy\": \"generational\",".to_owned()),
                 Just("}]".to_owned()),
                 Just("}".to_owned()),
                 Just(",".to_owned()),
@@ -262,9 +293,22 @@ proptest! {
             0..16,
         )
     ) {
-        let text = lines.join("\n");
-        if let Ok(spec) = ExperimentSpec::from_json_str(&text) {
-            let _ = spec.scenarios();
+        parse_both(&lines.join("\n"));
+    }
+
+    /// Every scenario a spec expands to rebuilds from its cache
+    /// descriptor to an equal scenario with an equal cache key.
+    #[test]
+    fn expanded_scenarios_rebuild_from_their_descriptors(spec in arb_spec()) {
+        let workload = KeyBuilder::new("workload", 1).finish();
+        if let Ok(scenarios) = spec.scenarios() {
+            for sc in scenarios {
+                let back = scenario_from_desc(&scenario_desc(&sc));
+                prop_assert_eq!(back.as_ref(), Some(&sc), "{}", sc.label);
+                if let Some(back) = back {
+                    prop_assert_eq!(scenario_key(&back, workload), scenario_key(&sc, workload));
+                }
+            }
         }
     }
 }
