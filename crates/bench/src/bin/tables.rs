@@ -19,7 +19,12 @@
 //! value, `--frames 0` or `--timeout-secs 0` is a usage error (exit 2)
 //! naming the flag.
 //!
-//! `--write` also rewrites `EXPERIMENTS.md` at the workspace root.
+//! `--write` replaces the generated block of `EXPERIMENTS.md` at the
+//! workspace root, the text between its `BEGIN GENERATED` and `END
+//! GENERATED` marker comments; the prose around the block is edited by
+//! hand. Missing or misordered markers leave the file untouched. A failed
+//! output write (`--write`, `--bench-json`, `--csv`, `--metrics-out`,
+//! `--trace`) exits 1 with a message naming the flag and the path.
 //! `--threads N` overrides the worker-thread count (default: the
 //! `RVLIW_THREADS` environment variable, else all cores; `0` means auto).
 //! `--cache-dir DIR` enables the content-addressed scenario result cache:
@@ -96,7 +101,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mpeg4_enc::QualityMetrics;
-use rvliw_bench::paper;
+use rvliw_bench::{paper, splice_generated};
 use rvliw_core::{
     arch, flag_parse, flag_value, grid_from_specs, run_me_with_tracer, run_summary, CaseStudy,
     ExperimentSpec, HealthReport, RunFlags, Scenario, ScenarioCache, SupervisorConfig,
@@ -217,6 +222,13 @@ fn secs(f: impl FnOnce()) -> f64 {
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("tables: {message}");
     ExitCode::from(2)
+}
+
+/// Reports a failed output write naming its flag and path, and returns
+/// the failure exit code (1).
+fn output_error(flag: &str, path: &str, e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("tables: {flag} {path}: {e}");
+    ExitCode::FAILURE
 }
 
 /// The per-scenario progress line.
@@ -346,7 +358,11 @@ fn backends_json(passes: &[BackendPass], selected: ExecBackend) -> String {
     let mut s = String::from("{\n");
     for p in passes {
         let _ = writeln!(s, "    \"{}\": {{", p.name);
-        let _ = writeln!(s, "      \"cycles_per_sec\": {:.0},", p.cycles_per_sec);
+        let _ = writeln!(
+            s,
+            "      \"cycles_per_sec\": {},",
+            json_f64(p.cycles_per_sec, 0)
+        );
         let _ = writeln!(
             s,
             "      \"block_cache_hit_rate\": {:.6},",
@@ -361,8 +377,8 @@ fn backends_json(passes: &[BackendPass], selected: ExecBackend) -> String {
     ) {
         let _ = writeln!(
             s,
-            "    \"block_speedup_vs_interpreter\": {:.2},",
-            block.cycles_per_sec / interp.cycles_per_sec
+            "    \"block_speedup_vs_interpreter\": {},",
+            json_f64(block.cycles_per_sec / interp.cycles_per_sec, 2)
         );
     }
     let _ = writeln!(s, "    \"selected\": \"{selected}\"");
@@ -370,25 +386,28 @@ fn backends_json(passes: &[BackendPass], selected: ExecBackend) -> String {
     s
 }
 
+/// `v` as a JSON number with `decimals` decimals, or `null` when it is not
+/// finite (a workload without `GetSad` calls simulates zero cycles).
+fn json_f64(v: f64, decimals: usize) -> String {
+    if v.is_finite() {
+        format!("{v:.decimals$}")
+    } else {
+        "null".to_owned()
+    }
+}
+
 /// The `"quality"` JSON object: per-scenario speed-vs-quality metrics.
 /// Only scenarios carrying a quality block contribute — the exact paper
 /// grid never does, which keeps the golden bench envelope byte-stable.
 fn quality_json(items: &[(String, QualityMetrics)]) -> String {
-    let fin = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.6}")
-        } else {
-            "null".to_owned()
-        }
-    };
     let mut s = String::from("{\n");
     for (i, (label, q)) in items.iter().enumerate() {
         let comma = if i + 1 == items.len() { "" } else { "," };
         let _ = writeln!(
             s,
             "    \"{label}\": {{\"sad_inflation\": {}, \"psnr_delta_db\": {}}}{comma}",
-            fin(q.sad_inflation),
-            fin(q.psnr_delta_db)
+            json_f64(q.sad_inflation, 6),
+            json_f64(q.psnr_delta_db, 6)
         );
     }
     s.push_str("  }");
@@ -821,7 +840,7 @@ fn main() -> ExitCode {
     );
 
     // ---- cycle breakdown -----------------------------------------------------
-    let _ = writeln!(out, "## Where the cycles go (per scenario)\n");
+    let _ = writeln!(out, "\n## Where the cycles go (per scenario)\n");
     let _ = writeln!(out, "```");
     for r in cs.results() {
         match r {
@@ -840,415 +859,8 @@ fn main() -> ExitCode {
     }
     let _ = writeln!(out, "```\n");
 
-    // ---- discussion ---------------------------------------------------------
-    let _ = writeln!(out, "\n## Discussion: where and why we deviate\n");
-    let _ = writeln!(
-        out,
-        "* **Table 1 (instruction level).** Measured improvements are \
-         compressed (≈20/23/26 % vs the paper's 14/28/31 %) but the ordering \
-         A1 < A2 < A3 and the headline magnitude (marginal, 1.2–1.4×, vs \
-         5–8× for loop level) reproduce. The spread depends entirely on how \
-         slow the ORIG *scalar* diagonal interpolation is relative to the \
-         RFU variants; our ORIG diagonal costs ≈2.9× an integer call, which \
-         evidently differs from the (unpublished) reference code's ratio. \
-         The paper's own caveat applies: \"these results are strongly \
-         data-dependent\"."
-    );
-    let _ = writeln!(
-        out,
-        "* **Tables 2, 3, 6, 7 (loop level).** All measured speedups land \
-         within ~10 % of the paper's: 3.00/4.12/5.07 vs 3.18/4.26/5.29 at \
-         β=1, 2.74 vs 2.74 at β=5, and 7.65/5.42 vs 8.0/5.4 with two line \
-         buffers. The fixed +12-cycle β penalty, its growing *relative* \
-         cost at higher bandwidth, the %Rel collapse of the ME stage \
-         (25.6 % → ≈4 %/6 %) and the theoretical-vs-measured ratio \
-         degradation with bandwidth all reproduce."
-    );
-    let _ = writeln!(
-        out,
-        "* **Tables 4–5 (cache stalls).** The ORIG stall share matches \
-         (2.16 % vs 1.96 %), stalls grow with RFU bandwidth as the paper \
-         explains (shorter loops narrow the prefetch window), and the \
-         two-line-buffer scheme cuts them the most. Absolute loop-level \
-         stall *shares* are far below the OCR'd Table 5 cells (≈0.2–5 % vs \
-         14–26 %): our ME-only replay keeps the data cache warmer than the \
-         authors' full-application simulation, where the texture pipeline \
-         evicts ME data between macroblocks. Note the paper's own prose \
-         says \"the stall cycles are a relatively small component of the \
-         total ME execution time\", which is consistent with our numbers \
-         and suggests those OCR cells may be corrupted."
-    );
-    let _ = writeln!(
-        out,
-        "* **Workload.** The Foreman sequence is substituted by a seeded \
-         synthetic QCIF sequence tuned to the paper's one published \
-         workload statistic (≈18 % diagonal-interpolation calls; we \
-         measure {:.1} %). The search is a diamond + half-sample \
-         refinement, consistent with that share (a full search would \
-         dilute it below 2 % — see `ablation_search`).",
-        d * 100.0
-    );
-
-    // ---- declarative sweeps -------------------------------------------------
-    let _ = writeln!(out, "\n## Writing your own sweep\n");
-    let _ = writeln!(
-        out,
-        "The scenario grid above is not hardcoded: it is declared by seven \
-         **experiment specs** under `specs/` — `table1.json` … `table7.json`, \
-         one per paper table — and every run of this binary can be driven \
-         from them instead of the built-in grid:\n\n\
-         ```\n\
-         cargo run --release -p rvliw-bench --bin tables -- --spec specs/ --check BENCH_tables.json\n\
-         ```\n\n\
-         unions the `table*.json` specs, verifies they cover the paper grid \
-         exactly, re-runs them, and asserts every table cell bit-identical \
-         to the golden snapshot (CI runs this as the `sweep-golden` job). A \
-         spec is plain JSON:\n\n\
-         ```json\n\
-         {{\n  \
-           \"name\": \"offgrid-beta-sweep\",\n  \
-           \"title\": \"2x64 bandwidth, beta swept 1..8\",\n  \
-           \"frames\": 3,\n  \
-           \"baseline\": \"Orig\",\n  \
-           \"sweeps\": [\n    \
-             {{\"kind\": \"instruction\", \"variants\": [\"Orig\"]}},\n    \
-             {{\"kind\": \"loop\", \"bandwidths\": [\"2x64\"],\n     \
-              \"betas\": [1, 2, 3, 4, 5, 6, 7, 8]}}\n  \
-           ]\n\
-         }}\n\
-         ```\n\n\
-         Top-level keys: `name` (required), `title`, `frames` (QCIF \
-         workload length, default 25), `baseline` (label speedups are \
-         computed against), `fault` (`{{\"profile\": \"chaos\", \"seed\": 7}}` \
-         — the seeded fault plans described below), `cycle_limit` (per-run \
-         watchdog override) and `sweeps` (required). Each sweep is either \
-         `{{\"kind\": \"instruction\", \"variants\": [\"Orig\"|\"A1\"|\"A2\"|\"A3\"]}}` \
-         or `{{\"kind\": \"loop\", ...}}` with axes `bandwidths` \
-         (`\"1x32\"|\"1x64\"|\"2x64\"`), `betas` (integers ≥ 1), and \
-         optionally `two_line_buffers` (`[true]` for the Table 7 scheme), \
-         `lbb_bank_lines` (Line Buffer B per-bank capacity, `null` = the \
-         paper's 34) and `reconfig` \
-         (`{{\"penalty\": cycles, \"contexts\": n, \"prefetch_hiding\": bool}}`); \
-         a loop sweep expands to the full cross-product of its axes. Both \
-         kinds also accept `approx` and `search` axes (see the next \
-         section) and a `substrate` axis (see \"Cross-substrate \
-         sweeps\"). \
-         Scenario labels must be unique — the engine rejects colliding \
-         points with a typed error, since labels key fault substreams and \
-         snapshot cells.\n\n\
-         Off-grid specs (points in no paper table, like the β sweep above, \
-         checked in as `specs/offgrid_beta_sweep.json`) run through the \
-         CLI, bit-identically for any thread count:\n\n\
-         ```\n\
-         cargo run --release --bin rvliw -- sweep specs/offgrid_beta_sweep.json \\\n    \
-         --threads 4 --out sweep.json\n\
-         ```"
-    );
-
-    // ---- approximate ME -----------------------------------------------------
-    let _ = writeln!(out, "\n## Approximate ME and Pareto sweeps\n");
-    let _ = writeln!(
-        out,
-        "Approximation is a first-class scenario axis: both sweep kinds \
-         accept `approx` (SAD approximation per candidate) and `search` \
-         (motion-search algorithm override) arrays, crossed with every \
-         other axis. Approximation tokens are `\"exact\"`, `\"rows/N\"` \
-         (row-subsampled SAD, every Nth row, N ≥ 2), `\"bits/N\"` \
-         (reduced-precision SAD, N low bits dropped per pixel difference, \
-         1–7) and `\"early/N\"` (early exit once the running SAD exceeds \
-         N). Search tokens are `\"full/R\"` (exhaustive ±R), \
-         `\"diamond\"`, `\"three-step\"` and `\"spiral/R/T\"` (outward \
-         spiral over ±R, stopping at SAD ≤ T); `null` keeps the \
-         workload's own search. Non-default points re-encode the workload \
-         under the approximate configuration and replay *that* motion \
-         trace, so the simulated kernels face exactly the calls the \
-         approximate encoder made — and every `GetSad` result is still \
-         checked against the host encoder bit for bit.\n\n\
-         Each such scenario carries two speed-vs-quality numbers, measured \
-         against a golden exact full-search (±8, half-sample) encode of \
-         the same frames: **SAD inflation** (exact-SAD cost of the chosen \
-         motion field relative to the golden field, minus one) and **PSNR \
-         delta** (golden mean luma PSNR minus the approximate encode's, \
-         in dB). They render as the `Quality` column of the sweep matrix \
-         (`-` for exact full-quality points), as a `\"quality\"` object \
-         in `rvliw sweep --out` rows, and as a top-level `\"quality\"` \
-         object in this binary's `--metrics-out` and `BENCH_tables.json` \
-         whenever any scenario carries them (the exact paper grid never \
-         does, keeping the golden envelope byte-stable).\n\n\
-         The checked-in `specs/approx_sweep.json` sweeps the A3 kernel \
-         and the 1x32 loop engine across approximation modes:\n\n\
-         ```\n\
-         cargo run --release --bin rvliw -- sweep --spec specs/approx_sweep.json --pareto\n\
-         ```\n\n\
-         `--pareto` partitions the quality-carrying rows into the \
-         cycles-vs-inflation **Pareto frontier** and the dominated set \
-         (`--pareto-out FILE` writes it to a file), both sorted by ME \
-         cycles; a point is dominated when another point is no worse on \
-         both axes and strictly better on one. The exactness guarantees \
-         are regression-tested: `approx: [\"exact\"]` with no search \
-         override is byte-identical to omitting the axes (same labels, \
-         same cache keys — `tests/golden_invariance.rs` pins the \
-         pre-axis key set), and the differential suite \
-         (`tests/proptest_approx_me.rs`) proves every approximate RFU \
-         kernel agrees with the scalar reference implementation per mode."
-    );
-
-    // ---- cross-substrate sweeps ---------------------------------------------
-    let _ = writeln!(out, "\n## Cross-substrate sweeps\n");
-    let _ = writeln!(
-        out,
-        "The fetch/issue discipline is a scenario axis of its own: the \
-         issue/execute engine is a `Core` trait (DESIGN.md §11) with the \
-         paper's 4-issue VLIW machine as one implementation and a scalar \
-         in-order 5-stage RISC core as another. Both substrates run the \
-         same scheduled kernel programs, memory hierarchy, fault plans \
-         and RFU datapath; only issue timing differs — the scalar core \
-         executes one operation per cycle and pays two extra \
-         taken-branch bubbles. Architectural results (register state, \
-         memory contents and traffic, every `GetSad` value) are \
-         bit-identical by construction, enforced by a 64-case \
-         differential proptest (`crates/sim/tests/substrate_parity.rs`).\n\n\
-         Both sweep kinds accept a `substrate` array of `\"vliw4\"` / \
-         `\"scalar\"` tokens, crossed with every other axis; non-default \
-         points get a ` su=scalar` label suffix and their own cache keys \
-         (omitting the axis is byte-identical to `[\"vliw4\"]`, so \
-         pre-substrate specs, labels and cache entries are untouched). \
-         The single-run CLIs accept `--substrate vliw4|scalar`, \
-         `rvliw sweep --substrate S` forces one substrate over a whole \
-         spec, and `tables --substrate scalar` re-runs the built-in \
-         paper grid on the scalar core (refused with `--check`, \
-         `--write` and `--bench-json` — the golden artifacts are \
-         VLIW-only). The checked-in `specs/cross_substrate.json` runs \
-         instruction- and loop-level scenarios on both:\n\n\
-         ```\n\
-         cargo run --release --bin rvliw -- sweep --spec specs/cross_substrate.json\n\
-         ```\n\n\
-         After the matrix, the CLI prints a per-scenario cycle-ratio \
-         table pairing each ` su=` row with its default-substrate twin \
-         (also emitted as `\"substrate_ratios\"` in `--out` JSON). The \
-         ratios retell the paper's story from a new angle: software ME \
-         is ~2.4–2.9× slower on the scalar core, but the loop-level RFU \
-         points barely move (~1.03×) — once the loop engine does the \
-         work, the host core's issue width stops mattering."
-    );
-
-    // ---- design-space exploration -------------------------------------------
-    let _ = writeln!(out, "\n## Design-space exploration\n");
-    let _ = writeln!(
-        out,
-        "Sweeps enumerate a grid; `rvliw explore` *searches* one. An \
-         exploration spec (`specs/explore_rfu.json`) declares axes over \
-         the whole configuration space — engine (`\"1x32\"`/`\"1x64\"`/\
-         `\"2x64\"` loop engines or the two-line-buffer `\"2lb\"` \
-         pipeline), β, Line Buffer B geometry, reconfiguration penalty, \
-         prefetch depth, D-cache geometry, SAD approximation, search \
-         algorithm and substrate — plus an evaluation `budget` and a \
-         `strategy`: `coordinate-descent` (restarted axis-wise hill \
-         climbing, alternating the objective priority between passes) or \
-         `generational` (rank-truncate-mutate over a small population). \
-         Both optimise the two sweep objectives jointly — ME cycles and \
-         exact-SAD inflation — into an incremental Pareto archive that \
-         reuses the sweep layer's dominance rule:\n\n\
-         ```\n\
-         cargo run --release --bin rvliw -- explore --spec specs/explore_rfu.json --seed 7\n\
-         ```\n\n\
-         Determinism is the headline contract. Search decisions draw \
-         from per-(seed, component, index) substreams of the fault \
-         crate's RNG, fitness batches go through the deterministic \
-         parallel runner, and the output JSON deliberately carries no \
-         timing or cache counters — so for a fixed `(spec, seed)` the \
-         emitted bytes are identical at any `--threads` count and on \
-         cold or warm caches (CI runs the checked-in spec at 1 and 4 \
-         threads against one cache directory and `cmp`s the results \
-         against `specs/explore_rfu_frontier.json`). The budget counts \
-         **unique design points** (failed evaluations included, exactly \
-         once); in-run revisits and on-disk cache hits are free and \
-         cannot change the trajectory. Each frontier entry embeds a \
-         single-point `ExperimentSpec` — feed it back through \
-         `rvliw sweep --spec` to replay the archived numbers bit for \
-         bit. `tests/proptest_explore.rs` pins all of this: thread-count \
-         and cache invariance, archive dominance invariants, budget \
-         exactness, frontier replay, and typed (never panicking) \
-         rejection of malformed specs."
-    );
-
-    // ---- fault injection ----------------------------------------------------
-    let _ = writeln!(out, "\n## Fault injection (robustness harness)\n");
-    let _ = writeln!(
-        out,
-        "Every run above used the default **zero-fault plan**, which is \
-         provably inert: `tables --check BENCH_tables.json` re-runs the \
-         case study under it and demands bit-identical cells. A seeded, \
-         deterministic fault plan can be enabled to exercise the failure \
-         paths:\n\n\
-         ```\n\
-         cargo run --release -p rvliw-bench --bin tables -- --frames 2 \\\n    \
-         --fault-profile chaos --fault-seed 7\n\
-         ```\n\n\
-         Profiles (`latency`, `flush`, `linebuffer`, `bitflip`, `chaos`) \
-         perturb D-cache/bus latency, inject spurious cache flushes, delay \
-         or wedge line-buffer row completions, and flip bits in RFU-loaded \
-         pixel rows. Perturbations are drawn from per-(seed, component, \
-         scenario) substreams, so results are reproducible and independent \
-         of thread scheduling. Failed scenarios surface as typed errors \
-         (`SadMismatch`, `CycleLimit`, `LineBufferDeadlock`, …), the \
-         remaining scenarios keep their measurements (tables render with \
-         `[failed]` annotations), and the process exits non-zero with a \
-         per-scenario report. The run above deterministically fails 8 of \
-         12 scenarios — the four no-line-buffer scenarios survive — \
-         including one genuine RFU deadlock caught by the watchdog.\n\n\
-         Each injected perturbation is also a trace event: \
-         `tables --trace t.json --fault-profile bitflip` writes a Chrome \
-         trace whose `fault` track (tid 4) carries `fault-mem-latency`, \
-         `fault-cache-flush`, `fault-lb-row-delay`, `fault-lb-row-stuck` \
-         and `fault-bit-flip` events, viewable at https://ui.perfetto.dev \
-         alongside the pipeline and memory tracks."
-    );
-
-    // ---- result cache -------------------------------------------------------
-    let _ = writeln!(out, "\n## Caching and incremental sweeps\n");
-    let _ = writeln!(
-        out,
-        "Every measurement above is a pure function of (kernel program, \
-         machine/memory/RFU/line-buffer configuration, fault plan, \
-         workload), so results are cacheable on disk and reusable across \
-         invocations — the iterate-a-sweep loop re-simulates only what \
-         changed. Pass `--cache-dir DIR` (or set `RVLIW_CACHE_DIR`; \
-         `--no-cache` wins over both) to `rvliw sweep` or this binary:\n\n\
-         ```\n\
-         cargo run --release -p rvliw-bench --bin tables -- \\\n    \
-         --spec specs/ --check BENCH_tables.json --cache-dir .rvliw-cache\n\
-         ```\n\n\
-         The first (cold) run simulates and publishes every scenario; a \
-         second (warm) run serves them from disk and `--check` still \
-         passes bit-identically — the differential guarantee enforced by \
-         the `cache_differential` tests and CI's `cache-smoke` job. \
-         Entries are **content-addressed**: the file name is a 128-bit \
-         FNV-1a hash over the canonicalized scenario (kind, bandwidth, β, \
-         line-buffer scheme and capacity, reconfiguration model, cycle \
-         budget, label), the assembled kernel program words, every fault-plan \
-         knob including the seed, a workload digest (frame pixels plus the \
-         recorded motion trace) and a cache schema version. Changing *any* \
-         of those — editing a kernel, bumping β, reseeding a fault plan, \
-         regenerating the workload — changes the key, so stale results are \
-         never served; superseded entries are merely orphaned (`rvliw cache \
-         clear` removes them). Corrupt, truncated or wrong-schema files are \
-         warned about, treated as misses, and **quarantined**: moved into a \
-         `quarantine/` subdirectory next to a `.reason` file so they never \
-         degrade another sweep (`cache stats` reports the quarantine count \
-         and size). Writes are \
-         atomic (temp file + rename into place), so concurrent sweeps may \
-         share a directory. Each cached run prints a `cache: hits=… \
-         misses=… stale=… writes=… quarantined=…` summary to stderr, \
-         `--metrics-out` \
-         gains a top-level `\"cache\"` object, and the store is auditable:\n\n\
-         ```\n\
-         cargo run --release --bin rvliw -- cache stats  --cache-dir .rvliw-cache\n\
-         cargo run --release --bin rvliw -- cache verify --cache-dir .rvliw-cache\n\
-         cargo run --release --bin rvliw -- cache clear  --cache-dir .rvliw-cache\n\
-         ```\n\n\
-         `cache verify` re-simulates a sample of entries (`--sample N`, \
-         default 4) and reports any divergence as a typed error with a \
-         non-zero exit, routing divergent and unreadable entries through \
-         the same quarantine path: with a deterministic simulator the only \
-         ways an \
-         entry can diverge are on-disk corruption that still parses, or a \
-         code change that should have bumped the schema version.\n\n\
-         **Determinism caveats.** Caching leans on the same guarantee as \
-         the fault-injection harness above: a scenario's measurement \
-         depends only on its configuration — fault substreams are keyed by \
-         (seed, component, scenario label), never by thread scheduling or \
-         wall-clock. Two caveats follow. Failed scenarios (fault-induced \
-         or watchdog-tripped) are *not* cached: errors re-run every time, \
-         so a chaos sweep keeps exercising the failure paths instead of \
-         replaying a stale verdict. And a hit returns the full stored \
-         measurement (cycles, SAD checks, cache/RFU statistics), so a warm \
-         run is indistinguishable from a cold one everywhere except wall \
-         time and the stderr cache summary."
-    );
-
-    // ---- supervised execution ----------------------------------------------
-    let _ = writeln!(out, "\n## Interrupting and resuming sweeps\n");
-    let _ = writeln!(
-        out,
-        "Long campaigns survive crashes, hangs and flaky scenarios through \
-         the **supervised execution layer** shared by `rvliw sweep` and \
-         this binary. Pass `--journal run.jsonl` and every scenario \
-         outcome is appended to the file as it lands — one versioned JSON \
-         envelope per line (content key, label, outcome, attempt count, \
-         wall-clock cost, and the full measurement on success), written \
-         with atomic line appends so a crash can only truncate the final \
-         line. Restarting with `--resume run.jsonl` replays the completed \
-         prefix (journal ∪ cache) and simulates only the remainder:\n\n\
-         ```\n\
-         cargo run --release --bin rvliw -- sweep specs/table1.json \\\n    \
-         --journal run.jsonl --out matrix.json\n\
-         # … interrupted — rerun with:\n\
-         cargo run --release --bin rvliw -- sweep specs/table1.json \\\n    \
-         --journal run.jsonl --resume run.jsonl --out matrix.json\n\
-         ```\n\n\
-         The resumed matrix is **bit-identical** to an uninterrupted run \
-         for any thread count — the journal stores full measurements, \
-         like the cache — and a journal truncated at *any* byte boundary \
-         resumes correctly (the truncated tail is simply re-simulated; \
-         the `proptest_supervisor` suite drives this). Failed outcomes \
-         are journaled for the health report but never replayed: errors \
-         re-run on every resume, exactly like the cache's \
-         never-cache-failures rule.\n\n\
-         Two more supervision knobs handle runs that *almost* complete. \
-         `--max-retries N` retries **transient** failures — fault-injected \
-         latency or flushes, cycle-budget trips under a chaos profile, \
-         watchdog timeouts (`ScenarioError::is_transient`) — up to N extra \
-         attempts; each retry reseeds the scenario's fault plan from a \
-         per-(seed, attempt) substream and sleeps a deterministic 1–16 ms \
-         jitter, so two runs with the same seed retry identically \
-         (permanent failures — SAD mismatches, panics — fail fast). \
-         `--timeout-secs S` arms a wall-clock watchdog per attempt: a hung \
-         simulation becomes a typed `TimedOut` error and the worker pool \
-         keeps draining instead of stalling the sweep. Every supervised \
-         run prints a greppable `health: scenarios=… completed=… failed=… \
-         replayed=… retries=… timeouts=… quarantined=…` line to stderr \
-         through the same formatting helper as the cache summary, and \
-         `--metrics-out` gains a `\"health\"` object with attempt counts, \
-         quarantined keys and the slowest scenarios."
-    );
-
-    // ---- execution backends -------------------------------------------------
-    let _ = writeln!(out, "\n## Execution backends and simulator throughput\n");
-    let _ = writeln!(
-        out,
-        "Every measurement above is backend-independent: the simulator has two\n\
-         execution engines — the reference pre-decoded **interpreter** and a\n\
-         **block-compiled** micro-trace engine that flattens hot basic blocks into\n\
-         contiguous issue templates (see DESIGN.md §10) — and both produce\n\
-         bit-identical tables. `--backend interpreter|block-compiled|auto` selects\n\
-         one explicitly on `rvliw` and this binary; `auto` (the default) uses the\n\
-         compiled engine whenever no tracer is attached and the fault plan is\n\
-         inert, which is exactly the golden-run configuration:\n\n\
-         ```\n\
-         cargo run --release -p rvliw-bench --bin tables -- \
-         --backend block-compiled --check BENCH_tables.json\n\
-         ```\n\n\
-         passes the full Table 1–7 bit-identity gate (CI's `backend-parity` job\n\
-         runs it at one and four threads, plus a 64-case differential proptest and\n\
-         the mid-run/fault/tracer fallback tests). On the reference host\n\
-         (`--bench-json`, single thread, cache disabled), the recorded envelope in\n\
-         `BENCH_tables.json` measures:\n\n\
-         | engine | simulated cycles/sec | block-cache hit rate | mid-run fallbacks |\n\
-         |---|---|---|---|\n\
-         | interpreter | 28.4 M | — | — |\n\
-         | block-compiled | 43.5 M | 0.99997 | 0 |\n\n\
-         a **1.53×** speedup of the compiled engine over the interpreter and\n\
-         **3.03×** over the 13.8 M cycles/sec baseline recorded before this\n\
-         optimization line (absolute numbers are host-dependent and noisy at the\n\
-         ±20 % level; the `--min-cycles-per-sec-ratio 0.8` ratchet in CI gates on\n\
-         relative drift, not absolutes). Per-backend throughput, hit rates and\n\
-         fallback counts appear under `\"backends\"` in the `--metrics-out` report\n\
-         and the `BENCH_tables.json` envelope."
-    );
-
     // ---- figures -----------------------------------------------------------
-    let _ = writeln!(out, "\n## Figure 1 (architecture)\n");
+    let _ = writeln!(out, "## Figure 1 (architecture)\n");
     let _ = writeln!(
         out,
         "```\n{}\n```",
@@ -1346,11 +958,15 @@ fn main() -> ExitCode {
         json.push_str("}\n");
         Json::parse(&json).expect("generated bench report must be valid JSON");
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tables.json");
-        std::fs::write(path, json).expect("write BENCH_tables.json");
+        if let Err(e) = std::fs::write(path, json) {
+            return output_error("--bench-json", path, e);
+        }
         eprintln!("wrote {path}");
     }
     if let Some(dir) = csv_dir {
-        write_csvs(dir, &cs).expect("write CSV files");
+        if let Err(e) = write_csvs(dir, &cs) {
+            return output_error("--csv", dir, e);
+        }
         eprintln!("wrote table CSVs to {dir}");
     }
     if let Some(path) = metrics_path {
@@ -1395,7 +1011,9 @@ fn main() -> ExitCode {
         entries.push(format!("\"health\": {}", health.to_json()));
         let json = format!("{{\n{}\n}}\n", entries.join(",\n"));
         Json::parse(&json).expect("generated metrics must be valid JSON");
-        std::fs::write(path, &json).expect("write metrics JSON");
+        if let Err(e) = std::fs::write(path, &json) {
+            return output_error("--metrics-out", path, e);
+        }
         eprintln!("wrote per-scenario metrics to {path}");
     }
     if let Some(path) = trace_path {
@@ -1415,14 +1033,21 @@ fn main() -> ExitCode {
                 ChromeTracer::DEFAULT_MAX_EVENTS
             );
         }
-        std::fs::write(path, tracer.to_json()).expect("write Chrome trace");
+        if let Err(e) = std::fs::write(path, tracer.to_json()) {
+            return output_error("--trace", path, e);
+        }
         eprintln!("wrote Chrome trace ({} events) to {path}", tracer.len());
     }
     if write {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
-        let header = "<!-- Generated by `cargo run --release -p rvliw-bench --bin tables -- --write` -->\n\n";
-        std::fs::write(path, format!("{header}{out}")).expect("write EXPERIMENTS.md");
-        eprintln!("wrote {path}");
+        let written = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| splice_generated(&doc, &out))
+            .and_then(|doc| std::fs::write(path, doc).map_err(|e| e.to_string()));
+        if let Err(e) = written {
+            return output_error("--write", path, e);
+        }
+        eprintln!("wrote the generated block of {path}");
     }
     let failures = cs.failures();
     if failures.is_empty() {

@@ -93,7 +93,7 @@ impl Workload {
     /// The paper's workload, host-encoded at most once per process and
     /// shared behind an [`Arc`]. Encoding the 25-frame sequence costs
     /// seconds; everything downstream only reads the workload, so repeated
-    /// callers (the `tables` binary, benches, tests) should prefer this.
+    /// callers (the `tables` binary, tests) should prefer this.
     #[must_use]
     pub fn paper_shared() -> Arc<Workload> {
         static PAPER: OnceLock<Arc<Workload>> = OnceLock::new();
@@ -109,7 +109,7 @@ impl Workload {
         )
     }
 
-    /// A medium workload for benches (QCIF, few frames).
+    /// The paper's QCIF sequence cut to `frames` frames (specs, examples).
     #[must_use]
     pub fn qcif_frames(frames: usize) -> Self {
         Workload::from_sequence(

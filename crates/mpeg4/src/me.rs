@@ -12,7 +12,7 @@
 //! the 18 % the paper reports for its sequence. A full search is provided
 //! as the exhaustive golden baseline (and shows why it would dilute the
 //! diagonal share to a few percent), along with three-step and spiral
-//! searches for the ablation benches.
+//! searches for the search ablation (`specs/ablation_search.json`).
 
 use std::collections::HashSet;
 

@@ -4,15 +4,17 @@
 //! customizability reflect in the multi-cluster organization"). This
 //! ablation re-schedules and re-runs the ORIG kernel on narrower and wider
 //! single-cluster datapaths, and shrinks the instruction cache to verify
-//! the paper's assumption that 128 KB makes I-stalls negligible.
+//! the paper's assumption that 128 KB makes I-stalls negligible. Issue
+//! width and I-cache size are not sweep axes, so this is an example rather
+//! than a spec under `specs/`.
+//!
+//! ```text
+//! cargo run --release --example ablation_machine
+//! ```
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-use rvliw_bench::bench_workload;
-use rvliw_core::{run_me, Scenario};
-use rvliw_isa::MachineConfig;
-use rvliw_mem::CacheGeometry;
+use rvliw::exp::{run_me, Scenario, ScenarioError, Workload};
+use rvliw::isa::MachineConfig;
+use rvliw::mem::CacheGeometry;
 
 fn issue_width(width: usize) -> MachineConfig {
     let base = MachineConfig::st200();
@@ -34,26 +36,13 @@ fn issue_width(width: usize) -> MachineConfig {
     }
 }
 
-fn bench_machine(c: &mut Criterion) {
-    let workload = bench_workload();
-    println!("\nCore-configuration ablation (ORIG kernel):");
-    println!(
-        "{:>18} {:>12} {:>8} {:>10}",
-        "config", "Cycles", "IPC", "I$ stalls"
-    );
+fn main() -> Result<(), ScenarioError> {
+    let workload = Workload::qcif_frames(4);
     let mut points = Vec::new();
     for width in [2usize, 4, 8] {
         let mut sc = Scenario::orig();
         sc.machine = issue_width(width);
         sc.label = format!("{width}-issue");
-        let r = run_me(&sc, &workload).expect("scenario replay succeeds");
-        println!(
-            "{:>18} {:>12} {:>8.2} {:>10}",
-            sc.label,
-            r.me_cycles,
-            r.core.ipc(),
-            r.core.ifetch_stall_cycles
-        );
         points.push(sc);
     }
     for icache_kb in [2u32, 8, 128] {
@@ -63,7 +52,16 @@ fn bench_machine(c: &mut Criterion) {
             ..CacheGeometry::st200_icache()
         };
         sc.label = format!("I$ {icache_kb}KB");
-        let r = run_me(&sc, &workload).expect("scenario replay succeeds");
+        points.push(sc);
+    }
+
+    println!("Core-configuration ablation (ORIG kernel, 4 QCIF frames):");
+    println!(
+        "{:>18} {:>12} {:>8} {:>10}",
+        "config", "Cycles", "IPC", "I$ stalls"
+    );
+    for sc in &points {
+        let r = run_me(sc, &workload)?;
         println!(
             "{:>18} {:>12} {:>8.2} {:>10}",
             sc.label,
@@ -71,19 +69,6 @@ fn bench_machine(c: &mut Criterion) {
             r.core.ipc(),
             r.core.ifetch_stall_cycles
         );
-        points.push(sc);
     }
-
-    let mut group = c.benchmark_group("ablation_machine");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    for sc in points {
-        let label = sc.label.clone();
-        group.bench_function(&label, |b| b.iter(|| run_me(&sc, &workload)));
-    }
-    group.finish();
+    Ok(())
 }
-
-criterion_group!(benches, bench_machine);
-criterion_main!(benches);

@@ -485,6 +485,9 @@ fn run_cache(cmd: &str, rest: &[String]) -> Result<(), String> {
             "--sample" => {
                 let v = it.next().ok_or("--sample needs a positive integer")?;
                 sample = v.parse().map_err(|e| format!("--sample: {e}"))?;
+                if sample == 0 {
+                    return Err("--sample: 0 checks nothing; want a positive integer".into());
+                }
             }
             "--threads" => {
                 let v = it.next().ok_or("--threads needs an integer (0 = auto)")?;

@@ -1,7 +1,8 @@
 //! The strict run-flag parser `rvliw sweep`, `rvliw explore` and `tables`
 //! share: bad input is an error naming the flag — never a panic, a silent
 //! default or an ignored argument — and every run flag reaches the
-//! workload, cache and supervision it configures.
+//! workload, cache and supervision it configures. The `rvliw cache`
+//! arguments are held to the same rule.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -90,4 +91,32 @@ fn no_run_flags_mean_no_supervision() {
     assert!(flags.threads >= 1);
     assert_eq!(flags.frames, None);
     assert!(!flags.supervisor().unwrap().is_active());
+}
+
+/// `rvliw cache verify --sample 0` would check nothing and report a clean
+/// cache; it is an error naming `--sample` instead (exit 1, like every
+/// other `rvliw` argument error).
+#[test]
+fn cache_verify_rejects_a_zero_sample() {
+    let dir = tmpdir("verify");
+    let verify = |sample: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_rvliw"))
+            .args(["cache", "verify", "--sample", sample, "--cache-dir"])
+            .arg(&dir)
+            .output()
+            .unwrap()
+    };
+    let zero = verify("0");
+    let stderr = String::from_utf8_lossy(&zero.stderr);
+    assert_eq!(zero.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("--sample"), "{stderr}");
+    assert!(zero.stdout.is_empty(), "nothing may be reported as checked");
+    // A positive sample over the (empty) cache is a clean verify.
+    let one = verify("1");
+    assert!(
+        one.status.success(),
+        "{}",
+        String::from_utf8_lossy(&one.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,24 +3,31 @@
 //!
 //! These are the behavior-preservation proofs for the spec-driven layer:
 //! the seven `table*.json` specs union to exactly the hardcoded grid,
-//! running them yields a bit-identical `TablesSnapshot`, and the off-grid
-//! example spec runs deterministically across thread counts.
+//! running them yields a bit-identical `TablesSnapshot`, the off-grid
+//! example spec runs deterministically across thread counts, every
+//! checked-in spec parses and expands, and the ablation specs expand to
+//! the ablation scenarios they declare.
 
 use std::path::{Path, PathBuf};
 
+use rvliw::exp::explore::AXES;
 use rvliw::exp::{
-    grid_from_specs, CaseStudy, ExperimentSpec, Scenario, SpecError, Sweep, SweepAxes,
+    grid_from_specs, CaseStudy, ExperimentSpec, ExploreSpec, Scenario, SpecError, Sweep, SweepAxes,
     TablesSnapshot, Workload,
 };
+use rvliw::rfu::{ReconfigModel, RfuBandwidth};
 
 fn specs_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("specs")
 }
 
-fn load_spec(name: &str) -> ExperimentSpec {
+fn spec_text(name: &str) -> String {
     let path = specs_dir().join(name);
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    ExperimentSpec::from_json_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+fn load_spec(name: &str) -> ExperimentSpec {
+    ExperimentSpec::from_json_str(&spec_text(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 fn table_specs() -> Vec<ExperimentSpec> {
@@ -154,4 +161,102 @@ fn missing_grid_coverage_is_a_typed_error() {
             other = other.map(|_| ())
         ),
     }
+}
+
+/// Every checked-in spec parses and expands: `explore_*.json` as an
+/// exploration (whose first and last candidates are runnable one-point
+/// sweeps), everything else but the golden frontier as an experiment.
+#[test]
+fn every_checked_in_spec_parses_and_expands() {
+    let mut names: Vec<String> = std::fs::read_dir(specs_dir())
+        .expect("specs/ is readable")
+        .map(|e| {
+            e.expect("specs/ entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.ends_with(".json") && !n.ends_with("_frontier.json"))
+        .collect();
+    names.sort();
+    assert!(names.len() >= 13, "specs/ lost files: {names:?}");
+    for name in &names {
+        if name.starts_with("explore_") {
+            let spec = ExploreSpec::from_json_str(&spec_text(name))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let lens = spec.space.lens();
+            assert!(spec.space.size() > 0, "{name}: empty space");
+            let last: Vec<usize> = lens.iter().map(|n| n - 1).collect();
+            for candidate in [vec![0; AXES], last] {
+                let point = spec
+                    .point_spec(&candidate)
+                    .unwrap_or_else(|| panic!("{name}: no point spec for {candidate:?}"));
+                let scenarios = point.scenarios().unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(scenarios.len(), 1, "{name}: {candidate:?}");
+            }
+        } else {
+            let spec = load_spec(name);
+            let scenarios = spec.scenarios().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!scenarios.is_empty(), "{name}: no scenarios");
+            if let Some(base) = &spec.baseline {
+                assert!(
+                    scenarios.iter().any(|s| &s.label == base),
+                    "{name}: baseline `{base}` is not one of its scenarios"
+                );
+            }
+        }
+    }
+}
+
+/// Asserts `spec` expands to `want` in order, comparing configurations
+/// with the labels set aside.
+fn assert_expands_to(spec: &ExperimentSpec, want: &[Scenario]) {
+    let got = spec.scenarios().expect("ablation spec expands");
+    assert_eq!(got.len(), want.len(), "{}: point count", spec.name);
+    for (got, want) in got.iter().zip(want) {
+        let mut unlabelled = got.clone();
+        unlabelled.label.clone_from(&want.label);
+        assert_eq!(
+            &unlabelled, want,
+            "{}: point `{}` drifted",
+            spec.name, got.label
+        );
+    }
+}
+
+/// The reconfiguration ablation: zero penalty, then each penalty at one
+/// and four resident contexts and with configuration prefetch hiding.
+#[test]
+fn ablation_reconfig_spec_expands_to_the_penalty_grid() {
+    let spec = load_spec("ablation_reconfig.json");
+    assert_eq!((spec.frames, spec.baseline.as_deref()), (4, Some("Orig")));
+    let base = || Scenario::loop_level(RfuBandwidth::B1x32, 1);
+    let mut want = vec![Scenario::orig(), base()];
+    for penalty in [128, 512, 2048] {
+        for contexts in [1, 4] {
+            want.push(base().with_reconfig(ReconfigModel::with_penalty(penalty, contexts)));
+        }
+        want.push(
+            base().with_reconfig(ReconfigModel::with_penalty(penalty, 1).with_prefetch_hiding()),
+        );
+    }
+    assert_expands_to(&spec, &want);
+}
+
+/// The local-memory ablation: Line Buffer B lines per bank under the
+/// two-line-buffer scheme, then prefetch-buffer depth at loop 1x32.
+#[test]
+fn ablation_linebuffer_spec_expands_to_the_sizing_grid() {
+    let spec = load_spec("ablation_linebuffer.json");
+    assert_eq!((spec.frames, spec.baseline.as_deref()), (4, Some("Orig")));
+    let mut want = vec![Scenario::orig()];
+    for lines in [8, 17, 34, 68] {
+        want.push(Scenario::loop_two_lb(1).with_lbb_bank_lines(lines));
+    }
+    for entries in [8, 16, 64] {
+        let mut sc = Scenario::loop_level(RfuBandwidth::B1x32, 1);
+        sc.mem.prefetch_entries = entries;
+        want.push(sc);
+    }
+    assert_expands_to(&spec, &want);
 }
