@@ -4,8 +4,15 @@
 //! extends it to 64 entries for the loop-level RFU experiments so that the
 //! custom macroblock-pattern prefetches (17 lines per macroblock plus
 //! crossings, double-buffered) fit.
-
-use std::collections::HashMap;
+//!
+//! The buffer is a fixed-capacity queue kept in arrival order. Fills are
+//! serialized on the memory bus ([`crate::MemorySystem`] schedules them one
+//! after another), so a fill issued later never arrives earlier: arrival
+//! order *is* issue order, every insert appends at the back, and the fills
+//! completed by a given cycle are always a prefix of the queue. Whether
+//! anything has completed is therefore one comparison against the front,
+//! and draining hands the lines back oldest first — the order in which the
+//! cache installs them.
 
 /// Outcome of a prefetch request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +29,10 @@ pub enum PrefetchOutcome {
     Dropped,
 }
 
+/// Entries reserved when the queue is built: the loop-level buffer depth.
+/// Deeper buffers (design-space points) grow once, on first use.
+const RESERVED_ENTRIES: usize = 64;
+
 /// Tracks outstanding prefetched lines and their arrival times.
 ///
 /// ```
@@ -36,7 +47,10 @@ pub enum PrefetchOutcome {
 #[derive(Debug, Clone)]
 pub struct PrefetchQueue {
     capacity: usize,
-    pending: HashMap<u32, u64>,
+    /// Line addresses in flight, oldest arrival first.
+    lines: Vec<u32>,
+    /// Arrival cycle of each entry of `lines`; non-decreasing.
+    ready: Vec<u64>,
     /// Requests accepted into the buffer.
     pub issued: u64,
     /// Requests rejected because the buffer was full.
@@ -54,9 +68,11 @@ impl PrefetchQueue {
     /// Creates a queue holding at most `capacity` in-flight lines.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
+        let reserve = capacity.min(RESERVED_ENTRIES);
         PrefetchQueue {
             capacity,
-            pending: HashMap::new(),
+            lines: Vec::with_capacity(reserve),
+            ready: Vec::with_capacity(reserve),
             issued: 0,
             dropped: 0,
             redundant: 0,
@@ -74,48 +90,76 @@ impl PrefetchQueue {
     /// Number of lines currently in flight or waiting to drain.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.lines.len()
     }
 
     /// Whether no prefetches are outstanding.
     #[must_use]
     #[inline(always)]
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.lines.is_empty()
+    }
+
+    /// Whether the buffer has no room for another fill.
+    #[must_use]
+    #[inline]
+    pub(crate) fn is_full(&self) -> bool {
+        self.lines.len() >= self.capacity
+    }
+
+    #[inline]
+    fn position(&self, line: u32) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
     }
 
     /// Records a scheduled fill for `line` arriving at `ready_at`.
-    /// Returns `false` (and counts a drop) when the buffer is full.
+    /// Returns `false` (and counts a redundant request) when `line` is
+    /// already in flight, or (counting a drop) when the buffer is full.
     pub fn insert(&mut self, line: u32, ready_at: u64) -> bool {
-        if self.pending.contains_key(&line) {
+        if self.position(line).is_some() {
             self.redundant += 1;
             return false;
         }
-        if self.pending.len() >= self.capacity {
+        if self.is_full() {
             self.dropped += 1;
             return false;
         }
-        self.pending.insert(line, ready_at);
-        self.issued += 1;
+        self.push(line, ready_at);
         true
+    }
+
+    /// Appends a fill the caller has already checked is neither in flight
+    /// nor over capacity. A bus-serialized fill arrives no earlier than
+    /// every fill before it, so this is an append; an out-of-order
+    /// arrival is placed after every entry arriving no later than it.
+    #[inline]
+    pub(crate) fn push(&mut self, line: u32, ready_at: u64) {
+        debug_assert!(self.position(line).is_none() && !self.is_full());
+        let at = self.ready.partition_point(|&t| t <= ready_at);
+        self.lines.insert(at, line);
+        self.ready.insert(at, ready_at);
+        self.issued += 1;
     }
 
     /// Whether `line` is in flight, and when it arrives.
     #[must_use]
+    #[inline]
     pub fn pending_ready_at(&self, line: u32) -> Option<u64> {
-        self.pending.get(&line).copied()
+        self.position(line).map(|i| self.ready[i])
     }
 
     /// Removes `line` (a demand access consumed it). Updates the
     /// useful/late statistics against `now`.
     #[inline(always)]
     pub fn consume(&mut self, line: u32, now: u64) -> Option<u64> {
-        // Every demand access probes here; skip the hash when nothing is
+        // Every demand access probes here; skip the scan when nothing is
         // in flight (always true outside the loop-level scenarios).
-        if self.pending.is_empty() {
+        if self.lines.is_empty() {
             return None;
         }
-        let ready = self.pending.remove(&line)?;
+        let i = self.position(line)?;
+        self.lines.remove(i);
+        let ready = self.ready.remove(i);
         if ready <= now {
             self.useful += 1;
         } else {
@@ -124,25 +168,25 @@ impl PrefetchQueue {
         Some(ready)
     }
 
-    /// Drains every fill that has completed by `now`, returning the line
-    /// addresses so the caller can install them in the cache.
-    pub fn drain_completed(&mut self, now: u64) -> Vec<u32> {
-        let done: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|&(_, &t)| t <= now)
-            .map(|(&l, _)| l)
-            .collect();
-        for l in &done {
-            self.pending.remove(l);
-            self.useful += 1;
-        }
-        done
+    /// Drains every fill that has completed by `now`, oldest arrival
+    /// first, so the caller can install the lines in the cache. The fills
+    /// leave the buffer (and count as useful) even if the iterator is
+    /// dropped unconsumed.
+    #[inline]
+    pub fn drain_completed(&mut self, now: u64) -> impl Iterator<Item = u32> + '_ {
+        let done = match self.ready.first() {
+            Some(&t) if t <= now => self.ready.partition_point(|&t| t <= now),
+            _ => 0,
+        };
+        self.useful += done as u64;
+        self.ready.drain(..done);
+        self.lines.drain(..done)
     }
 
     /// Clears all in-flight state (statistics are kept).
     pub fn flush(&mut self) {
-        self.pending.clear();
+        self.lines.clear();
+        self.ready.clear();
     }
 }
 
@@ -182,13 +226,28 @@ mod tests {
     }
 
     #[test]
+    fn drain_is_in_arrival_order() {
+        let mut q = PrefetchQueue::new(8);
+        q.insert(0x40, 30);
+        q.insert(0x80, 10); // issued later, arrives earlier
+        q.insert(0xc0, 30);
+        q.insert(0x100, 50);
+        assert_eq!(
+            q.drain_completed(40).collect::<Vec<_>>(),
+            vec![0x80, 0x40, 0xc0]
+        );
+        assert_eq!(q.pending_ready_at(0x100), Some(50));
+        assert_eq!((q.useful, q.len()), (3, 1));
+    }
+
+    #[test]
     fn drain_completed_returns_only_done() {
         let mut q = PrefetchQueue::new(4);
         q.insert(0, 10);
         q.insert(64, 100);
-        let mut done = q.drain_completed(50);
-        done.sort_unstable();
-        assert_eq!(done, vec![0]);
+        assert!(q.drain_completed(5).next().is_none());
+        assert_eq!(q.drain_completed(50).collect::<Vec<_>>(), vec![0]);
         assert_eq!(q.len(), 1);
+        assert_eq!(q.useful, 1);
     }
 }

@@ -114,6 +114,7 @@ impl Ram {
 
     /// Reads `len` bytes starting at `addr`.
     #[must_use]
+    #[inline]
     pub fn read_bytes(&self, addr: u32, len: u32) -> &[u8] {
         &self.bytes[addr as usize..(addr + len) as usize]
     }

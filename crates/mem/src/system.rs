@@ -135,9 +135,6 @@ impl MemorySystem {
 
     #[inline]
     fn drain_prefetches<T: Tracer + ?Sized>(&mut self, now: u64, tracer: &mut T) {
-        if self.pfq.is_empty() {
-            return;
-        }
         for line in self.pfq.drain_completed(now) {
             if self.dcache.install(line).is_some() {
                 // Dirty eviction on drain: the writeback occupies the bus.
@@ -340,14 +337,13 @@ impl MemorySystem {
             tracer.mem(now, MemEvent::PrefetchRedundant { line });
             return None;
         }
-        if self.pfq.len() >= self.pfq.capacity() {
+        if self.pfq.is_full() {
             self.pfq.dropped += 1;
             tracer.mem(now, MemEvent::PrefetchDropped { line });
             return None;
         }
         let ready = self.schedule_fill(now);
-        let inserted = self.pfq.insert(line, ready);
-        debug_assert!(inserted);
+        self.pfq.push(line, ready);
         tracer.mem(
             now,
             MemEvent::PrefetchIssued {

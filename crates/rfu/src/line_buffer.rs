@@ -3,6 +3,16 @@
 //! The paper motivates a small amount of local memory ("a form of level-0
 //! cache") to decouple the reference macroblock from the data cache and to
 //! exploit the overlap between consecutive candidate predictor macroblocks.
+//!
+//! Both buffers live in storage sized when they are built; the kernel loop
+//! and the macroblock prefetches never allocate. Line Buffer B stores each
+//! bank's tags contiguously and finds a line with one short scan per bank,
+//! starting just past the previous match because prefetches and the loop
+//! both walk a candidate's lines in row order; a bank whose highest tag is
+//! below the line is skipped without a scan. A lookup returns the first
+//! match in bank order, and every entry of a tag carries the same arrival
+//! cycle (a tracked line is never requested twice), so a candidate
+//! prefetch decides "dedup or new request" with a single lookup per line.
 
 use std::fmt;
 
@@ -116,13 +126,6 @@ pub enum LbbStatus {
     Done,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LbbEntry {
-    /// Cache-line base address (the tag).
-    tag: u32,
-    ready_at: u64,
-}
-
 /// Line Buffer B (Figure 4): fully associative storage for the cache lines
 /// of candidate predictor macroblocks, double buffered (the prefetch for the
 /// *next* candidate fills one bank while the loop reads the current one).
@@ -130,11 +133,27 @@ struct LbbEntry {
 /// Capacity: 4 × 17 cache lines — 17 rows, a potentially crossed second line
 /// per row, times two banks — 2176 bytes of data plus ~24 bytes of tags and
 /// flags.
+///
+/// Each bank keeps its tags contiguously, in allocation order, beside a
+/// parallel array of arrival cycles. A tag appears at most once per bank,
+/// and every entry of a tag carries the same arrival cycle. A lookup
+/// returns the first match in bank order (bank 0 before bank 1).
 #[derive(Debug, Clone)]
 pub struct LineBufferB {
-    banks: [Vec<LbbEntry>; 2],
+    /// Per bank: the cache-line base addresses (the tags).
+    tags: [Vec<u32>; 2],
+    /// Per bank: the cycle each entry of `tags` is or becomes available.
+    ready_at: [Vec<u64>; 2],
     /// Bank receiving the next prefetch.
     fill_bank: usize,
+    /// Per bank: where the next lookup starts, just past the last match.
+    /// Prefetches and the kernel loop both walk a candidate's lines in row
+    /// order, so the next line wanted is usually the next entry.
+    cursor: [usize; 2],
+    /// Per bank: the highest tag (0 when empty). A prefetch pushes a
+    /// candidate's lines in ascending address order, so a line above it is
+    /// usually new, and known absent without a scan.
+    top: [u32; 2],
     per_bank_capacity: usize,
     /// Successful full-associative lookups.
     pub hits: u64,
@@ -171,9 +190,15 @@ impl LineBufferB {
     /// sizing ablation; the paper's value is [`LineBufferB::BANK_LINES`]).
     #[must_use]
     pub fn with_bank_capacity(lines: usize) -> Self {
+        // One candidate prefetch allocates at most BANK_LINES lines into a
+        // bank, so larger banks never need the extra room in the loop.
+        let reserve = lines.min(Self::BANK_LINES);
         LineBufferB {
-            banks: [Vec::new(), Vec::new()],
+            tags: [Vec::with_capacity(reserve), Vec::with_capacity(reserve)],
+            ready_at: [Vec::with_capacity(reserve), Vec::with_capacity(reserve)],
             fill_bank: 0,
+            cursor: [0; 2],
+            top: [0; 2],
             per_bank_capacity: lines,
             hits: 0,
             misses: 0,
@@ -191,18 +216,90 @@ impl LineBufferB {
     /// contents.
     pub fn swap_banks(&mut self) {
         self.fill_bank ^= 1;
-        self.banks[self.fill_bank].clear();
+        self.tags[self.fill_bank].clear();
+        self.ready_at[self.fill_bank].clear();
+        self.cursor[self.fill_bank] = 0;
+        self.top[self.fill_bank] = 0;
+    }
+
+    /// Index of `line` in `bank`. A tag appears at most once per bank, so
+    /// where the scan starts cannot change the answer, only its length.
+    #[inline]
+    fn find(&self, bank: usize, line: u32) -> Option<usize> {
+        if line > self.top[bank] {
+            return None;
+        }
+        let tags = &self.tags[bank];
+        let start = self.cursor[bank].min(tags.len());
+        let (head, tail) = tags.split_at(start);
+        match tail.iter().position(|&t| t == line) {
+            Some(i) => Some(start + i),
+            None => head.iter().position(|&t| t == line),
+        }
+    }
+
+    /// The bank and index of the first entry for `line` in bank order.
+    #[inline]
+    fn locate(&self, line: u32) -> Option<(usize, usize)> {
+        (0..2).find_map(|bank| self.find(bank, line).map(|i| (bank, i)))
     }
 
     /// Looks for `line` in either bank (full associativity). Returns when
     /// the data is or becomes available.
     #[must_use]
+    #[inline]
     pub fn probe(&self, line: u32) -> Option<u64> {
-        self.banks
-            .iter()
-            .flatten()
-            .find(|e| e.tag == line)
-            .map(|e| e.ready_at)
+        self.locate(line).map(|(bank, i)| self.ready_at[bank][i])
+    }
+
+    /// [`LineBufferB::probe`], moving the bank's cursor past the match.
+    #[inline]
+    fn lookup(&mut self, line: u32) -> Option<u64> {
+        let (bank, i) = self.locate(line)?;
+        self.cursor[bank] = i + 1;
+        Some(self.ready_at[bank][i])
+    }
+
+    #[inline]
+    fn push(&mut self, line: u32, ready_at: u64) {
+        let bank = self.fill_bank;
+        if self.tags[bank].len() < self.per_bank_capacity {
+            self.tags[bank].push(line);
+            self.ready_at[bank].push(ready_at);
+            self.top[bank] = self.top[bank].max(line);
+        }
+    }
+
+    /// The dedup half of [`LineBufferB::allocate`]: when `line` is already
+    /// tracked in either bank, counts a dedup, makes the fill bank track it
+    /// too (inheriting the earlier status, space permitting) and returns
+    /// `true` — the caller must not issue a new cache request. Returns
+    /// `false`, changing nothing, for an untracked line.
+    #[inline]
+    pub fn inherit(&mut self, line: u32) -> bool {
+        if self.find(self.fill_bank, line).is_some() {
+            self.dedup += 1;
+            return true;
+        }
+        let other = self.fill_bank ^ 1;
+        match self.find(other, line) {
+            Some(i) => {
+                self.dedup += 1;
+                self.cursor[other] = i + 1;
+                self.push(line, self.ready_at[other][i]);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The request half of [`LineBufferB::allocate`]: records an untracked
+    /// `line` arriving at `ready_at` into the fill bank (dropped when the
+    /// bank is full).
+    #[inline]
+    pub fn insert(&mut self, line: u32, ready_at: u64) {
+        debug_assert!(self.probe(line).is_none(), "line {line:#x} already tracked");
+        self.push(line, ready_at);
     }
 
     /// Records `line` arriving at `ready_at` into the fill bank. If the
@@ -210,32 +307,19 @@ impl LineBufferB {
     /// earlier status (no duplicate request — the caller must not issue a
     /// new cache request when this returns `true`).
     pub fn allocate(&mut self, line: u32, ready_at: u64) -> bool {
-        if let Some(prev) = self.probe(line) {
-            self.dedup += 1;
-            let bank = &mut self.banks[self.fill_bank];
-            if !bank.iter().any(|e| e.tag == line) && bank.len() < self.per_bank_capacity {
-                bank.push(LbbEntry {
-                    tag: line,
-                    ready_at: prev,
-                });
-            }
+        if self.inherit(line) {
             return true;
         }
-        let bank = &mut self.banks[self.fill_bank];
-        if bank.len() < self.per_bank_capacity {
-            bank.push(LbbEntry {
-                tag: line,
-                ready_at,
-            });
-        }
+        self.insert(line, ready_at);
         false
     }
 
     /// A read of `line` at cycle `now`: returns the extra stall cycles
     /// (0 when resident, the remaining fill time when pending) or `None`
     /// when the line is absent (the caller falls back to the data cache).
+    #[inline]
     pub fn read(&mut self, line: u32, now: u64) -> Option<u64> {
-        match self.probe(line) {
+        match self.lookup(line) {
             Some(ready) if ready <= now => {
                 self.hits += 1;
                 Some(0)
@@ -254,7 +338,7 @@ impl LineBufferB {
     /// Entries currently tracked across both banks.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.banks.iter().map(Vec::len).sum()
+        self.tags[0].len() + self.tags[1].len()
     }
 
     /// Whether no entries are tracked.
@@ -269,19 +353,18 @@ impl fmt::Display for LineBufferB {
     /// bank.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Line Buffer B (candidate predictor macroblocks)")?;
-        for (i, bank) in self.banks.iter().enumerate() {
+        for (i, (tags, ready_at)) in self.tags.iter().zip(&self.ready_at).enumerate() {
             let role = if i == self.fill_bank {
                 "filling"
             } else {
                 "reading"
             };
-            writeln!(f, " bank {i} ({role}): {} lines", bank.len())?;
-            for e in bank {
+            writeln!(f, " bank {i} ({role}): {} lines", tags.len())?;
+            for (tag, &ready) in tags.iter().zip(ready_at) {
                 writeln!(
                     f,
-                    "   tag {:08x}  D={}",
-                    e.tag,
-                    if e.ready_at == u64::MAX { 0 } else { 1 }
+                    "   tag {tag:08x}  D={}",
+                    if ready == u64::MAX { 0 } else { 1 }
                 )?;
             }
         }

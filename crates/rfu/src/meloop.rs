@@ -102,6 +102,10 @@ pub fn golden_sad(
 /// [`golden_sad`] under an approximate datapath: the same interpolation,
 /// with the mode's pixel mask, row subsampling and early-exit cutoff
 /// applied exactly as the encoder-side reference does.
+///
+/// Reads only the mode's footprint: 16×16 predictor pixels for an
+/// integer-pel candidate, one more column for horizontal and one more row
+/// for vertical interpolation, both for diagonal.
 #[must_use]
 pub fn golden_sad_approx(
     ram: &rvliw_mem::Ram,
@@ -111,16 +115,34 @@ pub fn golden_sad_approx(
     mode: InterpMode,
     approx: SadApprox,
 ) -> u32 {
-    let p = |x: u32, y: u32| ram.load8(cand_addr + y * stride + x);
+    sad_rows(ram, cand_addr, stride, mode, approx, |y| {
+        ram.read_bytes(ref_addr + y * stride, MB_SIZE as u32)
+    })
+}
+
+/// The SAD accumulation shared by [`golden_sad_approx`] and
+/// [`sad_via_lba`]: candidate rows come from RAM, reference row `y` from
+/// `reference(y)`.
+fn sad_rows<'a>(
+    ram: &rvliw_mem::Ram,
+    cand_addr: u32,
+    stride: u32,
+    mode: InterpMode,
+    approx: SadApprox,
+    reference: impl Fn(u32) -> &'a [u8],
+) -> u32 {
+    let cols = MB_SIZE as u32 + u32::from(mode.needs_extra_col());
     let mask = approx.pixel_mask();
     let mut sad = 0u32;
     let mut y = 0;
     while y < MB_SIZE as u32 {
-        for x in 0..MB_SIZE as u32 {
-            let pix = interp_pixel(p(x, y), p(x + 1, y), p(x, y + 1), p(x + 1, y + 1), mode) & mask;
-            let r = ram.load8(ref_addr + y * stride + x) & mask;
-            sad += u32::from(pix.abs_diff(r));
-        }
+        let row = cand_addr + y * stride;
+        let below: &[u8] = if mode.needs_extra_row() {
+            ram.read_bytes(row + stride, cols)
+        } else {
+            &[]
+        };
+        sad += row_sad(mode, ram.read_bytes(row, cols), below, reference(y), mask);
         if let SadApprox::EarlyExit { threshold } = approx {
             if sad > threshold {
                 return sad;
@@ -129,6 +151,55 @@ pub fn golden_sad_approx(
         y += approx.row_step();
     }
     sad
+}
+
+/// SAD of one row: the 16 predictor pixels interpolated from candidate
+/// row `c0` (and `c1`, the row below, for vertical and diagonal modes)
+/// against reference row `r`, every pixel masked by `mask`. Same
+/// arithmetic as [`interp_pixel`], one loop per mode. The rows are copied
+/// into fixed-size arrays first so the loops compile to a few SIMD
+/// instructions.
+#[inline]
+fn row_sad(mode: InterpMode, c0: &[u8], c1: &[u8], r: &[u8], mask: u8) -> u32 {
+    const N: usize = MB_SIZE;
+    let mut pred: [u8; N] = row(c0);
+    match mode {
+        InterpMode::None => {}
+        InterpMode::H => {
+            let a: [u8; N + 1] = row(c0);
+            for x in 0..N {
+                pred[x] = ((u16::from(a[x]) + u16::from(a[x + 1]) + 1) >> 1) as u8;
+            }
+        }
+        InterpMode::V => {
+            let b: [u8; N] = row(c1);
+            for x in 0..N {
+                pred[x] = ((u16::from(pred[x]) + u16::from(b[x]) + 1) >> 1) as u8;
+            }
+        }
+        InterpMode::Diag => {
+            let (a, b): ([u8; N + 1], [u8; N + 1]) = (row(c0), row(c1));
+            for x in 0..N {
+                let s =
+                    u16::from(a[x]) + u16::from(a[x + 1]) + u16::from(b[x]) + u16::from(b[x + 1]);
+                pred[x] = ((s + 2) >> 2) as u8;
+            }
+        }
+    }
+    let r: [u8; N] = row(r);
+    let mut sad = 0u32;
+    for x in 0..N {
+        sad += u32::from((pred[x] & mask).abs_diff(r[x] & mask));
+    }
+    sad
+}
+
+/// The first `M` bytes of `pixels` as an array.
+#[inline]
+fn row<const M: usize>(pixels: &[u8]) -> [u8; M] {
+    let mut out = [0; M];
+    out.copy_from_slice(&pixels[..M]);
+    out
 }
 
 /// Outcome of a timed kernel-loop execution (internal to the crate; the
@@ -190,21 +261,10 @@ pub(crate) fn run_me_loop<T: Tracer + ?Sized>(
     // diagonal interpolation) under row subsampling. Early exit does not
     // shorten the walk — the loop latency is compiler-visible and fixed.
     let row_step = cfg.approx.row_step();
-    let needed_rows: Vec<u32> = if row_step == 1 {
-        (0..pred_rows).collect()
-    } else {
-        let mut v = Vec::new();
-        let mut y = 0;
-        while y < MB_SIZE as u32 {
-            v.push(y);
-            if mode.needs_extra_row() {
-                v.push(y + 1);
-            }
-            y += row_step;
-        }
-        v
-    };
-    for (i, &r) in needed_rows.iter().enumerate() {
+    let sampled = |y: u32| y < MB_SIZE as u32 && y.is_multiple_of(row_step);
+    let touched = (0..pred_rows)
+        .filter(|&r| sampled(r) || (mode.needs_extra_row() && r > 0 && sampled(r - 1)));
+    for (i, r) in touched.enumerate() {
         let offset = cfg.prologue + i as u64 * ii;
         // --- predictor row: cache lines [row_addr, row_addr + cols) -------
         let row_addr = cand_addr + r * stride;
@@ -250,7 +310,7 @@ pub(crate) fn run_me_loop<T: Tracer + ?Sized>(
         // --- reference row from Line Buffer A -----------------------------
         // Only sampled rows difference against the reference; the +1 rows
         // of a subsampled walk feed interpolation only.
-        if r % row_step == 0 && r < MB_SIZE as u32 {
+        if sampled(r) {
             let eff = now + offset + stall;
             if lb_a.base() == Some(ref_addr) {
                 let ready = lb_a.row_ready_at(r as usize);
@@ -321,29 +381,13 @@ fn sad_via_lba(
     mode: InterpMode,
     approx: SadApprox,
 ) -> u32 {
-    let p = |x: u32, y: u32| ram.load8(cand_addr + y * stride + x);
-    let mask = approx.pixel_mask();
-    let mut sad = 0u32;
-    let mut y = 0;
-    while y < MB_SIZE as u32 {
-        let gathered = lb_a.row_ready_at(y as usize) != u64::MAX;
-        for x in 0..MB_SIZE as u32 {
-            let pix = interp_pixel(p(x, y), p(x + 1, y), p(x, y + 1), p(x + 1, y + 1), mode) & mask;
-            let r = if gathered {
-                lb_a.row(y as usize)[x as usize]
-            } else {
-                ram.load8(ref_addr + y * stride + x)
-            } & mask;
-            sad += u32::from(pix.abs_diff(r));
+    sad_rows(ram, cand_addr, stride, mode, approx, |y| {
+        if lb_a.row_ready_at(y as usize) == u64::MAX {
+            ram.read_bytes(ref_addr + y * stride, MB_SIZE as u32)
+        } else {
+            lb_a.row(y as usize)
         }
-        if let SadApprox::EarlyExit { threshold } = approx {
-            if sad > threshold {
-                return sad;
-            }
-        }
-        y += approx.row_step();
-    }
-    sad
+    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! The Reconfigurable Functional Unit itself: configuration store, input
 //! registers, execution dispatch.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rvliw_fault::{FaultInjector, LbRowFault};
@@ -169,7 +168,8 @@ pub fn diag16(row_y: [u32; 5], row_y1: [u32; 5], align: u32) -> [u32; 4] {
 /// ```
 #[derive(Debug)]
 pub struct Rfu {
-    configs: HashMap<u16, RfuConfig>,
+    /// The configuration store: a handful of `(id, config)` pairs.
+    configs: Vec<(u16, RfuConfig)>,
     current: Option<u16>,
     inputs: Vec<u32>,
     out_words: [u32; 4],
@@ -195,7 +195,7 @@ impl Rfu {
     #[must_use]
     pub fn new() -> Self {
         Rfu {
-            configs: HashMap::new(),
+            configs: Vec::new(),
             current: None,
             inputs: Vec::new(),
             out_words: [0; 4],
@@ -248,7 +248,10 @@ impl Rfu {
 
     /// Registers (or replaces) configuration `id`.
     pub fn define(&mut self, id: u16, config: RfuConfig) {
-        self.configs.insert(id, config);
+        match self.configs.iter_mut().find(|(k, _)| *k == id) {
+            Some((_, slot)) => *slot = config,
+            None => self.configs.push((id, config)),
+        }
     }
 
     /// Installs a reconfiguration-overhead model (ablations; the default is
@@ -259,8 +262,9 @@ impl Rfu {
 
     fn lookup(&self, id: u16) -> Result<RfuConfig, RfuError> {
         self.configs
-            .get(&id)
-            .copied()
+            .iter()
+            .find(|(k, _)| *k == id)
+            .map(|&(_, config)| config)
             .ok_or(RfuError::UnknownConfig(id))
     }
 
@@ -640,22 +644,20 @@ impl Rfu {
                 }
             }
             PrefetchPattern::CandidateMb { stride } => {
-                for line in Self::candidate_lines(mem, addr, stride) {
+                let (lines, n) = Self::candidate_lines(mem, addr, stride);
+                for &line in &lines[..n] {
                     self.stats.mb_prefetch_lines += 1;
                     let _ = mem.prefetch_traced(line, now, tracer);
                 }
             }
             PrefetchPattern::CandidateMbToLbB { stride } => {
                 self.lb_b.swap_banks();
-                for (i, line) in Self::candidate_lines(mem, addr, stride)
-                    .into_iter()
-                    .enumerate()
-                {
+                let (lines, n) = Self::candidate_lines(mem, addr, stride);
+                for (i, &line) in lines[..n].iter().enumerate() {
                     self.stats.mb_prefetch_lines += 1;
-                    if self.lb_b.probe(line).is_some() {
+                    if self.lb_b.inherit(line) {
                         // Fully associative dedup: inherit the pending or
                         // completed status; no new cache request.
-                        let _ = self.lb_b.allocate(line, 0);
                         continue;
                     }
                     let mut ready = Self::line_ready(mem, line, now, tracer);
@@ -679,7 +681,7 @@ impl Rfu {
                         }
                     }
                     if ready != u64::MAX {
-                        let _ = self.lb_b.allocate(line, ready);
+                        self.lb_b.insert(line, ready);
                     }
                 }
             }
@@ -710,19 +712,26 @@ impl Rfu {
 
     /// The distinct cache lines of a candidate predictor macroblock: one
     /// per row, plus the crossing line when the row footprint straddles a
-    /// line boundary.
-    fn candidate_lines(mem: &MemorySystem, addr: u32, stride: u32) -> Vec<u32> {
-        let mut lines = Vec::with_capacity(2 * PRED_ROWS);
+    /// line boundary. Returns the lines in row order and their count.
+    fn candidate_lines(
+        mem: &MemorySystem,
+        addr: u32,
+        stride: u32,
+    ) -> ([u32; 2 * PRED_ROWS], usize) {
+        let mut lines = [0; 2 * PRED_ROWS];
+        let mut n = 0;
         for r in 0..PRED_ROWS as u32 {
             let row = addr + r * stride;
             let first = mem.dcache.line_of(row);
             let last = mem.dcache.line_of(row + PRED_ROW_BYTES - 1);
-            lines.push(first);
+            lines[n] = first;
+            n += 1;
             if last != first {
-                lines.push(last);
+                lines[n] = last;
+                n += 1;
             }
         }
-        lines
+        (lines, n)
     }
 }
 

@@ -1,9 +1,12 @@
 //! Property tests on the memory hierarchy: functional transparency,
-//! inclusion-style invariants and prefetch timing bounds.
+//! inclusion-style invariants, prefetch timing bounds, and the prefetch
+//! queue against a map-based reference model.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use rvliw::mem::{Cache, CacheGeometry, MemConfig, MemorySystem, ReplacementPolicy};
+use rvliw::mem::{Cache, CacheGeometry, MemConfig, MemorySystem, PrefetchQueue, ReplacementPolicy};
 
 fn small_geometry() -> impl Strategy<Value = CacheGeometry> {
     (
@@ -130,5 +133,172 @@ proptest! {
             now += acc.stall + 1;
         }
         prop_assert_eq!(m.stats().d_stall_cycles, total);
+    }
+}
+
+/// Reference model of the prefetch buffer: the map from line to arrival
+/// cycle the buffer was first specified as. Entries also carry their issue
+/// sequence number, so a test can state the order a drain must follow;
+/// the map itself defines none.
+struct MapPrefetchModel {
+    capacity: usize,
+    pending: HashMap<u32, (u64, u64)>,
+    next_seq: u64,
+    issued: u64,
+    dropped: u64,
+    redundant: u64,
+    useful: u64,
+    late: u64,
+}
+
+impl MapPrefetchModel {
+    fn new(capacity: usize) -> Self {
+        MapPrefetchModel {
+            capacity,
+            pending: HashMap::new(),
+            next_seq: 0,
+            issued: 0,
+            dropped: 0,
+            redundant: 0,
+            useful: 0,
+            late: 0,
+        }
+    }
+
+    fn insert(&mut self, line: u32, ready_at: u64) -> bool {
+        if self.pending.contains_key(&line) {
+            self.redundant += 1;
+            return false;
+        }
+        if self.pending.len() >= self.capacity {
+            self.dropped += 1;
+            return false;
+        }
+        self.pending.insert(line, (ready_at, self.next_seq));
+        self.next_seq += 1;
+        self.issued += 1;
+        true
+    }
+
+    fn pending_ready_at(&self, line: u32) -> Option<u64> {
+        self.pending.get(&line).map(|&(t, _)| t)
+    }
+
+    fn consume(&mut self, line: u32, now: u64) -> Option<u64> {
+        let (ready, _) = self.pending.remove(&line)?;
+        if ready <= now {
+            self.useful += 1;
+        } else {
+            self.late += 1;
+        }
+        Some(ready)
+    }
+
+    /// The completed fills as `(ready, seq, line)`, in no particular order.
+    fn drain_completed(&mut self, now: u64) -> Vec<(u64, u64, u32)> {
+        let done: Vec<(u64, u64, u32)> = self
+            .pending
+            .iter()
+            .filter(|&(_, &(t, _))| t <= now)
+            .map(|(&l, &(t, s))| (t, s, l))
+            .collect();
+        for &(_, _, l) in &done {
+            self.pending.remove(&l);
+            self.useful += 1;
+        }
+        done
+    }
+
+    fn counters(&self) -> [u64; 5] {
+        [
+            self.issued,
+            self.dropped,
+            self.redundant,
+            self.useful,
+            self.late,
+        ]
+    }
+}
+
+fn queue_counters(q: &PrefetchQueue) -> [u64; 5] {
+    [q.issued, q.dropped, q.redundant, q.useful, q.late]
+}
+
+/// Drives a [`PrefetchQueue`] and the map model through `ops` and checks
+/// every return value and counter. `(op, line, t)`: `t` advances the
+/// clock; a fill requested at the clock arrives `t + 1` cycles after it,
+/// or after the previous fill when `bus_serialized` (the memory bus
+/// schedules fills one after another). A drain must return the completed
+/// lines in arrival order, ties in issue order.
+fn check_prefetch_queue(capacity: usize, ops: &[(u8, u32, u64)], bus_serialized: bool) {
+    let mut q = PrefetchQueue::new(capacity);
+    let mut model = MapPrefetchModel::new(capacity);
+    let (mut now, mut last_ready) = (0u64, 0u64);
+    for &(op, line, t) in ops {
+        let line = line * 32;
+        now += t % 8;
+        match op {
+            0 | 1 => {
+                let start = if bus_serialized {
+                    last_ready.max(now)
+                } else {
+                    now
+                };
+                let ready = start + 1 + t;
+                let inserted = q.insert(line, ready);
+                assert_eq!(inserted, model.insert(line, ready), "insert {line:#x}");
+                if inserted {
+                    last_ready = ready;
+                }
+            }
+            2 => assert_eq!(
+                q.consume(line, now),
+                model.consume(line, now),
+                "consume {line:#x}"
+            ),
+            3 => {
+                let got: Vec<u32> = q.drain_completed(now).collect();
+                let mut done = model.drain_completed(now);
+                done.sort_unstable();
+                let expect: Vec<u32> = done.iter().map(|&(_, _, l)| l).collect();
+                assert_eq!(got, expect, "drain at {now}");
+                if bus_serialized {
+                    assert!(done.windows(2).all(|w| w[0].1 < w[1].1), "issue order");
+                }
+            }
+            4 => assert_eq!(q.pending_ready_at(line), model.pending_ready_at(line)),
+            _ => {
+                q.flush();
+                model.pending.clear();
+            }
+        }
+        assert_eq!(queue_counters(&q), model.counters());
+        assert_eq!(q.len(), model.pending.len());
+        assert_eq!(q.is_empty(), model.pending.is_empty());
+    }
+}
+
+fn prefetch_ops() -> impl Strategy<Value = Vec<(u8, u32, u64)>> {
+    proptest::collection::vec((0u8..6, 0u32..24, 0u64..40), 1..160)
+}
+
+proptest! {
+    /// The fixed-capacity prefetch queue is a drop-in for the map model:
+    /// same return values and counters under bus-serialized fills, with
+    /// drains in issue order.
+    #[test]
+    fn prefetch_queue_matches_map_model(capacity in 1usize..=64, ops in prefetch_ops()) {
+        check_prefetch_queue(capacity, &ops, true);
+    }
+
+    /// Fills inserted out of arrival order (outside what the bus can
+    /// schedule) still drain exactly the completed set, oldest arrival
+    /// first.
+    #[test]
+    fn prefetch_queue_drains_out_of_order_fills_by_arrival(
+        capacity in 1usize..=64,
+        ops in prefetch_ops(),
+    ) {
+        check_prefetch_queue(capacity, &ops, false);
     }
 }

@@ -1,12 +1,14 @@
 //! Property tests on the RFU model: functional exactness of the custom
-//! interpolation instructions and timing monotonicity of the kernel loop.
+//! interpolation instructions, timing monotonicity of the kernel loop,
+//! Line Buffer B against a list-based reference model, and the kernel
+//! loop's SAD at the very end of simulated memory.
 
 use proptest::prelude::*;
 
-use rvliw::mem::{MemConfig, MemorySystem};
+use rvliw::mem::{MemConfig, MemError, MemorySystem};
 use rvliw::mpeg4::sad::{self, InterpKind};
 use rvliw::mpeg4::Plane;
-use rvliw::rfu::{cfgs, unit, InterpMode, MeLoopCfg, Rfu, RfuBandwidth};
+use rvliw::rfu::{cfgs, unit, InterpMode, LineBufferB, MeLoopCfg, Rfu, RfuBandwidth, RfuError};
 
 /// Scalar reference for the diagonal interpolation of one pixel.
 fn diag_ref(p00: u8, p01: u8, p10: u8, p11: u8) -> u8 {
@@ -197,5 +199,216 @@ proptest! {
             .stall
         };
         prop_assert!(run(true) <= run(false));
+    }
+}
+
+/// Reference model of Line Buffer B: two banks of `(tag, ready)` entries
+/// searched front to back, bank 0 first — the buffer as first specified.
+struct ListLbbModel {
+    banks: [Vec<(u32, u64)>; 2],
+    fill_bank: usize,
+    capacity: usize,
+    hits: u64,
+    misses: u64,
+    late: u64,
+    dedup: u64,
+}
+
+impl ListLbbModel {
+    fn new(capacity: usize) -> Self {
+        ListLbbModel {
+            banks: [Vec::new(), Vec::new()],
+            fill_bank: 0,
+            capacity,
+            hits: 0,
+            misses: 0,
+            late: 0,
+            dedup: 0,
+        }
+    }
+
+    fn swap_banks(&mut self) {
+        self.fill_bank ^= 1;
+        self.banks[self.fill_bank].clear();
+    }
+
+    fn probe(&self, line: u32) -> Option<u64> {
+        self.banks
+            .iter()
+            .flatten()
+            .find(|e| e.0 == line)
+            .map(|e| e.1)
+    }
+
+    fn allocate(&mut self, line: u32, ready_at: u64) -> bool {
+        let bank = &self.banks[self.fill_bank];
+        let room = bank.len() < self.capacity;
+        if let Some(prev) = self.probe(line) {
+            self.dedup += 1;
+            if !self.banks[self.fill_bank].iter().any(|e| e.0 == line) && room {
+                self.banks[self.fill_bank].push((line, prev));
+            }
+            return true;
+        }
+        if room {
+            self.banks[self.fill_bank].push((line, ready_at));
+        }
+        false
+    }
+
+    fn read(&mut self, line: u32, now: u64) -> Option<u64> {
+        match self.probe(line) {
+            Some(ready) if ready <= now => {
+                self.hits += 1;
+                Some(0)
+            }
+            Some(ready) => {
+                self.late += 1;
+                Some(ready - now)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.banks[0].len() + self.banks[1].len()
+    }
+}
+
+proptest! {
+    /// Line Buffer B is a drop-in for the list model: same return values,
+    /// occupancy and counters for any mix of allocations (the whole
+    /// operation or its `inherit`/`insert` halves, as a candidate prefetch
+    /// issues them), reads, probes and bank swaps.
+    #[test]
+    fn line_buffer_b_matches_list_model(
+        capacity in 8usize..=68,
+        ops in proptest::collection::vec((0u8..7, 0u32..96, 0u64..200), 1..300),
+    ) {
+        let mut lbb = LineBufferB::with_bank_capacity(capacity);
+        let mut model = ListLbbModel::new(capacity);
+        for (op, line, t) in ops {
+            let line = line * 32;
+            match op {
+                0 | 1 => prop_assert_eq!(lbb.allocate(line, t), model.allocate(line, t)),
+                2 => {
+                    // A candidate prefetch: dedup first, a new request only
+                    // for an untracked line.
+                    let tracked = model.probe(line).is_some();
+                    prop_assert_eq!(lbb.inherit(line), tracked);
+                    if !tracked {
+                        lbb.insert(line, t);
+                    }
+                    prop_assert_eq!(model.allocate(line, t), tracked);
+                }
+                3 | 4 => prop_assert_eq!(lbb.read(line, t), model.read(line, t)),
+                5 => prop_assert_eq!(lbb.probe(line), model.probe(line)),
+                _ => {
+                    lbb.swap_banks();
+                    model.swap_banks();
+                }
+            }
+            prop_assert_eq!(lbb.len(), model.len());
+            prop_assert_eq!(
+                (lbb.hits, lbb.misses, lbb.late, lbb.dedup),
+                (model.hits, model.misses, model.late, model.dedup)
+            );
+        }
+    }
+}
+
+/// Scalar reference SAD reading only the pixels the mode interpolates.
+fn reference_sad(m: &MemorySystem, ref_addr: u32, cand: u32, stride: u32, mode: InterpMode) -> u32 {
+    let p = |x: u32, y: u32| u16::from(m.ram.load8(cand + y * stride + x));
+    let mut total = 0;
+    for y in 0..16 {
+        for x in 0..16 {
+            let pix = match mode {
+                InterpMode::None => p(x, y),
+                InterpMode::H => (p(x, y) + p(x + 1, y) + 1) >> 1,
+                InterpMode::V => (p(x, y) + p(x, y + 1) + 1) >> 1,
+                InterpMode::Diag => {
+                    (p(x, y) + p(x + 1, y) + p(x, y + 1) + p(x + 1, y + 1) + 2) >> 2
+                }
+            };
+            let r = u16::from(m.ram.load8(ref_addr + y * stride + x));
+            total += u32::from(pix.abs_diff(r));
+        }
+    }
+    total
+}
+
+/// A candidate whose footprint (16×16 pixels, plus a column for
+/// horizontal and a row for vertical interpolation) ends exactly at the
+/// end of simulated memory is a valid operand; one byte further is a
+/// typed memory error. Holds with and without a gathered reference
+/// macroblock, and with either line-buffer scheme.
+#[test]
+fn meloop_candidate_at_end_of_ram() {
+    let stride = 176u32;
+    for mode in [
+        InterpMode::None,
+        InterpMode::H,
+        InterpMode::V,
+        InterpMode::Diag,
+    ] {
+        for (use_lbb, gather) in [(false, false), (false, true), (true, true)] {
+            let mut m = MemorySystem::new(MemConfig::st200_loop_level());
+            let size = m.ram.size();
+            let ref_addr = m.ram.alloc(stride * 16, 32);
+            for i in 0..stride * 16 {
+                m.ram.store8(ref_addr + i, (i * 13 % 251) as u8);
+            }
+            for i in 1..=stride * 18 {
+                m.ram.store8(size - i, (i * 7 % 253) as u8);
+            }
+            let rows = 16 + u32::from(mode.needs_extra_row());
+            let cols = 16 + u32::from(mode.needs_extra_col());
+            let cand = size - ((rows - 1) * stride + cols);
+            let cfg = MeLoopCfg::new(RfuBandwidth::B1x32, 1, stride);
+            let mut rfu = Rfu::with_case_study_configs(if use_lbb {
+                cfg.with_line_buffer_b()
+            } else {
+                cfg
+            });
+            if gather {
+                rfu.pref(cfgs::PREF_REF, ref_addr, &mut m, 0).unwrap();
+                let pref = if use_lbb {
+                    cfgs::PREF_CAND_LBB
+                } else {
+                    cfgs::PREF_CAND
+                };
+                rfu.pref(pref, cand, &mut m, 0).unwrap();
+            }
+            let label = format!("{mode:?} lbb={use_lbb} gather={gather}");
+            let out = rfu
+                .exec(
+                    cfgs::ME_LOOP,
+                    &[cand, mode.to_bits(), ref_addr],
+                    &mut m,
+                    1000,
+                )
+                .unwrap_or_else(|e| panic!("{label}: footprint ending at the end of RAM: {e:?}"));
+            assert_eq!(
+                out.value,
+                reference_sad(&m, ref_addr, cand, stride, mode),
+                "{label}"
+            );
+            let err = rfu
+                .exec(
+                    cfgs::ME_LOOP,
+                    &[cand + 1, mode.to_bits(), ref_addr],
+                    &mut m,
+                    2000,
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, RfuError::Mem(MemError::OutOfRange { .. })),
+                "{label}: one byte past the end of RAM gave {err:?}"
+            );
+        }
     }
 }
