@@ -2,7 +2,8 @@
 //! the full `GetSad` call trace.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mpeg4_enc::me::{MotionSearch, SearchAlgorithm};
 use mpeg4_enc::{
@@ -63,23 +64,32 @@ pub fn golden_config() -> EncoderConfig {
     }
 }
 
-/// Golden full-search exact encode of `frames`, memoized per frame set.
+/// A process-wide memo: one write-once cell per key.
+type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
+
+/// The value of `key` in `memo`, computed by `compute` on first use. The
+/// key's cell is fetched under the map lock and filled outside it, so
+/// distinct keys compute in parallel, while callers racing on one key wait
+/// for a single computation and all receive the same [`Arc`].
+fn memoized<K: Eq + Hash, V>(memo: &Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+    let cell = Arc::clone(
+        memo.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_default(),
+    );
+    Arc::clone(cell.get_or_init(|| Arc::new(compute())))
+}
+
+/// Golden full-search exact encode of `frames` (whose
+/// [`frames_fingerprint`] is `fingerprint`), memoized per frame set.
 /// Encoding costs seconds for the paper sequence and every approximate
 /// scenario over the same frames shares one golden reference.
-fn golden_report(frames: &[Frame]) -> Arc<EncodeReport> {
-    static GOLDEN: OnceLock<Mutex<HashMap<u64, Arc<EncodeReport>>>> = OnceLock::new();
-    let key = frames_fingerprint(frames);
-    let cache = GOLDEN.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Ok(map) = cache.lock() {
-        if let Some(hit) = map.get(&key) {
-            return Arc::clone(hit);
-        }
-    }
-    let report = Arc::new(Encoder::new(golden_config()).encode(frames));
-    if let Ok(mut map) = cache.lock() {
-        map.insert(key, Arc::clone(&report));
-    }
-    report
+fn golden_report(fingerprint: u64, frames: &[Frame]) -> Arc<EncodeReport> {
+    static GOLDEN: OnceLock<Memo<u64, EncodeReport>> = OnceLock::new();
+    memoized(GOLDEN.get_or_init(Memo::default), fingerprint, || {
+        Encoder::new(golden_config()).encode(frames)
+    })
 }
 
 impl Workload {
@@ -139,39 +149,30 @@ impl Workload {
     ///
     /// Derived workloads are memoized process-wide (keyed by the source
     /// frames and the approximation knobs): a sweep visiting the same
-    /// approximate point from several bandwidth scenarios encodes it once.
+    /// approximate point from several bandwidth scenarios encodes it once,
+    /// even when its workers ask for it at the same time.
     #[must_use]
     pub fn derived(&self, approx: ApproxSad, search: Option<SearchAlgorithm>) -> Arc<Workload> {
-        type DerivedMap = HashMap<(u64, String), Arc<Workload>>;
-        static DERIVED: OnceLock<Mutex<DerivedMap>> = OnceLock::new();
-        let key = (
-            frames_fingerprint(&self.frames),
-            format!("{approx:?}|{search:?}"),
-        );
-        let cache = DERIVED.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Ok(map) = cache.lock() {
-            if let Some(hit) = map.get(&key) {
-                return Arc::clone(hit);
+        type Key = (u64, ApproxSad, Option<SearchAlgorithm>);
+        static DERIVED: OnceLock<Memo<Key, Workload>> = OnceLock::new();
+        let fingerprint = frames_fingerprint(&self.frames);
+        let key = (fingerprint, approx, search);
+        memoized(DERIVED.get_or_init(Memo::default), key, || {
+            let mut config = EncoderConfig::default();
+            config.search.approx = approx;
+            if let Some(algorithm) = search {
+                config.search.algorithm = algorithm;
             }
-        }
-        let mut config = EncoderConfig::default();
-        config.search.approx = approx;
-        if let Some(algorithm) = search {
-            config.search.algorithm = algorithm;
-        }
-        let report = Encoder::new(config).encode(&self.frames);
-        let golden = golden_report(&self.frames);
-        let quality = QualityMetrics::compare(&self.frames, &report, &golden);
-        let derived = Arc::new(Workload {
-            frames: self.frames.clone(),
-            report,
-            stride: self.stride,
-            quality: Some(quality),
-        });
-        if let Ok(mut map) = cache.lock() {
-            map.insert(key, Arc::clone(&derived));
-        }
-        derived
+            let report = Encoder::new(config).encode(&self.frames);
+            let golden = golden_report(fingerprint, &self.frames);
+            let quality = QualityMetrics::compare(&self.frames, &report, &golden);
+            Workload {
+                frames: self.frames.clone(),
+                report,
+                stride: self.stride,
+                quality: Some(quality),
+            }
+        })
     }
 
     /// Total `GetSad` calls in the trace.
@@ -224,5 +225,28 @@ mod tests {
         let gq = exact.quality.expect("golden-config derivation has quality");
         assert_eq!(gq.sad_inflation, 0.0);
         assert_eq!(gq.psnr_delta_db, 0.0);
+    }
+
+    #[test]
+    fn racing_derives_share_one_encode() {
+        use std::sync::Barrier;
+        let w = Workload::tiny();
+        let approx = ApproxSad::ReducedPrecision { bits: 3 };
+        let barrier = Barrier::new(4);
+        let results: Vec<Arc<Workload>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        w.derived(approx, Some(SearchAlgorithm::ThreeStep))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("derive thread panicked"))
+                .collect()
+        });
+        assert!(results.iter().all(|r| Arc::ptr_eq(r, &results[0])));
     }
 }

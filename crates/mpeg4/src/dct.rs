@@ -1,12 +1,23 @@
 //! 8×8 forward and inverse DCT (type-II / type-III), double-precision
 //! reference implementation with rounding to integer coefficients.
+//!
+//! The definitions are the direct O(N⁴) sums: every output adds 64
+//! products in one fixed order, each product associated left to right.
+//! [`fdct`] and [`idct`] evaluate exactly those sums with the loops
+//! interchanged, so eight outputs accumulate side by side in an array of
+//! `f64` lanes. Interchanging loops only changes which sum a product goes
+//! to next, never the order of the products inside one sum, so the
+//! results are bit-identical to the per-output loops. Anything that
+//! changes a sum's rounding is ruled out: a separable row/column form,
+//! fused multiply-add, reassociation, or a precomputed `c[u][x]·c[v][y]`
+//! table. Each of those moves coefficients that sit on a `.5` boundary.
 
 use std::f64::consts::PI;
 
 /// Block edge.
 pub const N: usize = 8;
 
-/// Cosine basis, computed once.
+/// Cosine basis `c[u][x] = cos((2x+1)uπ/16)`.
 fn basis() -> [[f64; N]; N] {
     let mut c = [[0.0; N]; N];
     for (u, row) in c.iter_mut().enumerate() {
@@ -27,39 +38,67 @@ fn alpha(u: usize) -> f64 {
 
 /// Forward 8×8 DCT of a residual block (values typically in −255..=255).
 /// Coefficients are rounded to the nearest integer.
+///
+/// Coefficient `(u, v)` is `α(u)·α(v)·s`, where `s` sums
+/// `(b[y][x]·c[u][x])·c[v][y]` over `y`, then `x`, starting from `+0.0`.
+/// For each `v` the eight `u` sums accumulate side by side in one array of
+/// lanes.
 #[must_use]
 pub fn fdct(block: &[i32; 64]) -> [i32; 64] {
     let c = basis();
     let mut out = [0i32; 64];
     for v in 0..N {
-        for u in 0..N {
-            let mut s = 0.0;
-            for y in 0..N {
-                for x in 0..N {
-                    s += f64::from(block[y * N + x]) * c[u][x] * c[v][y];
+        let mut s = [0.0f64; N];
+        for y in 0..N {
+            for x in 0..N {
+                let b = f64::from(block[y * N + x]);
+                for u in 0..N {
+                    s[u] += b * c[u][x] * c[v][y];
                 }
             }
-            out[v * N + u] = (alpha(u) * alpha(v) * s).round() as i32;
+        }
+        for u in 0..N {
+            out[v * N + u] = (alpha(u) * alpha(v) * s[u]).round() as i32;
         }
     }
     out
 }
 
 /// Inverse 8×8 DCT, rounded to the nearest integer.
+///
+/// Pixel `(x, y)` sums `((α(u)·α(v)·F[v][u])·c[u][x])·c[v][y]` over `v`,
+/// then `u`, starting from `+0.0`. The loops run coefficient-outer, so each
+/// coefficient updates the eight `x` lanes of every row in turn.
+///
+/// Zero coefficients are skipped, which is exact. Their terms are `±0.0`,
+/// and adding `±0.0` leaves any sum that is not `−0.0` unchanged. A sum
+/// that starts at `+0.0` never becomes `−0.0` under round-to-nearest.
+/// Dequantized blocks are mostly zero, so the skip does most of the work.
 #[must_use]
 pub fn idct(coefs: &[i32; 64]) -> [i32; 64] {
     let c = basis();
-    let mut out = [0i32; 64];
-    for y in 0..N {
-        for x in 0..N {
-            let mut s = 0.0;
-            for v in 0..N {
-                for u in 0..N {
-                    s += alpha(u) * alpha(v) * f64::from(coefs[v * N + u]) * c[u][x] * c[v][y];
+    let mut s = [[0.0f64; N]; N];
+    for v in 0..N {
+        for u in 0..N {
+            let coef = coefs[v * N + u];
+            if coef == 0 {
+                continue;
+            }
+            let k = alpha(u) * alpha(v) * f64::from(coef);
+            let mut p = [0.0; N];
+            for x in 0..N {
+                p[x] = k * c[u][x];
+            }
+            for (y, row) in s.iter_mut().enumerate() {
+                for x in 0..N {
+                    row[x] += p[x] * c[v][y];
                 }
             }
-            out[y * N + x] = s.round() as i32;
         }
+    }
+    let mut out = [0i32; 64];
+    for (o, v) in out.iter_mut().zip(s.iter().flatten()) {
+        *o = v.round() as i32;
     }
     out
 }

@@ -375,9 +375,6 @@ fn code_chroma_block(
     let (ix, iy) = cmv.int_part();
     // Clamp the chroma MC block into the plane (border macroblocks with
     // outward vectors).
-    let max_x = (src.width() - kind.cols().min(src.width())) as isize;
-    let max_y = (src.height() - kind.rows().min(src.height())) as isize;
-    let _ = (max_x, max_y);
     let cx = (bx as isize + isize::from(ix))
         .clamp(0, (prev.width() - kind.cols().min(prev.width())) as isize) as usize;
     let cy = (by as isize + isize::from(iy))

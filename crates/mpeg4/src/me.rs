@@ -45,7 +45,7 @@ pub struct MbMotion {
 }
 
 /// The search strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SearchAlgorithm {
     /// Exhaustive integer search of `(2·range+1)²` candidates.
     Full {

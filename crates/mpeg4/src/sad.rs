@@ -1,5 +1,16 @@
 //! `GetSad`: sum of absolute differences with exact half-sample
 //! interpolation — the golden model every VLIW kernel is verified against.
+//!
+//! The definition is per pixel: [`pred_pixel`] interpolates one predictor
+//! pixel and the SAD sums its masked absolute difference to the reference
+//! pixel, row by row. [`get_sad_approx`] computes the same sum one row at a
+//! time. It slices each visited reference and candidate row out of its
+//! plane, copies it into a fixed-size array and runs one loop per
+//! [`InterpKind`], which compiles to byte averages and a sum of absolute
+//! differences. Integer sums of the same terms are equal in any order, and
+//! the early-exit test still runs after every full row, so every mode is
+//! bit-identical to the per-pixel definition. [`get_sad`] is the exact mode
+//! of the same body.
 
 use crate::types::{Mv, Plane};
 use crate::MB;
@@ -79,15 +90,7 @@ pub fn get_sad(
     cy: usize,
     kind: InterpKind,
 ) -> u32 {
-    let mut sad = 0u32;
-    for y in 0..MB {
-        for x in 0..MB {
-            let r = cur.at(rx + x, ry + y);
-            let p = pred_pixel(prev, cx + x, cy + y, kind);
-            sad += u32::from(r.abs_diff(p));
-        }
-    }
-    sad
+    get_sad_approx(cur, rx, ry, prev, cx, cy, kind, ApproxSad::Exact)
 }
 
 /// An approximate-SAD mode: trade SAD fidelity for kernel cycles. The
@@ -147,6 +150,12 @@ impl ApproxSad {
 /// [`get_sad`] under an approximation mode. `ApproxSad::Exact` is
 /// bit-identical to [`get_sad`].
 ///
+/// Works one visited row at a time (see the module docs). A row is sliced
+/// only when the per-pixel definition would read it, so subsampled and
+/// early-exit modes touch exactly the rows they always did. Every slice is
+/// bounds-checked against its own row: a footprint overhanging the right
+/// edge panics instead of wrapping into the next row.
+///
 /// # Panics
 ///
 /// As for [`get_sad`].
@@ -163,14 +172,17 @@ pub fn get_sad_approx(
     approx: ApproxSad,
 ) -> u32 {
     let mask = approx.pixel_mask();
+    let cols = cx..cx + kind.cols();
     let mut sad = 0u32;
     let mut y = 0;
     while y < MB {
-        for x in 0..MB {
-            let r = cur.at(rx + x, ry + y) & mask;
-            let p = pred_pixel(prev, cx + x, cy + y, kind) & mask;
-            sad += u32::from(r.abs_diff(p));
-        }
+        let below: &[u8] = if kind.rows() > MB {
+            &prev.row(cy + y + 1)[cols.clone()]
+        } else {
+            &[]
+        };
+        let r = &cur.row(ry + y)[rx..rx + MB];
+        sad += row_sad(kind, &prev.row(cy + y)[cols.clone()], below, r, mask);
         if let ApproxSad::EarlyExit { threshold } = approx {
             if sad > threshold {
                 return sad;
@@ -179,6 +191,54 @@ pub fn get_sad_approx(
         y += approx.row_step();
     }
     sad
+}
+
+/// SAD of one row: the 16 predictor pixels interpolated from candidate
+/// row `c0` (and `c1`, the row below, for vertical and diagonal kinds)
+/// against reference row `r`, every pixel masked by `mask`. Same
+/// arithmetic as [`pred_pixel`], one loop per kind. The rows are copied
+/// into fixed-size arrays first so the loops compile to a few SIMD
+/// instructions (byte averages and a sum of absolute differences).
+#[inline]
+fn row_sad(kind: InterpKind, c0: &[u8], c1: &[u8], r: &[u8], mask: u8) -> u32 {
+    let mut pred: [u8; MB] = row(c0);
+    match kind {
+        InterpKind::None => {}
+        InterpKind::H => {
+            let a: [u8; MB + 1] = row(c0);
+            for x in 0..MB {
+                pred[x] = ((u16::from(a[x]) + u16::from(a[x + 1]) + 1) >> 1) as u8;
+            }
+        }
+        InterpKind::V => {
+            let b: [u8; MB] = row(c1);
+            for x in 0..MB {
+                pred[x] = ((u16::from(pred[x]) + u16::from(b[x]) + 1) >> 1) as u8;
+            }
+        }
+        InterpKind::Diag => {
+            let (a, b): ([u8; MB + 1], [u8; MB + 1]) = (row(c0), row(c1));
+            for x in 0..MB {
+                let s =
+                    u16::from(a[x]) + u16::from(a[x + 1]) + u16::from(b[x]) + u16::from(b[x + 1]);
+                pred[x] = ((s + 2) >> 2) as u8;
+            }
+        }
+    }
+    let r: [u8; MB] = row(r);
+    let mut sad = 0u32;
+    for x in 0..MB {
+        sad += u32::from((pred[x] & mask).abs_diff(r[x] & mask));
+    }
+    sad
+}
+
+/// The first `M` bytes of `pixels` as an array.
+#[inline]
+fn row<const M: usize>(pixels: &[u8]) -> [u8; M] {
+    let mut out = [0; M];
+    out.copy_from_slice(&pixels[..M]);
+    out
 }
 
 /// Whether a candidate at integer position `(cx, cy)` with interpolation
