@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! cargo run --release -p rvliw-bench --bin tables \
-//!     [-- --write] [--frames N] [--csv DIR] [--bench-json] [--baseline-cps X]
+//!     [-- --write] [--frames N] [--csv DIR] [--bench-json]
 //!     [--metrics-out FILE] [--trace FILE] [--threads N] [--spec PATH]
-//!     [--cache-dir DIR] [--no-cache] [--backend B] [--substrate S]
+//!     [--cache-dir DIR] [--no-cache] [--substrate S]
 //!     [--fault-seed N] [--fault-profile PROFILE]
 //!     [--journal FILE] [--resume FILE] [--max-retries N] [--timeout-secs S]
 //! cargo run --release -p rvliw-bench --bin tables -- --check BENCH_tables.json \
@@ -43,9 +43,9 @@
 //! Off-grid specs run through `rvliw sweep` instead.
 //! `--bench-json` writes `BENCH_tables.json` (wall time per phase and per
 //! table, simulated cycles, cycles per wall second, thread count, and a
-//! `"tables"` snapshot of every integer table cell); with
-//! `--baseline-cps X` (a reference build's cycles/sec on the same host)
-//! the report also records the speedup over that baseline.
+//! `"tables"` snapshot of every integer table cell). Host-time
+//! measurement beyond that one throughput figure — per-engine cycles/s,
+//! the block engine's speedup and fallbacks — is `perfbench/`'s job.
 //! `--metrics-out FILE` re-runs every scenario with a counting tracer and
 //! writes per-scenario stall/cache/RFU metrics as JSON; scenarios carrying
 //! speed-vs-quality metrics contribute a top-level `"quality"` object
@@ -53,16 +53,11 @@
 //! `--trace FILE` captures a Chrome `trace_event` JSON (Perfetto-loadable)
 //! of the ORIG scenario.
 //!
-//! `--backend B` (one of `interpreter`, `block-compiled`, `auto`; default
-//! `auto`) selects the simulator's execution backend for every scenario.
-//! The backend never changes results — `--check --backend block-compiled`
-//! proves it bit-identically — only how fast they are simulated.
-//!
 //! `--substrate S` (one of `vliw4`, `scalar`) pins every built-in-grid
 //! scenario to that fetch/issue substrate: the paper grid re-runs on a
 //! scalar in-order core with the paper's labels, so the printed tables
-//! show that core's cycle counts. Unlike `--backend`, the substrate *is*
-//! the experiment — it changes every cycle number — so it conflicts with
+//! show that core's cycle counts. The substrate *is* the experiment — it
+//! changes every cycle number — so it conflicts with
 //! `--check`, `--write` and `--bench-json` (the golden artifacts are
 //! VLIW-only) and with `--spec` (give the spec a `"substrate"` axis
 //! instead; see `specs/cross_substrate.json`). A non-default substrate is
@@ -105,12 +100,11 @@ use rvliw_bench::{paper, splice_generated};
 use rvliw_core::{
     arch, flag_parse, flag_value, grid_from_specs, run_me_with_tracer, run_summary, CaseStudy,
     ExperimentSpec, HealthReport, RunFlags, Scenario, ScenarioCache, SupervisorConfig,
-    TablesSnapshot, Workload,
+    TablesSnapshot,
 };
 use rvliw_fault::{FaultPlan, FaultProfile};
 use rvliw_isa::{MachineConfig, Substrate};
 use rvliw_mem::MemConfig;
-use rvliw_sim::{backend_totals, ExecBackend};
 use rvliw_trace::{ChromeTracer, CountingTracer, Json};
 
 /// Writes one CSV per table (machine-readable series for plotting).
@@ -297,95 +291,6 @@ fn case_grid(
     }
 }
 
-/// One timed, uncached pass of the paper grid under a forced backend.
-struct BackendPass {
-    name: &'static str,
-    cycles_per_sec: f64,
-    block_cache_hit_rate: f64,
-    fallbacks: u64,
-}
-
-/// Times the scenario grid once per execution backend — same scenarios,
-/// workload and thread count, never cached (a cache hit measures disk, not
-/// the simulator) — and restores `chosen` as the process default.
-fn bench_backends(
-    scenarios: &[Scenario],
-    workload: &Workload,
-    threads: usize,
-    chosen: ExecBackend,
-) -> Vec<BackendPass> {
-    let mut passes = Vec::new();
-    for backend in [ExecBackend::Interpreter, ExecBackend::BlockCompiled] {
-        backend.set_process_default();
-        let before = backend_totals();
-        let t = Instant::now();
-        let cs = CaseStudy::run_scenarios(scenarios, workload, threads, progress);
-        let wall_s = t.elapsed().as_secs_f64();
-        let after = backend_totals();
-        let simulated: u64 = cs
-            .results()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|r| r.me_cycles)
-            .sum();
-        let lookups = after.compile_lookups - before.compile_lookups;
-        let misses = after.compile_misses - before.compile_misses;
-        let hit_rate = if lookups == 0 {
-            1.0
-        } else {
-            1.0 - misses as f64 / lookups as f64
-        };
-        let pass = BackendPass {
-            name: backend.name(),
-            cycles_per_sec: simulated as f64 / wall_s,
-            block_cache_hit_rate: hit_rate,
-            fallbacks: after.fallbacks - before.fallbacks,
-        };
-        eprintln!(
-            "  {}: {:.1}M cycles/sec (block-cache hit rate {:.4})",
-            pass.name,
-            pass.cycles_per_sec / 1e6,
-            pass.block_cache_hit_rate
-        );
-        passes.push(pass);
-    }
-    chosen.set_process_default();
-    passes
-}
-
-/// The `"backends"` JSON object of the bench envelope and the metrics
-/// report: per-backend simulation throughput plus block-cache behaviour.
-fn backends_json(passes: &[BackendPass], selected: ExecBackend) -> String {
-    let mut s = String::from("{\n");
-    for p in passes {
-        let _ = writeln!(s, "    \"{}\": {{", p.name);
-        let _ = writeln!(
-            s,
-            "      \"cycles_per_sec\": {},",
-            json_f64(p.cycles_per_sec, 0)
-        );
-        let _ = writeln!(
-            s,
-            "      \"block_cache_hit_rate\": {:.6},",
-            p.block_cache_hit_rate
-        );
-        let _ = writeln!(s, "      \"fallbacks\": {}", p.fallbacks);
-        let _ = writeln!(s, "    }},");
-    }
-    if let (Some(interp), Some(block)) = (
-        passes.iter().find(|p| p.name == "interpreter"),
-        passes.iter().find(|p| p.name == "block-compiled"),
-    ) {
-        let _ = writeln!(
-            s,
-            "    \"block_speedup_vs_interpreter\": {},",
-            json_f64(block.cycles_per_sec / interp.cycles_per_sec, 2)
-        );
-    }
-    let _ = writeln!(s, "    \"selected\": \"{selected}\"");
-    s.push_str("  }");
-    s
-}
-
 /// `v` as a JSON number with `decimals` decimals, or `null` when it is not
 /// finite (a workload without `GetSad` calls simulates zero cycles).
 fn json_f64(v: f64, decimals: usize) -> String {
@@ -561,7 +466,6 @@ fn main() -> ExitCode {
     let mut metrics_path: Option<&str> = None;
     let mut trace_path: Option<&str> = None;
     let mut spec_path: Option<&str> = None;
-    let mut baseline_cps: Option<f64> = None;
     let mut min_cps_ratio: Option<f64> = None;
     let mut fault_seed = 0u64;
     let mut fault_profile = FaultProfile::None;
@@ -575,7 +479,6 @@ fn main() -> ExitCode {
             "--metrics-out" => metrics_path = Some(flag_value(arg, it)?),
             "--trace" => trace_path = Some(flag_value(arg, it)?),
             "--spec" => spec_path = Some(flag_value(arg, it)?),
-            "--baseline-cps" => baseline_cps = Some(flag_parse(arg, it)?),
             "--min-cycles-per-sec-ratio" => match flag_parse::<f64>(arg, it)? {
                 r if r > 0.0 && r.is_finite() => min_cps_ratio = Some(r),
                 r => return Err(format!("{arg}: {r} is not a positive ratio")),
@@ -592,7 +495,6 @@ fn main() -> ExitCode {
         Err(e) => return usage_error(&e),
     };
     let threads = flags.threads;
-    let backend = flags.backend;
     let plan = FaultPlan::from_profile(fault_profile, fault_seed);
     let specs = match spec_path.map(load_specs).transpose() {
         Ok(specs) => specs,
@@ -879,22 +781,6 @@ fn main() -> ExitCode {
     println!("{out}");
     let total_wall_s = t0.elapsed().as_secs_f64();
     eprintln!("total runtime: {total_wall_s:.1}s");
-    // The per-backend benchmark reruns the grid once per backend; both the
-    // bench envelope and the metrics report embed its result. Skipped
-    // under a fault plan (where --bench-json is refused anyway and the
-    // metrics replay is the only consumer): fault runs force the
-    // interpreter, so the comparison would not measure the backends. A
-    // forced substrate still benchmarks the VLIW grid.
-    let backend_passes = if (bench_json || metrics_path.is_some()) && plan.is_inert() {
-        eprintln!("benchmarking both execution backends ({threads} thread(s), uncached) …");
-        let grid = match substrate {
-            Some(_) => CaseStudy::scenarios(),
-            None => scenarios.clone(),
-        };
-        Some(bench_backends(&grid, &workload, threads, backend))
-    } else {
-        None
-    };
     if bench_json {
         let table_wall_s: Vec<(&str, f64)> = vec![
             ("table1", secs(|| drop(cs.table1()))),
@@ -929,26 +815,9 @@ fn main() -> ExitCode {
         let _ = writeln!(json, "  \"total_wall_s\": {total_wall_s:.3},");
         let _ = writeln!(json, "  \"simulated_cycles\": {simulated_cycles},");
         let _ = writeln!(json, "  \"cycles_per_sec\": {cycles_per_sec:.0},");
-        if let Some(passes) = &backend_passes {
-            let _ = writeln!(json, "  \"backends\": {},", backends_json(passes, backend));
-        }
         let quality = collect_quality(&cs);
         if !quality.is_empty() {
             let _ = writeln!(json, "  \"quality\": {},", quality_json(&quality));
-        }
-        match baseline_cps {
-            Some(base) => {
-                let _ = writeln!(json, "  \"baseline_cycles_per_sec\": {base:.0},");
-                let _ = writeln!(
-                    json,
-                    "  \"speedup_vs_baseline\": {:.2},",
-                    cycles_per_sec / base
-                );
-            }
-            None => {
-                let _ = writeln!(json, "  \"baseline_cycles_per_sec\": null,");
-                let _ = writeln!(json, "  \"speedup_vs_baseline\": null,");
-            }
         }
         let _ = writeln!(
             json,
@@ -972,9 +841,6 @@ fn main() -> ExitCode {
     if let Some(path) = metrics_path {
         eprintln!("collecting per-scenario tracer metrics …");
         let mut entries = Vec::new();
-        if let Some(passes) = &backend_passes {
-            entries.push(format!("\"backends\": {}", backends_json(passes, backend)));
-        }
         // Non-default substrates are recorded in the envelope so a scalar
         // metrics file can never be mistaken for a VLIW one; the default
         // emits nothing, keeping existing reports byte-stable.

@@ -21,7 +21,6 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use mpeg4_enc::sad::InterpKind;
 use mpeg4_enc::types::Plane;
 use mpeg4_enc::QualityMetrics;
 use rvliw_asm::Code;
@@ -53,15 +52,6 @@ pub fn default_cache_dir() -> Option<PathBuf> {
     std::env::var_os("RVLIW_CACHE_DIR")
         .filter(|v| !v.is_empty())
         .map(PathBuf::from)
-}
-
-fn interp_bits(kind: InterpKind) -> u32 {
-    match kind {
-        InterpKind::None => 0,
-        InterpKind::H => 1,
-        InterpKind::V => 2,
-        InterpKind::Diag => 3,
-    }
 }
 
 fn hash_plane(kb: &mut KeyBuilder, tag: &str, p: &Plane) {
@@ -97,7 +87,7 @@ pub fn workload_digest(w: &Workload) -> CacheKey {
             for c in &mb.calls {
                 motion.push(c.cx as u32);
                 motion.push(c.cy as u32);
-                motion.push(interp_bits(c.kind));
+                motion.push(c.kind.code());
                 motion.push(c.sad);
             }
         }

@@ -190,15 +190,6 @@ impl MeResult {
     }
 }
 
-fn interp_bits(kind: InterpKind) -> u32 {
-    match kind {
-        InterpKind::None => 0,
-        InterpKind::H => 1,
-        InterpKind::V => 2,
-        InterpKind::Diag => 3,
-    }
-}
-
 /// Argument registers for one simulated kernel invocation.
 ///
 /// Every driver needs the reference-block address and the stride; the
@@ -241,7 +232,7 @@ impl SadCallArgs {
 
     /// Half-sample interpolation mode.
     fn interp(mut self, kind: InterpKind) -> Self {
-        self.interp = Some(interp_bits(kind));
+        self.interp = Some(kind.code());
         self
     }
 

@@ -21,7 +21,7 @@ use rvliw_fault::FaultPlan;
 use rvliw_isa::{MachineConfig, Substrate};
 use rvliw_mem::MemConfig;
 use rvliw_rfu::{LineBufferB, MeLoopCfg, ReconfigModel, Rfu};
-use rvliw_sim::{ExecBackend, Machine};
+use rvliw_sim::Machine;
 
 /// Builder assembling machine, memory, RFU, fault and budget configuration
 /// into a runnable [`Machine`].
@@ -42,7 +42,6 @@ pub struct SimSession {
     fault: FaultPlan,
     salt: String,
     cycle_limit: Option<u64>,
-    backend: Option<ExecBackend>,
 }
 
 impl SimSession {
@@ -58,7 +57,6 @@ impl SimSession {
             fault: FaultPlan::none(),
             salt: String::new(),
             cycle_limit: None,
-            backend: None,
         }
     }
 
@@ -143,16 +141,6 @@ impl SimSession {
         self
     }
 
-    /// Overrides the execution backend for machines this session builds.
-    /// Without this, machines inherit [`ExecBackend::process_default`]
-    /// (which the binaries' `--backend` flag sets). The backend never
-    /// changes results — only how fast they are simulated.
-    #[must_use]
-    pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
     /// Assembles the machine. The session is reusable: each call builds a
     /// fresh, independent machine, which is what makes parallel scenario
     /// fan-out trivially sound.
@@ -172,9 +160,6 @@ impl SimSession {
         m.set_fault_plan(&self.fault, &self.salt);
         if let Some(limit) = self.cycle_limit {
             m.cycle_limit = limit;
-        }
-        if let Some(backend) = self.backend {
-            m.backend = backend;
         }
         m
     }

@@ -16,8 +16,6 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rvliw_sim::ExecBackend;
-
 use crate::cache::{default_cache_dir, ScenarioCache};
 use crate::supervisor::{Journal, SupervisorConfig};
 use crate::workload::Workload;
@@ -92,7 +90,7 @@ where
 
 /// The run flags shared by `rvliw sweep`, `rvliw explore` and `tables`:
 /// `--threads N`, `--frames N`, `--cache-dir DIR`, `--no-cache`,
-/// `--backend B`, `--journal FILE`, `--resume FILE`, `--max-retries N` and
+/// `--journal FILE`, `--resume FILE`, `--max-retries N` and
 /// `--timeout-secs N`.
 #[derive(Debug, Clone)]
 pub struct RunFlags {
@@ -100,9 +98,6 @@ pub struct RunFlags {
     pub threads: usize,
     /// The `--frames` workload-length override (at least 1).
     pub frames: Option<usize>,
-    /// The `--backend` choice (default `auto`). [`RunFlags::parse`] makes
-    /// an explicit choice the process default.
-    pub backend: ExecBackend,
     cache_dir: Option<PathBuf>,
     no_cache: bool,
     journal: Option<PathBuf>,
@@ -127,11 +122,9 @@ impl RunFlags {
         mut other: impl FnMut(&'a str, &mut std::slice::Iter<'a, String>) -> Result<bool, String>,
     ) -> Result<RunFlags, String> {
         let mut threads = None;
-        let mut backend = None;
         let mut flags = RunFlags {
             threads: 0,
             frames: None,
-            backend: ExecBackend::Auto,
             cache_dir: default_cache_dir(),
             no_cache: false,
             journal: None,
@@ -153,7 +146,6 @@ impl RunFlags {
                 },
                 "--cache-dir" => flags.cache_dir = Some(flag_value(arg, &mut it)?.into()),
                 "--no-cache" => flags.no_cache = true,
-                "--backend" => backend = Some(flag_parse::<ExecBackend>(arg, &mut it)?),
                 "--journal" => flags.journal = Some(flag_value(arg, &mut it)?.into()),
                 "--resume" => flags.resume = Some(flag_value(arg, &mut it)?.into()),
                 "--max-retries" => flags.max_retries = flag_parse(arg, &mut it)?,
@@ -166,10 +158,6 @@ impl RunFlags {
             }
         }
         flags.threads = threads.unwrap_or_else(default_threads);
-        if let Some(b) = backend {
-            b.set_process_default();
-            flags.backend = b;
-        }
         Ok(flags)
     }
 

@@ -638,15 +638,6 @@ mod tests {
         m.gpr(RESULT)
     }
 
-    fn interp_code(kind: InterpKind) -> u32 {
-        match kind {
-            InterpKind::None => 0,
-            InterpKind::H => 1,
-            InterpKind::V => 2,
-            InterpKind::Diag => 3,
-        }
-    }
-
     /// Every variant × every mode × every alignment matches the golden SAD.
     #[test]
     fn kernels_match_golden_sad_exactly() {
@@ -672,7 +663,7 @@ mod tests {
                         &code,
                         cur_base + (ry * 176 + rx) as u32,
                         prev_base + (cy * 176 + cx) as u32,
-                        interp_code(kind),
+                        kind.code(),
                     );
                     assert_eq!(
                         got, golden,
@@ -738,7 +729,7 @@ mod tests {
                             &code,
                             cur_base + (ry * 176 + rx) as u32,
                             prev_base + (cy * 176 + cx) as u32,
-                            interp_code(kind),
+                            kind.code(),
                         );
                         assert_eq!(
                             got, golden,

@@ -12,7 +12,6 @@ use crate::me::{MbMotion, MotionSearch, SadCall};
 use crate::psnr::psnr;
 use crate::quant::{dequant_inter, dequant_intra, quant_inter, quant_intra};
 use crate::rlc::write_block;
-use crate::sad::InterpKind;
 use crate::types::{Frame, Mv, Plane};
 use crate::zigzag::{scan, unscan};
 use crate::MB;
@@ -119,12 +118,7 @@ impl EncodeReport {
         let mut total = 0usize;
         for (_, c) in self.all_sad_calls() {
             total += 1;
-            counts[match c.kind {
-                InterpKind::None => 0,
-                InterpKind::H => 1,
-                InterpKind::V => 2,
-                InterpKind::Diag => 3,
-            }] += 1;
+            counts[c.kind.code() as usize] += 1;
         }
         if total == 0 {
             return (0.0, 0.0, 0.0, 0.0);

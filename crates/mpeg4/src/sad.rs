@@ -42,6 +42,19 @@ impl InterpKind {
     pub fn rows(self) -> usize {
         MB + usize::from(matches!(self, InterpKind::V | InterpKind::Diag))
     }
+
+    /// The 2-bit code of this kind: none 0, H 1, V 2, diagonal 3. It is
+    /// the `GetSad` kernels' interpolation argument and part of every
+    /// scenario cache key, so it must never change.
+    #[must_use]
+    pub fn code(self) -> u32 {
+        match self {
+            InterpKind::None => 0,
+            InterpKind::H => 1,
+            InterpKind::V => 2,
+            InterpKind::Diag => 3,
+        }
+    }
 }
 
 /// The interpolation kind selected by a motion vector's half-sample flags.

@@ -34,8 +34,6 @@
 //! scheduled but identical programs share one compilation and different
 //! programs can never cross-serve.
 
-use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use rvliw_asm::Code;
@@ -48,43 +46,27 @@ use crate::machine::{Machine, SimError, MAX_ISSUE};
 use crate::BUNDLE_BYTES;
 
 /// Which issue loop a [`Machine`](crate::Machine) run uses.
+///
+/// There is no user-facing selection: the simulator picks the engine from
+/// what the machine observes. The pin exists for the differential tests
+/// and the host-time benchmark, which time the interpreter on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Always the pre-decoded interpreter.
     Interpreter,
-    /// The block-compiled micro-trace backend. It still falls back to the
-    /// interpreter whenever its safety precondition fails (a per-bundle
-    /// trace hook, a non-null tracer, a non-inert fault plan) or a control
-    /// transfer lands inside a block.
-    BlockCompiled,
-    /// Pick automatically: block-compiled when safe, interpreter
-    /// otherwise. Today this selects exactly like
-    /// [`ExecBackend::BlockCompiled`]; the two are distinct so command
-    /// lines can say "force the fast backend" and "let the simulator
-    /// choose" separately.
+    /// Block-compiled when safe, the interpreter otherwise: it falls back
+    /// whenever its safety precondition fails (a per-bundle trace hook, a
+    /// non-null tracer, a non-inert fault plan, a non-VLIW substrate) or a
+    /// control transfer lands inside a block.
     #[default]
     Auto,
 }
 
 impl ExecBackend {
-    /// Every selectable backend name, for CLI help texts.
-    pub const NAMES: [&'static str; 3] = ["interpreter", "block-compiled", "auto"];
-
-    /// The canonical CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecBackend::Interpreter => "interpreter",
-            ExecBackend::BlockCompiled => "block-compiled",
-            ExecBackend::Auto => "auto",
-        }
-    }
-
-    /// Sets the process-wide default backend new [`Machine`]s start with.
-    /// Binaries apply their `--backend` flag here once at startup, so the
-    /// selection reaches every machine built behind the scenario runner
-    /// without widening `Scenario` (the backend must never influence
-    /// results, so it must never reach a scenario cache key).
+    /// Sets the process-wide default backend new [`Machine`]s start with,
+    /// so the selection reaches every machine built behind the scenario
+    /// runner without widening `Scenario` (the backend must never
+    /// influence results, so it must never reach a scenario cache key).
     pub fn set_process_default(self) {
         PROCESS_DEFAULT.store(self as u8, Ordering::Relaxed);
     }
@@ -94,35 +76,12 @@ impl ExecBackend {
     pub fn process_default() -> ExecBackend {
         match PROCESS_DEFAULT.load(Ordering::Relaxed) {
             0 => ExecBackend::Interpreter,
-            1 => ExecBackend::BlockCompiled,
             _ => ExecBackend::Auto,
         }
     }
 }
 
 static PROCESS_DEFAULT: AtomicU8 = AtomicU8::new(ExecBackend::Auto as u8);
-
-impl fmt::Display for ExecBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for ExecBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interpreter" | "interp" => Ok(ExecBackend::Interpreter),
-            "block-compiled" | "block" => Ok(ExecBackend::BlockCompiled),
-            "auto" => Ok(ExecBackend::Auto),
-            other => Err(format!(
-                "unknown backend `{other}` (expected one of: {})",
-                ExecBackend::NAMES.join(", ")
-            )),
-        }
-    }
-}
 
 /// Telemetry of the block-compiled backend: how runs were dispatched and
 /// how the per-machine block cache behaved.
@@ -1088,15 +1047,6 @@ mod tests {
 
     fn compile(b: Builder) -> Code {
         rvliw_asm::schedule_st200(&b.build()).unwrap()
-    }
-
-    #[test]
-    fn backend_parses_and_displays() {
-        for name in ExecBackend::NAMES {
-            let b: ExecBackend = name.parse().unwrap();
-            assert_eq!(b.name(), name);
-        }
-        assert!("warp-drive".parse::<ExecBackend>().is_err());
     }
 
     #[test]

@@ -433,11 +433,11 @@ impl Machine {
         // observation-free run — no per-bundle trace hook, a null tracer
         // and no armed fault injection — because compiled blocks do not
         // replay per-access events for observers, and is only compiled
-        // for the VLIW issue policy (on other substrates a requested
-        // block backend cleanly falls back to the interpreter). When a
-        // control transfer lands mid-block (a computed `return` target),
-        // block execution hands the current pc back and the interpreter
-        // continues the same run below.
+        // for the VLIW issue policy (on other substrates the run cleanly
+        // falls back to the interpreter). When a control transfer lands
+        // mid-block (a computed `return` target), block execution hands
+        // the current pc back and the interpreter continues the same run
+        // below.
         if self.cfg.substrate == Substrate::Vliw4
             && self.backend != ExecBackend::Interpreter
             && trace.is_none()
@@ -864,9 +864,9 @@ mod tests {
 
     #[test]
     fn block_backend_on_scalar_falls_back_to_interpreter() {
-        // Satellite: a requested block-compiled backend on the scalar
-        // substrate must cleanly refuse — run on the interpreter, never
-        // touch the block compiler — and still produce the same results.
+        // An `Auto` backend on the scalar substrate must cleanly refuse —
+        // run on the interpreter, never touch the block compiler — and
+        // still produce the same results.
         let build = || {
             let mut b = Builder::new("t");
             b.movi(Gpr::new(1), 20);
@@ -875,7 +875,7 @@ mod tests {
             compile(b)
         };
         let mut blocked = scalar_machine();
-        blocked.backend = ExecBackend::BlockCompiled;
+        blocked.backend = ExecBackend::Auto;
         let sb = blocked.run(&build()).unwrap();
         assert_eq!(blocked.gpr(Gpr::new(2)), 42);
         let bs = blocked.backend_stats();

@@ -23,8 +23,6 @@
 //! --fault-profile P   run under a deterministic seeded fault plan
 //!                     (none | latency | flush | linebuffer | bitflip | chaos)
 //! --fault-seed N      seed for the fault plan (default 0)
-//! --backend B         execution backend (interpreter | block-compiled |
-//!                     auto); never changes results, only simulation speed
 //! --substrate S       fetch/issue substrate (vliw4 | scalar); same
 //!                     architectural results, different cycle counts
 //! ```
@@ -44,7 +42,6 @@
 //!                     RVLIW_CACHE_DIR); results are bit-identical to an
 //!                     uncached run, a summary line reports hits/misses
 //! --no-cache          ignore --cache-dir / RVLIW_CACHE_DIR for this run
-//! --backend B         execution backend for every simulated scenario
 //! --substrate S       force one fetch/issue substrate (vliw4 | scalar) on
 //!                     every sweep axis, overriding the spec's `substrate`
 //!                     arrays; cross-substrate specs report per-scenario
@@ -78,7 +75,6 @@
 //! --cache-dir DIR     memoize scenario evaluations in DIR (also:
 //!                     RVLIW_CACHE_DIR); hits never change the trajectory
 //! --no-cache          ignore --cache-dir / RVLIW_CACHE_DIR for this run
-//! --backend B         execution backend for every evaluated scenario
 //! --journal FILE      append every evaluation outcome to FILE (JSONL)
 //! --resume FILE       replay completed evaluations from a journal
 //! --max-retries N     retry transient evaluation failures up to N times
@@ -114,20 +110,19 @@ use rvliw::exp::{
 use rvliw::fault::{FaultPlan, FaultProfile};
 use rvliw::isa::{Bundle, Gpr, MachineConfig, Substrate};
 use rvliw::mem::MemConfig;
-use rvliw::sim::ExecBackend;
-use rvliw::trace::{ChromeTracer, CountingTracer, Json, TeeTracer};
+use rvliw::trace::{ChromeTracer, CountingTracer, Json, NullTracer, TeeTracer, Tracer};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rvliw <asm|run|trace> <file.s> [rN=value ...] \
          [--trace FILE] [--metrics-out FILE]\n       \
-         [--fault-profile PROFILE] [--fault-seed N] [--backend B] [--substrate S]\n       \
+         [--fault-profile PROFILE] [--fault-seed N] [--substrate S]\n       \
          rvliw sweep <spec.json | --spec FILE> [--threads N] [--frames N] [--out FILE]\n       \
-         [--pareto] [--pareto-out FILE] [--cache-dir DIR] [--no-cache] [--backend B]\n       \
+         [--pareto] [--pareto-out FILE] [--cache-dir DIR] [--no-cache]\n       \
          [--substrate S] [--journal FILE] [--resume FILE] [--max-retries N]\n       \
          [--timeout-secs N] [--metrics-out FILE]\n       \
          rvliw explore <spec.json | --spec FILE> [--seed N] [--threads N] [--frames N]\n       \
-         [--out FILE] [--cache-dir DIR] [--no-cache] [--backend B] [--journal FILE]\n       \
+         [--out FILE] [--cache-dir DIR] [--no-cache] [--journal FILE]\n       \
          [--resume FILE] [--max-retries N] [--timeout-secs N] [--metrics-out FILE]\n       \
          rvliw cache <stats|clear|verify> [--cache-dir DIR] [--json] [--sample N] [--threads N]\n       \
          rvliw arch"
@@ -142,7 +137,9 @@ fn load(path: &str) -> Result<Code, String> {
     schedule_st200(&program).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parses `rN=value` argument overrides.
+/// Parses `rN=value` argument overrides. A value is decimal (negative
+/// values wrap to their two's-complement bit pattern) or `0x` hex, and
+/// must fit a 32-bit register: `i32::MIN..=u32::MAX`.
 fn parse_regs(args: &[String]) -> Result<Vec<(Gpr, u32)>, String> {
     let mut out = Vec::new();
     for a in args {
@@ -153,7 +150,15 @@ fn parse_regs(args: &[String]) -> Result<Vec<(Gpr, u32)>, String> {
         let val = if let Some(hex) = val.strip_prefix("0x") {
             u32::from_str_radix(hex, 16).map_err(|e| format!("`{a}`: {e}"))?
         } else {
-            val.parse::<i64>().map_err(|e| format!("`{a}`: {e}"))? as u32
+            let v = val.parse::<i64>().map_err(|e| format!("`{a}`: {e}"))?;
+            if v < i64::from(i32::MIN) || v > i64::from(u32::MAX) {
+                return Err(format!(
+                    "`{a}`: {v} does not fit a 32-bit register (want {}..={})",
+                    i32::MIN,
+                    u32::MAX
+                ));
+            }
+            v as u32
         };
         out.push((reg, val));
     }
@@ -168,49 +173,20 @@ fn print_bundle(cycle: u64, pc: usize, bundle: &Bundle) {
 
 fn execute(path: &str, rest: &[String], trace: bool) -> Result<(), String> {
     let mut regs: Vec<String> = Vec::new();
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
+    let mut trace_out: Option<&str> = None;
+    let mut metrics_out: Option<&str> = None;
     let mut fault_seed = 0u64;
     let mut fault_profile = FaultProfile::None;
     let mut substrate = Substrate::Vliw4;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => {
-                trace_out = Some(it.next().ok_or("--trace needs an output file")?.clone());
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    it.next()
-                        .ok_or("--metrics-out needs an output file")?
-                        .clone(),
-                );
-            }
-            "--fault-seed" => {
-                fault_seed = it
-                    .next()
-                    .ok_or("--fault-seed needs an integer")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("--fault-seed: {e}"))?;
-            }
-            "--fault-profile" => {
-                fault_profile = it
-                    .next()
-                    .ok_or("--fault-profile needs a profile name")?
-                    .parse::<FaultProfile>()?;
-            }
-            "--backend" => {
-                it.next()
-                    .ok_or("--backend needs a backend name")?
-                    .parse::<ExecBackend>()?
-                    .set_process_default();
-            }
-            "--substrate" => {
-                substrate = it
-                    .next()
-                    .ok_or("--substrate needs a substrate name")?
-                    .parse::<Substrate>()?;
-            }
+        let arg = a.as_str();
+        match arg {
+            "--trace" => trace_out = Some(flag_value(arg, &mut it)?),
+            "--metrics-out" => metrics_out = Some(flag_value(arg, &mut it)?),
+            "--fault-seed" => fault_seed = flag_parse(arg, &mut it)?,
+            "--fault-profile" => fault_profile = flag_parse(arg, &mut it)?,
+            "--substrate" => substrate = flag_parse(arg, &mut it)?,
             _ => regs.push(a.clone()),
         }
     }
@@ -225,30 +201,32 @@ fn execute(path: &str, rest: &[String], trace: bool) -> Result<(), String> {
         m.set_gpr(r, v);
     }
     let before: Vec<u32> = (0..64).map(|i| m.gpr(Gpr::new(i))).collect();
-    let mut chrome = trace_out.as_ref().map(|_| ChromeTracer::new());
-    let mut counting = metrics_out.as_ref().map(|_| CountingTracer::new());
-    let summary = match (chrome.as_mut(), counting.as_mut()) {
-        (None, None) if trace => m.run_traced(&code, print_bundle),
-        (None, None) => m.run(&code),
-        (Some(c), None) if trace => m.run_traced_with_tracer(&code, print_bundle, c),
-        (Some(c), None) => m.run_with_tracer(&code, c),
-        (None, Some(k)) if trace => m.run_traced_with_tracer(&code, print_bundle, k),
-        (None, Some(k)) => m.run_with_tracer(&code, k),
+    let mut chrome = trace_out.map(|_| ChromeTracer::new());
+    let mut counting = metrics_out.map(|_| CountingTracer::new());
+    // One event sink for the run. Without `--trace`/`--metrics-out` it is
+    // the `NullTracer`, which lets the simulator keep its block engine.
+    let mut null = NullTracer;
+    let mut tee;
+    let tracer: &mut dyn Tracer = match (chrome.as_mut(), counting.as_mut()) {
         (Some(c), Some(k)) => {
-            let mut tee = TeeTracer::new(c, k);
-            if trace {
-                m.run_traced_with_tracer(&code, print_bundle, &mut tee)
-            } else {
-                m.run_with_tracer(&code, &mut tee)
-            }
+            tee = TeeTracer::new(c, k);
+            &mut tee
         }
+        (Some(c), None) => c,
+        (None, Some(k)) => k,
+        (None, None) => &mut null,
+    };
+    let summary = if trace {
+        m.run_traced_with_tracer(&code, print_bundle, tracer)
+    } else {
+        m.run_with_tracer(&code, tracer)
     }
     .map_err(|e| format!("execution failed: {e}"))?;
-    if let (Some(path), Some(c)) = (&trace_out, &chrome) {
+    if let (Some(path), Some(c)) = (trace_out, &chrome) {
         std::fs::write(path, c.to_json()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote Chrome trace ({} events) to {path}", c.len());
     }
-    if let (Some(path), Some(k)) = (&metrics_out, &counting) {
+    if let (Some(path), Some(k)) = (metrics_out, &counting) {
         std::fs::write(path, k.to_metrics_json()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote metrics to {path}");
     }
@@ -477,21 +455,17 @@ fn run_cache(cmd: &str, rest: &[String]) -> Result<(), String> {
     let mut json = false;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--cache-dir" => {
-                dir = Some(it.next().ok_or("--cache-dir needs a directory")?.into());
-            }
+        let arg = a.as_str();
+        match arg {
+            "--cache-dir" => dir = Some(flag_value(arg, &mut it)?.into()),
             "--json" => json = true,
-            "--sample" => {
-                let v = it.next().ok_or("--sample needs a positive integer")?;
-                sample = v.parse().map_err(|e| format!("--sample: {e}"))?;
-                if sample == 0 {
-                    return Err("--sample: 0 checks nothing; want a positive integer".into());
-                }
-            }
+            "--sample" => match flag_parse(arg, &mut it)? {
+                0 => return Err(format!("{arg}: 0 checks nothing; want a positive integer")),
+                n => sample = n,
+            },
             "--threads" => {
-                let v = it.next().ok_or("--threads needs an integer (0 = auto)")?;
-                threads = rvliw::exp::parse_threads(v).map_err(|e| format!("--threads: {e}"))?;
+                threads = rvliw::exp::parse_threads(flag_value(arg, &mut it)?)
+                    .map_err(|e| format!("{arg}: {e}"))?;
             }
             other => return Err(format!("unknown cache argument `{other}`")),
         }

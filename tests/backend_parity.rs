@@ -1,6 +1,7 @@
 //! Differential tests between the two execution backends: the pre-decoded
-//! interpreter and the block-compiled micro-trace engine must be
-//! observationally indistinguishable. Randomly generated kernel programs
+//! interpreter (pinned with `ExecBackend::Interpreter`) and the
+//! block-compiled micro-trace engine (what `ExecBackend::Auto` picks for
+//! an observation-free run) must be observationally indistinguishable. Randomly generated kernel programs
 //! run through both and every observable — the `Result<RunSummary,
 //! SimError>`, the final register file, branch registers and cycle
 //! counter — must match bit for bit, cold and warm. The fallback paths
@@ -23,7 +24,7 @@ fn observe(
 ) -> Vec<(Result<RunSummary, SimError>, Vec<u32>, Vec<bool>, u64)> {
     let mut m = Machine::st200();
     m.backend = backend;
-    (0..2)
+    let observed = (0..2)
         .map(|_| {
             let r = m.run(code);
             let gprs = (0..rvliw_isa::NUM_GPRS as u8)
@@ -34,12 +35,21 @@ fn observe(
                 .collect();
             (r, gprs, brs, m.cycle())
         })
-        .collect()
+        .collect();
+    if backend == ExecBackend::Auto {
+        // Otherwise the comparison would pit the interpreter against itself.
+        assert_eq!(
+            m.backend_stats().block_runs,
+            2,
+            "Auto skipped the block engine"
+        );
+    }
+    observed
 }
 
 fn assert_backends_agree(code: &Code, label: &str) {
     let interp = observe(code, ExecBackend::Interpreter);
-    let block = observe(code, ExecBackend::BlockCompiled);
+    let block = observe(code, ExecBackend::Auto);
     for (pass, (i, b)) in interp.iter().zip(&block).enumerate() {
         assert_eq!(i, b, "{label}: backends diverge on pass {pass}");
     }
@@ -156,7 +166,7 @@ fn backends_agree_on_program_error_paths() {
     b.halt();
     let code = schedule_st200(&b.build()).expect("schedules");
     let interp = observe(&code, ExecBackend::Interpreter);
-    let block = observe(&code, ExecBackend::BlockCompiled);
+    let block = observe(&code, ExecBackend::Auto);
     assert!(
         matches!(interp[0].0, Err(SimError::Mem(_))),
         "expected a memory error, got {:?}",
@@ -192,7 +202,7 @@ fn mid_run_fallback_matches_interpreter() {
     let code = build(target as i32);
 
     let mut block = Machine::st200();
-    block.backend = ExecBackend::BlockCompiled;
+    block.backend = ExecBackend::Auto;
     let rb = block.run(&code).expect("block run succeeds");
     assert_eq!(
         block.backend_stats().fallbacks,
@@ -243,7 +253,7 @@ fn attached_tracer_forces_the_interpreter_and_matches() {
     let code = build_program(&body, 2, Some(1));
 
     let mut traced = Machine::st200();
-    traced.backend = ExecBackend::BlockCompiled;
+    traced.backend = ExecBackend::Auto;
     let mut t = CountingTracer::new();
     let rt = traced
         .run_with_tracer(&code, &mut t)
@@ -255,7 +265,7 @@ fn attached_tracer_forces_the_interpreter_and_matches() {
     );
 
     let mut plain = Machine::st200();
-    plain.backend = ExecBackend::BlockCompiled;
+    plain.backend = ExecBackend::Auto;
     let rp = plain.run(&code).expect("plain run completes");
     assert_eq!(rt, rp, "tracing perturbed the simulation");
     assert_eq!(t.bundles, rt.stats.bundles, "tracer bundle count");

@@ -2,7 +2,8 @@
 //! share: bad input is an error naming the flag — never a panic, a silent
 //! default or an ignored argument — and every run flag reaches the
 //! workload, cache and supervision it configures. The `rvliw cache`
-//! arguments are held to the same rule.
+//! arguments and the `rvliw run` register overrides are held to the same
+//! rule.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -24,7 +25,7 @@ fn parse(line: &str) -> Result<RunFlags, String> {
             "--write" => {}
             "--check" => drop(flag_value(arg, it)?),
             "--fault-seed" => drop(flag_parse::<u64>(arg, it)?),
-            "--baseline-cps" => drop(flag_parse::<f64>(arg, it)?),
+            "--min-cycles-per-sec-ratio" => drop(flag_parse::<f64>(arg, it)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -42,10 +43,13 @@ fn bad_flags_are_errors_naming_the_flag() {
         ("--threads many", "--threads"),
         ("--max-retries -1", "--max-retries"),
         ("--timeout-secs 0", "--timeout-secs"),
-        ("--backend warp", "--backend"),
+        ("--backend auto", "--backend"),
         ("--cache-dir", "--cache-dir"),
         ("--fault-seed", "--fault-seed"),
-        ("--baseline-cps abc", "--baseline-cps"),
+        (
+            "--min-cycles-per-sec-ratio abc",
+            "--min-cycles-per-sec-ratio",
+        ),
         ("--check", "--check"),
     ] {
         match parse(line) {
@@ -63,9 +67,9 @@ fn every_run_flag_is_accepted_and_applied() {
     let dir = tmpdir("all");
     let journal = dir.join("run.jsonl");
     let line = format!(
-        "--write --threads 3 --frames 2 --cache-dir {} --no-cache --backend auto \
+        "--write --threads 3 --frames 2 --cache-dir {} --no-cache \
          --journal {j} --resume {j} --max-retries 2 --timeout-secs 9 \
-         --fault-seed 7 --baseline-cps 1.5 --check BENCH_tables.json",
+         --fault-seed 7 --min-cycles-per-sec-ratio 0.8 --check BENCH_tables.json",
         dir.display(),
         j = journal.display()
     );
@@ -118,5 +122,46 @@ fn cache_verify_rejects_a_zero_sample() {
         "{}",
         String::from_utf8_lossy(&one.stderr)
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `rvliw run` register overrides must fit a 32-bit register: decimal
+/// values in `i32::MIN..=u32::MAX` are accepted (negative ones as their
+/// two's-complement bits), anything wider is an error naming the override
+/// instead of a silently truncated register.
+#[test]
+fn run_rejects_register_overrides_wider_than_32_bits() {
+    let dir = tmpdir("regs");
+    let program = dir.join("inc.s");
+    std::fs::write(&program, "    add $r2 = $r1, 1\n    halt\n").unwrap();
+    let run = |value: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_rvliw"))
+            .arg("run")
+            .arg(&program)
+            .arg(format!("r1={value}"))
+            .output()
+            .unwrap()
+    };
+    for bad in ["4294967296", "99999999999999", "-2147483649"] {
+        let out = run(bad);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "r1={bad}: {stderr}");
+        assert!(stderr.contains(&format!("r1={bad}")), "r1={bad}: {stderr}");
+        assert!(out.stdout.is_empty(), "r1={bad} must not run");
+    }
+    for (good, r2) in [
+        ("4294967294", "= 4294967295 (0xffffffff)"),
+        ("-2147483648", "= 2147483649 (0x80000001)"),
+        ("41", "= 42 (0x2a)"),
+    ] {
+        let out = run(good);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "r1={good}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains(r2), "r1={good}: {stdout}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
