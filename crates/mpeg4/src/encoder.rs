@@ -8,7 +8,7 @@
 use crate::bitstream::BitWriter;
 use crate::dct::{fdct, idct};
 use crate::mc::{chroma_mv, predict_mb, reconstruct_mb};
-use crate::me::{MbMotion, MotionSearch, SadCall};
+use crate::me::{MotionSearch, SadCall, SearchScratch};
 use crate::psnr::psnr;
 use crate::quant::{dequant_inter, dequant_intra, quant_inter, quant_intra};
 use crate::rlc::write_block;
@@ -52,7 +52,8 @@ pub struct MbTrace {
     pub mby: usize,
     /// The chosen vector.
     pub mv: Mv,
-    /// Every `GetSad` call the search made.
+    /// Every `GetSad` call the search made (empty in an
+    /// [`Encoder::encode_untraced`] report).
     pub calls: Vec<SadCall>,
 }
 
@@ -158,7 +159,20 @@ impl Encoder {
     /// Panics on an empty input.
     #[must_use]
     pub fn encode(&self, frames: &[Frame]) -> EncodeReport {
-        self.encode_with_streams(frames).0
+        self.encode_all(frames, true).0
+    }
+
+    /// Encodes a sequence like [`Encoder::encode`] without recording the
+    /// `GetSad` trace: every [`MbTrace::calls`] is empty, while the chosen
+    /// vectors, reconstructions, bits and PSNRs are the same. For a
+    /// reference encode that is only compared against, never replayed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty input.
+    #[must_use]
+    pub fn encode_untraced(&self, frames: &[Frame]) -> EncodeReport {
+        self.encode_all(frames, false).0
     }
 
     /// Encodes a sequence and also returns the per-frame byte streams
@@ -169,7 +183,14 @@ impl Encoder {
     /// Panics on an empty input.
     #[must_use]
     pub fn encode_with_streams(&self, frames: &[Frame]) -> (EncodeReport, Vec<Vec<u8>>) {
+        self.encode_all(frames, true)
+    }
+
+    /// The encode loop behind every entry point; records the `GetSad`
+    /// trace iff `record`.
+    fn encode_all(&self, frames: &[Frame], record: bool) -> (EncodeReport, Vec<Vec<u8>>) {
         assert!(!frames.is_empty(), "cannot encode an empty sequence");
+        let mut scratch = SearchScratch::new(record);
         let mut reports = Vec::with_capacity(frames.len());
         let mut recon: Vec<Frame> = Vec::with_capacity(frames.len());
         let mut streams = Vec::with_capacity(frames.len());
@@ -180,7 +201,7 @@ impl Encoder {
                 (rep, bytes)
             } else {
                 let prev = &recon[t - 1];
-                let (rec, rep, bytes) = self.encode_inter(frame, prev);
+                let (rec, rep, bytes) = self.encode_inter(frame, prev, &mut scratch);
                 recon.push(rec);
                 (rep, bytes)
             };
@@ -231,7 +252,12 @@ impl Encoder {
         )
     }
 
-    fn encode_inter(&self, frame: &Frame, prev: &Frame) -> (Frame, FrameReport, Vec<u8>) {
+    fn encode_inter(
+        &self,
+        frame: &Frame,
+        prev: &Frame,
+        scratch: &mut SearchScratch,
+    ) -> (Frame, FrameReport, Vec<u8>) {
         let q = self.config.q;
         let mbs_x = frame.y.mbs_x();
         let mbs_y = frame.y.mbs_y();
@@ -242,16 +268,16 @@ impl Encoder {
         for mby in 0..mbs_y {
             for mbx in 0..mbs_x {
                 let pred_mv = median_predictor(&mvs, mbs_x, mbx, mby);
-                let m: MbMotion = self
+                let (mv, _) = self
                     .config
                     .search
-                    .search_mb(&frame.y, &prev.y, mbx, mby, pred_mv);
-                mvs[mby * mbs_x + mbx] = m.mv;
+                    .search_mb_in(scratch, &frame.y, &prev.y, mbx, mby, pred_mv);
+                mvs[mby * mbs_x + mbx] = mv;
                 // Differential MV coding against the median predictor.
-                w.put_se(i32::from(m.mv.x) - i32::from(pred_mv.x));
-                w.put_se(i32::from(m.mv.y) - i32::from(pred_mv.y));
+                w.put_se(i32::from(mv.x) - i32::from(pred_mv.x));
+                w.put_se(i32::from(mv.y) - i32::from(pred_mv.y));
                 // Luma prediction + residual coding.
-                let pred = predict_mb(&prev.y, mbx, mby, m.mv);
+                let pred = predict_mb(&prev.y, mbx, mby, mv);
                 let mut residual16 = [0i32; MB * MB];
                 for y in 0..MB {
                     for x in 0..MB {
@@ -279,18 +305,20 @@ impl Encoder {
                 }
                 reconstruct_mb(&mut rec.y, mbx, mby, &pred, &rec_res16);
                 // Chroma: one 8×8 block per component.
-                let cmv = chroma_mv(m.mv);
+                let cmv = chroma_mv(mv);
                 for (src, prev_p, dst) in [
                     (&frame.u, &prev.u, &mut rec.u),
                     (&frame.v, &prev.v, &mut rec.v),
                 ] {
                     code_chroma_block(&mut w, src, prev_p, dst, mbx, mby, cmv, q);
                 }
+                // An exact-capacity copy: the scratch buffer keeps its
+                // capacity for the next macroblock.
                 motion.push(MbTrace {
                     mbx,
                     mby,
-                    mv: m.mv,
-                    calls: m.calls,
+                    mv,
+                    calls: scratch.calls.clone(),
                 });
             }
         }

@@ -14,8 +14,6 @@
 //! diagonal share to a few percent), along with three-step and spiral
 //! searches for the search ablation (`specs/ablation_search.json`).
 
-use std::collections::HashSet;
-
 use crate::sad::{candidate_fits, get_sad_approx, interp_mode_of, ApproxSad, InterpKind};
 use crate::types::{Mv, Plane};
 use crate::MB;
@@ -100,6 +98,117 @@ impl Default for MotionSearch {
     }
 }
 
+/// The motion vectors one macroblock search has evaluated, exactly: an
+/// open-addressing table of packed `(x, y)` keys whose slots count only
+/// when stamped with the current search's epoch. Starting the next
+/// macroblock is one increment instead of a clear or an allocation, so one
+/// set serves a whole encode.
+///
+/// ```
+/// use mpeg4_enc::me::VisitedSet;
+/// use mpeg4_enc::types::Mv;
+///
+/// let mut set = VisitedSet::default();
+/// assert!(set.insert(Mv::new(3, -2)));
+/// assert!(!set.insert(Mv::new(3, -2))); // already evaluated
+/// set.clear(); // the next macroblock
+/// assert!(set.insert(Mv::new(3, -2)));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct VisitedSet {
+    /// `(epoch stamp, packed key)` per slot; a power-of-two count.
+    slots: Vec<(u32, u32)>,
+    /// The live stamp. A never-used slot has stamp 0, so `epoch` is 0
+    /// only until the first table is allocated.
+    epoch: u32,
+    /// Keys stamped with `epoch`.
+    len: usize,
+}
+
+impl VisitedSet {
+    /// Slots of a fresh table: a range-8 full search plus refinement (297
+    /// keys) stays under a 1/2 load factor, so the golden encode never
+    /// grows it.
+    const MIN_SLOTS: usize = 1024;
+
+    /// Forgets every key.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
+
+    /// Inserts `mv`; returns whether it was absent.
+    pub fn insert(&mut self, mv: Mv) -> bool {
+        let key = (u32::from(mv.x as u16) << 16) | u32::from(mv.y as u16);
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let (stamp, k) = self.slots[i];
+            if stamp != self.epoch {
+                self.slots[i] = (self.epoch, key);
+                self.len += 1;
+                return true;
+            }
+            if k == key {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The first slot probed for `key`: Fibonacci hashing, the top bits of
+    /// a multiplicative hash.
+    fn home(&self, key: u32) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (key.wrapping_mul(0x9e37_79b9) >> (32 - bits)) as usize
+    }
+
+    /// Doubles the table (or allocates the first one), keeping the live keys.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); size]);
+        self.epoch = self.epoch.max(1);
+        let mask = size - 1;
+        for (stamp, key) in old {
+            if stamp == self.epoch {
+                let mut i = self.home(key);
+                while self.slots[i].0 == self.epoch {
+                    i = (i + 1) & mask;
+                }
+                self.slots[i] = (stamp, key);
+            }
+        }
+    }
+}
+
+/// What a motion search reuses from one macroblock to the next: the
+/// visited set and the trace buffer, plus whether a trace is recorded at
+/// all (the golden reference encode records none).
+#[derive(Debug, Default)]
+pub(crate) struct SearchScratch {
+    visited: VisitedSet,
+    /// The last search's `GetSad` calls, in order (empty unless `record`).
+    pub(crate) calls: Vec<SadCall>,
+    record: bool,
+}
+
+impl SearchScratch {
+    /// Scratch for searches that record their trace iff `record`.
+    pub(crate) fn new(record: bool) -> Self {
+        SearchScratch {
+            record,
+            ..SearchScratch::default()
+        }
+    }
+}
+
 /// Search bookkeeping: dedupes candidates and records the trace.
 struct SearchCtx<'a> {
     cur: &'a Plane,
@@ -107,21 +216,28 @@ struct SearchCtx<'a> {
     rx: usize,
     ry: usize,
     approx: ApproxSad,
-    visited: HashSet<(i32, i32)>,
-    calls: Vec<SadCall>,
+    scratch: &'a mut SearchScratch,
     best: (Mv, u32),
 }
 
 impl<'a> SearchCtx<'a> {
-    fn new(cur: &'a Plane, prev: &'a Plane, mbx: usize, mby: usize, approx: ApproxSad) -> Self {
+    fn new(
+        scratch: &'a mut SearchScratch,
+        cur: &'a Plane,
+        prev: &'a Plane,
+        mbx: usize,
+        mby: usize,
+        approx: ApproxSad,
+    ) -> Self {
+        scratch.visited.clear();
+        scratch.calls.clear();
         SearchCtx {
             cur,
             prev,
             rx: mbx * MB,
             ry: mby * MB,
             approx,
-            visited: HashSet::new(),
-            calls: Vec::new(),
+            scratch,
             best: (Mv::default(), u32::MAX),
         }
     }
@@ -129,8 +245,7 @@ impl<'a> SearchCtx<'a> {
     /// Evaluates the candidate at motion vector `mv` (half-sample units);
     /// returns its SAD, or `None` when out of frame or already visited.
     fn try_mv(&mut self, mv: Mv) -> Option<u32> {
-        let key = (i32::from(mv.x), i32::from(mv.y));
-        if !self.visited.insert(key) {
+        if !self.scratch.visited.insert(mv) {
             return None;
         }
         let kind = interp_mode_of(mv);
@@ -151,7 +266,9 @@ impl<'a> SearchCtx<'a> {
             kind,
             self.approx,
         );
-        self.calls.push(SadCall { cx, cy, kind, sad });
+        if self.scratch.record {
+            self.scratch.calls.push(SadCall { cx, cy, kind, sad });
+        }
         if sad < self.best.1 {
             self.best = (mv, sad);
         }
@@ -176,8 +293,29 @@ impl MotionSearch {
         mby: usize,
         pred: Mv,
     ) -> MbMotion {
+        let mut scratch = SearchScratch::new(true);
+        let (mv, best_sad) = self.search_mb_in(&mut scratch, cur, prev, mbx, mby, pred);
+        MbMotion {
+            mv,
+            best_sad,
+            calls: scratch.calls,
+        }
+    }
+
+    /// [`MotionSearch::search_mb`] on reused scratch: returns the best
+    /// vector and its SAD and leaves the trace in `scratch.calls` (empty
+    /// when the scratch does not record).
+    pub(crate) fn search_mb_in(
+        &self,
+        scratch: &mut SearchScratch,
+        cur: &Plane,
+        prev: &Plane,
+        mbx: usize,
+        mby: usize,
+        pred: Mv,
+    ) -> (Mv, u32) {
         assert!(mbx < cur.mbs_x() && mby < cur.mbs_y(), "MB out of frame");
-        let mut ctx = SearchCtx::new(cur, prev, mbx, mby, self.approx);
+        let mut ctx = SearchCtx::new(scratch, cur, prev, mbx, mby, self.approx);
         // Every strategy evaluates the zero vector and the prediction.
         let _ = ctx.try_mv(Mv::default());
         let (px, py) = pred.int_part();
@@ -199,12 +337,7 @@ impl MotionSearch {
         if self.half_sample {
             self.refine_half(&mut ctx);
         }
-        let (mv, best_sad) = ctx.best;
-        MbMotion {
-            mv,
-            best_sad,
-            calls: ctx.calls,
-        }
+        ctx.best
     }
 
     fn full(&self, ctx: &mut SearchCtx<'_>, range: i16) {
@@ -436,11 +569,43 @@ mod tests {
     }
 
     #[test]
+    fn visited_set_is_exact_across_growth_and_epoch_wrap() {
+        let mut set = VisitedSet::default();
+        let mut reference = std::collections::HashSet::new();
+        // Enough keys to grow the table twice, including negative and
+        // extreme components.
+        let mvs: Vec<Mv> = (-40i16..40)
+            .flat_map(|y| (-20i16..20).map(move |x| Mv::new(x * 3, y * 5)))
+            .chain([Mv::new(i16::MIN, i16::MAX), Mv::new(i16::MAX, i16::MIN)])
+            .collect();
+        for pass in 0..2 {
+            for &mv in mvs.iter().chain(&mvs) {
+                assert_eq!(set.insert(mv), reference.insert(mv), "pass {pass}: {mv:?}");
+            }
+            set.clear();
+            reference.clear();
+        }
+        // The stamp wraps to 0 after u32::MAX searches: every slot is reset,
+        // so a key stamped 1 long ago does not come back to life.
+        let mut set = VisitedSet::default();
+        assert!(set.insert(Mv::new(2, 2)));
+        assert_eq!(set.epoch, 1);
+        set.epoch = u32::MAX;
+        set.len = 0;
+        assert!(set.insert(Mv::new(4, 4)));
+        set.clear();
+        assert_eq!(set.epoch, 1);
+        assert!(set.insert(Mv::new(2, 2)), "a stale key survived the wrap");
+        assert!(set.insert(Mv::new(4, 4)), "a key survived the wrap");
+        assert!(!set.insert(Mv::new(2, 2)));
+    }
+
+    #[test]
     fn trace_has_no_duplicate_candidates() {
         let (cur, prev) = shifted_pair(2, 2);
         let ms = MotionSearch::default();
         let m = ms.search_mb(&cur, &prev, 1, 1, Mv::default());
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for c in &m.calls {
             assert!(seen.insert((c.cx, c.cy, c.kind)), "duplicate {c:?}");
         }

@@ -128,11 +128,15 @@ impl SyntheticSequence {
     ) -> Frame {
         let mut frame = Frame::new(self.width, self.height);
         let mut luma = Plane::new(self.width, self.height);
+        // The background's separable factors, once per column and per row.
+        let cols: Vec<Column> = (0..self.width)
+            .map(|x| Column::new(x as f64 + pan_x))
+            .collect();
         for y in 0..self.height {
-            for x in 0..self.width {
-                let wx = x as f64 + pan_x;
-                let wy = y as f64 + pan_y;
-                let mut v = background(wx, wy);
+            let row = Row::new(y as f64 + pan_y);
+            for (x, col) in cols.iter().enumerate() {
+                let (wx, wy) = (col.wx, row.wy);
+                let mut v = background(col, &row);
                 for o in objects {
                     if (wx - o.x - pan_x).abs() < o.w * 0.5 && (wy - o.y - pan_y).abs() < o.h * 0.5
                     {
@@ -151,13 +155,20 @@ impl SyntheticSequence {
         }
         frame.y = luma;
         // Chroma: smooth gradients that follow the pan (little detail, as
-        // in natural video).
-        for y in 0..self.height / 2 {
-            for x in 0..self.width / 2 {
+        // in natural video). Both are separable: per-column and per-row
+        // terms.
+        let ccols: Vec<(f64, f64)> = (0..self.width / 2)
+            .map(|x| {
                 let wx = x as f64 * 2.0 + pan_x;
-                let wy = y as f64 * 2.0 + pan_y;
-                let u = 128.0 + 24.0 * ((wx * 0.011).sin() + (wy * 0.017).cos());
-                let v = 128.0 + 24.0 * ((wx * 0.013).cos() - (wy * 0.009).sin());
+                ((wx * 0.011).sin(), (wx * 0.013).cos())
+            })
+            .collect();
+        for y in 0..self.height / 2 {
+            let wy = y as f64 * 2.0 + pan_y;
+            let (u_row, v_row) = ((wy * 0.017).cos(), (wy * 0.009).sin());
+            for (x, &(u_col, v_col)) in ccols.iter().enumerate() {
+                let u = 128.0 + 24.0 * (u_col + u_row);
+                let v = 128.0 + 24.0 * (v_col - v_row);
                 frame.u.set(x, y, u.clamp(0.0, 255.0) as u8);
                 frame.v.set(x, y, v.clamp(0.0, 255.0) as u8);
             }
@@ -177,12 +188,57 @@ struct ObjectState {
     phase: f64,
 }
 
-/// Smooth, pan-anchored background luminance.
-fn background(x: f64, y: f64) -> f64 {
+/// The background terms that depend on the world x coordinate only.
+struct Column {
+    wx: f64,
+    sin_041: f64,
+    sin_31: f64,
+}
+
+impl Column {
+    fn new(wx: f64) -> Self {
+        Column {
+            wx,
+            sin_041: (wx * 0.041).sin(),
+            sin_31: (wx * 0.31).sin(),
+        }
+    }
+}
+
+/// The background terms that depend on the world y coordinate only.
+struct Row {
+    wy: f64,
+    cos_035: f64,
+    sin_27: f64,
+}
+
+impl Row {
+    fn new(wy: f64) -> Self {
+        Row {
+            wy,
+            cos_035: (wy * 0.035).cos(),
+            sin_27: (wy * 0.27).sin(),
+        }
+    }
+}
+
+/// Smooth, pan-anchored background luminance at world `(col.wx, row.wy)`:
+/// `120 + 40·sin(0.041x)·cos(0.035y) + 22·sin(0.013x + 0.022y) +
+/// 12·(sin(0.31x)·sin(0.27y))`, evaluated in exactly that association.
+fn background(col: &Column, row: &Row) -> f64 {
     120.0
-        + 40.0 * (x * 0.041).sin() * (y * 0.035).cos()
-        + 22.0 * (x * 0.013 + y * 0.022).sin()
-        + 12.0 * ((x * 0.31).sin() * (y * 0.27).sin())
+        + 40.0 * col.sin_041 * row.cos_035
+        + 22.0 * (col.wx * 0.013 + row.wy * 0.022).sin()
+        + 12.0 * (col.sin_31 * row.sin_27)
+}
+
+/// The background luminance at world coordinates `(wx, wy)`, bit for bit
+/// as a rendered frame evaluates it (before objects and grain). Frames
+/// only show it truncated to 8 bits, where a one-ulp drift from a
+/// reassociated term almost never surfaces; this exposes the exact value.
+#[must_use]
+pub fn background_at(wx: f64, wy: f64) -> f64 {
+    background(&Column::new(wx), &Row::new(wy))
 }
 
 /// Foreground object texture (higher spatial frequency than background).

@@ -121,11 +121,13 @@ impl BackendStats {
     }
 }
 
-/// Process-wide [`BackendStats`] totals across every machine, mirrored on
-/// each counter bump so binaries can report backend telemetry without
-/// threading per-machine state through the (result-shape-frozen) runner
-/// and cache layers. Sums of relaxed atomic adds: thread-count
-/// independent.
+/// Process-wide [`BackendStats`] totals over every finished machine. Each
+/// machine counts into its own [`BackendStats`] and adds them here once,
+/// when it is dropped, so the run path never touches a cache line shared
+/// between worker threads, and binaries can still report backend
+/// telemetry without threading per-machine state through the
+/// (result-shape-frozen) runner and cache layers. Sums of relaxed atomic
+/// adds: thread-count independent.
 static T_BLOCK_RUNS: AtomicU64 = AtomicU64::new(0);
 static T_INTERP_RUNS: AtomicU64 = AtomicU64::new(0);
 static T_FALLBACKS: AtomicU64 = AtomicU64::new(0);
@@ -133,8 +135,12 @@ static T_LOOKUPS: AtomicU64 = AtomicU64::new(0);
 static T_MISSES: AtomicU64 = AtomicU64::new(0);
 static T_BLOCK_CYCLES: AtomicU64 = AtomicU64::new(0);
 
-/// The process-wide backend telemetry totals (see [`BackendStats`]).
-/// Capture once before and once after a region and diff to scope it.
+/// The process-wide backend telemetry totals (see [`BackendStats`]) of
+/// every **finished** machine: a machine's runs are counted when it is
+/// dropped, not as they happen, so a machine still alive contributes
+/// nothing yet. Capture once before and once after a region whose
+/// machines are all dropped inside it (a runner pass builds one machine
+/// per scenario and drops it) and diff to scope it.
 #[must_use]
 pub fn backend_totals() -> BackendStats {
     BackendStats {
@@ -147,24 +153,18 @@ pub fn backend_totals() -> BackendStats {
     }
 }
 
-pub(crate) fn note_block_run(lookup_missed: bool) {
-    T_BLOCK_RUNS.fetch_add(1, Ordering::Relaxed);
-    T_LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    if lookup_missed {
-        T_MISSES.fetch_add(1, Ordering::Relaxed);
+/// Adds a finished machine's telemetry to [`backend_totals`].
+pub(crate) fn add_to_totals(s: &BackendStats) {
+    for (total, n) in [
+        (&T_BLOCK_RUNS, s.block_runs),
+        (&T_INTERP_RUNS, s.interp_runs),
+        (&T_FALLBACKS, s.fallbacks),
+        (&T_LOOKUPS, s.compile_lookups),
+        (&T_MISSES, s.compile_misses),
+        (&T_BLOCK_CYCLES, s.block_cycles),
+    ] {
+        total.fetch_add(n, Ordering::Relaxed);
     }
-}
-
-pub(crate) fn note_interp_run() {
-    T_INTERP_RUNS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_fallback() {
-    T_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_block_cycles(cycles: u64) {
-    T_BLOCK_CYCLES.fetch_add(cycles, Ordering::Relaxed);
 }
 
 /// One operation of a micro-trace, with the operand-shape decisions taken
@@ -678,7 +678,6 @@ impl Agg {
             m.mem.icache.note_repeat_hits(self.icache_hits);
         }
         m.backend_stats.block_cycles += cyc - entry_cyc;
-        note_block_cycles(cyc - entry_cyc);
     }
 }
 

@@ -194,6 +194,14 @@ pub struct Machine {
     pub(crate) icache_resident: (usize, u64),
 }
 
+/// A machine's backend telemetry joins the process-wide totals once, here,
+/// instead of on every run.
+impl Drop for Machine {
+    fn drop(&mut self) {
+        block::add_to_totals(&self.backend_stats);
+    }
+}
+
 impl Machine {
     /// A machine with the paper's default core and memory configuration.
     #[must_use]
@@ -287,8 +295,9 @@ impl Machine {
     }
 
     /// Telemetry of the execution-backend dispatch on this machine (see
-    /// [`BackendStats`]; process-wide totals are at
-    /// [`backend_totals`](crate::backend_totals)).
+    /// [`BackendStats`]; it joins the process-wide
+    /// [`backend_totals`](crate::backend_totals) when the machine is
+    /// dropped).
     #[must_use]
     pub fn backend_stats(&self) -> BackendStats {
         self.backend_stats
@@ -327,19 +336,14 @@ impl Machine {
         self.backend_stats.compile_lookups += 1;
         if self.memo_code_id == code.id() {
             if let Some(b) = &self.memo_blocks {
-                block::note_block_run(false);
                 return Arc::clone(b);
             }
         }
         let key = code.content_key();
         let b = match self.blocks.get(&key) {
-            Some(b) => {
-                block::note_block_run(false);
-                Arc::clone(b)
-            }
+            Some(b) => Arc::clone(b),
             None => {
                 self.backend_stats.compile_misses += 1;
-                block::note_block_run(true);
                 let shift = block::icache_line_shift(&self.mem);
                 let b = Arc::new(CompiledBlocks::compile(code, decoded, shift));
                 self.blocks.insert(key, Arc::clone(&b));
@@ -453,12 +457,10 @@ impl Machine {
                 BlockExit::Fallback(p) => {
                     pc = p;
                     self.backend_stats.fallbacks += 1;
-                    block::note_fallback();
                 }
             }
         } else {
             self.backend_stats.interp_runs += 1;
-            block::note_interp_run();
         }
         // The interpreter proper: the fetch → scoreboard → issue → retire
         // driver, monomorphized per substrate (see [`crate::substrate`]).
