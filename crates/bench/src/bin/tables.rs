@@ -33,7 +33,8 @@
 //! `--check` against a warm cache is the proof. Without the flag the cache
 //! directory comes from `RVLIW_CACHE_DIR` (unset = caching off);
 //! `--no-cache` disables it regardless. A `cache: hits=… misses=…` summary
-//! goes to stderr, and `--metrics-out` gains a top-level `"cache"` object.
+//! goes to stderr, and the `--metrics-out` envelope gains a top-level
+//! `"cache"` object.
 //! `--spec PATH` drives the run from declarative experiment specs instead
 //! of the built-in grid: a single `.json` spec file, or a directory whose
 //! `table*.json` files (the seven checked-in paper tables under `specs/`)
@@ -46,10 +47,16 @@
 //! `"tables"` snapshot of every integer table cell). Host-time
 //! measurement beyond that one throughput figure — per-engine cycles/s,
 //! the block engine's speedup and fallbacks — is `perfbench/`'s job.
-//! `--metrics-out FILE` re-runs every scenario with a counting tracer and
-//! writes per-scenario stall/cache/RFU metrics as JSON; scenarios carrying
-//! speed-vs-quality metrics contribute a top-level `"quality"` object
+//! `--metrics-out FILE` writes the metrics envelope `rvliw sweep` and
+//! `rvliw explore` share (`rvliw_core::RunMetrics`, `"schema": 1`) from
+//! the run that printed the tables, re-simulating nothing: every
+//! successful scenario's measurement under `"scenarios"` (the result
+//! cache's encoding, so it decodes back to the exact `MeResult`), the
+//! `"health"` report that counts the failed ones, and a top-level
+//! `"quality"` object when any scenario carries speed-vs-quality metrics
 //! (never the exact paper grid, so golden artifacts stay byte-stable).
+//! Per-PC stall histograms come from `rvliw run --metrics-out`, where the
+//! PCs belong to one program.
 //! `--trace FILE` captures a Chrome `trace_event` JSON (Perfetto-loadable)
 //! of the ORIG scenario.
 //!
@@ -89,23 +96,23 @@
 //! `--max-retries N` retries transient failures with deterministically
 //! reseeded fault substreams; `--timeout-secs S` arms a wall-clock
 //! watchdog per scenario attempt. Supervised runs print a `health: …`
-//! summary line and `--metrics-out` gains a top-level `"health"` object.
+//! summary line; the `--metrics-out` envelope carries the `"health"`
+//! object on every run.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mpeg4_enc::QualityMetrics;
 use rvliw_bench::{paper, splice_generated};
 use rvliw_core::{
-    arch, flag_parse, flag_value, grid_from_specs, run_me_with_tracer, run_summary, CaseStudy,
-    ExperimentSpec, HealthReport, RunFlags, Scenario, ScenarioCache, SupervisorConfig,
-    TablesSnapshot,
+    arch, flag_parse, flag_value, grid_from_specs, quality_json, run_me_with_tracer, run_summary,
+    CaseStudy, ExperimentSpec, HealthReport, RunFlags, RunMetrics, Scenario, ScenarioCache,
+    SupervisorConfig, TablesSnapshot,
 };
 use rvliw_fault::{FaultPlan, FaultProfile};
 use rvliw_isa::{MachineConfig, Substrate};
 use rvliw_mem::MemConfig;
-use rvliw_trace::{ChromeTracer, CountingTracer, Json};
+use rvliw_trace::{ChromeTracer, Json};
 
 /// Writes one CSV per table (machine-readable series for plotting).
 fn write_csvs(dir: &str, cs: &CaseStudy) -> std::io::Result<()> {
@@ -289,43 +296,6 @@ fn case_grid(
             })
             .collect()),
     }
-}
-
-/// `v` as a JSON number with `decimals` decimals, or `null` when it is not
-/// finite (a workload without `GetSad` calls simulates zero cycles).
-fn json_f64(v: f64, decimals: usize) -> String {
-    if v.is_finite() {
-        format!("{v:.decimals$}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// The `"quality"` JSON object: per-scenario speed-vs-quality metrics.
-/// Only scenarios carrying a quality block contribute — the exact paper
-/// grid never does, which keeps the golden bench envelope byte-stable.
-fn quality_json(items: &[(String, QualityMetrics)]) -> String {
-    let mut s = String::from("{\n");
-    for (i, (label, q)) in items.iter().enumerate() {
-        let comma = if i + 1 == items.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    \"{label}\": {{\"sad_inflation\": {}, \"psnr_delta_db\": {}}}{comma}",
-            json_f64(q.sad_inflation, 6),
-            json_f64(q.psnr_delta_db, 6)
-        );
-    }
-    s.push_str("  }");
-    s
-}
-
-/// The per-scenario quality blocks of every successful result, in run
-/// order (empty for exact full-quality grids).
-fn collect_quality(cs: &CaseStudy) -> Vec<(String, QualityMetrics)> {
-    cs.results()
-        .filter_map(|r| r.as_ref().ok())
-        .filter_map(|r| r.quality.map(|q| (r.label.clone(), q)))
-        .collect()
 }
 
 /// Prints the shared run summary (cache traffic + supervision health)
@@ -815,9 +785,8 @@ fn main() -> ExitCode {
         let _ = writeln!(json, "  \"total_wall_s\": {total_wall_s:.3},");
         let _ = writeln!(json, "  \"simulated_cycles\": {simulated_cycles},");
         let _ = writeln!(json, "  \"cycles_per_sec\": {cycles_per_sec:.0},");
-        let quality = collect_quality(&cs);
-        if !quality.is_empty() {
-            let _ = writeln!(json, "  \"quality\": {},", quality_json(&quality));
+        if let Some(q) = quality_json(cs.results().filter_map(|r| r.as_ref().ok())) {
+            let _ = writeln!(json, "  \"quality\": {q},");
         }
         let _ = writeln!(
             json,
@@ -839,48 +808,19 @@ fn main() -> ExitCode {
         eprintln!("wrote table CSVs to {dir}");
     }
     if let Some(path) = metrics_path {
-        eprintln!("collecting per-scenario tracer metrics …");
-        let mut entries = Vec::new();
+        let mut metrics = RunMetrics::new()
+            .results(cs.results())
+            .cache(cache.as_ref())
+            .health(&health);
         // Non-default substrates are recorded in the envelope so a scalar
-        // metrics file can never be mistaken for a VLIW one; the default
-        // emits nothing, keeping existing reports byte-stable.
+        // metrics file can never be mistaken for a VLIW one.
         if let Some(su) = substrate.filter(|&su| su != Substrate::default()) {
-            entries.push(format!("\"substrate\": \"{}\"", su.name()));
+            metrics = metrics.insert("substrate", Json::Str(su.name().to_owned()));
         }
-        let mut quality: Vec<(String, QualityMetrics)> = Vec::new();
-        for sc in &scenarios {
-            let mut tracer = CountingTracer::new();
-            match run_me_with_tracer(sc, &workload, &mut tracer) {
-                Ok(r) => {
-                    if let Some(q) = r.quality {
-                        quality.push((r.label.clone(), q));
-                    }
-                    entries.push(format!(
-                        "\"{}\": {}",
-                        r.label,
-                        tracer.to_metrics_json().trim_end()
-                    ));
-                }
-                Err(e) => eprintln!("  metrics: skipping failed scenario: {e}"),
-            }
-        }
-        if !quality.is_empty() {
-            entries.push(format!("\"quality\": {}", quality_json(&quality)));
-        }
-        if let Some(cache) = &cache {
-            // Cache traffic of the table run above (the tracer replays are
-            // never cached — they measure, they don't simulate afresh).
-            entries.push(format!("\"cache\": {}", cache.counts().to_json()));
-        }
-        // Health of the table run above: attempts, retries, timeouts,
-        // quarantined keys, slowest scenarios.
-        entries.push(format!("\"health\": {}", health.to_json()));
-        let json = format!("{{\n{}\n}}\n", entries.join(",\n"));
-        Json::parse(&json).expect("generated metrics must be valid JSON");
-        if let Err(e) = std::fs::write(path, &json) {
+        if let Err(e) = metrics.write(path) {
             return output_error("--metrics-out", path, e);
         }
-        eprintln!("wrote per-scenario metrics to {path}");
+        eprintln!("wrote run metrics to {path}");
     }
     if let Some(path) = trace_path {
         eprintln!("capturing a Chrome trace of the ORIG scenario …");

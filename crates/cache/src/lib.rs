@@ -320,20 +320,7 @@ impl CacheCounts {
     /// The counters as a JSON object (for `--metrics-out`).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut m = BTreeMap::new();
-        m.insert("hits".to_owned(), Json::Num(self.hits.to_string()));
-        m.insert("misses".to_owned(), Json::Num(self.misses.to_string()));
-        m.insert("stale".to_owned(), Json::Num(self.stale.to_string()));
-        m.insert("writes".to_owned(), Json::Num(self.writes.to_string()));
-        m.insert(
-            "write_errors".to_owned(),
-            Json::Num(self.write_errors.to_string()),
-        );
-        m.insert(
-            "quarantined".to_owned(),
-            Json::Num(self.quarantined.to_string()),
-        );
-        Json::Obj(m)
+        counts_to_json(self)
     }
 
     /// Parses the [`Self::to_json`] object back into counters. Returns
@@ -341,17 +328,22 @@ impl CacheCounts {
     /// `CacheCounts::from_json(&c.to_json()) == Some(c)` for every value.
     #[must_use]
     pub fn from_json(j: &Json) -> Option<Self> {
-        let field = |key: &str| j.get(key)?.as_u64();
-        Some(CacheCounts {
-            hits: field("hits")?,
-            misses: field("misses")?,
-            stale: field("stale")?,
-            writes: field("writes")?,
-            write_errors: field("write_errors")?,
-            quarantined: field("quarantined")?,
-        })
+        counts_from_json(j)
     }
 }
+
+rvliw_trace::json_codec!(
+    counts_to_json,
+    counts_from_json,
+    CacheCounts {
+        hits,
+        misses,
+        stale,
+        writes,
+        write_errors,
+        quarantined,
+    }
+);
 
 /// One decoded cache entry, as returned by [`ResultCache::entries`].
 #[derive(Debug, Clone)]

@@ -51,7 +51,7 @@ pub use explore::{
     run_explore, EngineChoice, ExploreOutcome, ExploreSpace, ExploreSpec, ExploreStrategy,
     FrontierPoint, Objective, ParetoArchive,
 };
-pub use metrics::TablesSnapshot;
+pub use metrics::{quality_json, RunMetrics, TablesSnapshot};
 pub use runner::{run_me, run_me_with_tracer, MeResult, ScenarioError};
 pub use rvliw_isa::Substrate;
 pub use scenario::Scenario;

@@ -1,4 +1,5 @@
-//! Machine-readable snapshots of the reproduced tables.
+//! Machine-readable run reports: the golden table snapshot and the
+//! `--metrics-out` envelope.
 //!
 //! [`TablesSnapshot`] flattens every integer cell of Tables 1–7 (cycle
 //! counts, stall counts, static latencies) into named cells that serialize
@@ -10,11 +11,19 @@
 //! The `tables --check BENCH_tables.json` regression gate re-runs the case
 //! study and diffs the fresh snapshot against the committed one; any
 //! difference fails CI.
+//!
+//! [`RunMetrics`] is the one `--metrics-out` document of `tables`,
+//! `rvliw sweep` and `rvliw explore`. It serializes the results the run
+//! already holds, so writing it simulates nothing.
 
 use std::collections::BTreeMap;
 
 use rvliw_trace::Json;
 
+use crate::cache::{me_result_to_json, ScenarioCache};
+use crate::runner::MeResult;
+use crate::supervisor::HealthReport;
+use crate::sweep::{fnum, ScenarioResult};
 use crate::tables::CaseStudy;
 
 /// Every integer cell of Tables 1–7, keyed by a stable `table/row/column`
@@ -144,6 +153,114 @@ impl TablesSnapshot {
         }
         out
     }
+}
+
+/// The `--metrics-out` envelope shared by `tables`, `rvliw sweep` and
+/// `rvliw explore`:
+///
+/// ```json
+/// {"schema": 1, "scenarios": {"<label>": <MeResult>, …}, …}
+/// ```
+///
+/// Each `"scenarios"` entry is [`me_result_to_json`] of one successful
+/// result — the bytes the result cache stores, so
+/// [`me_result_from_json`](crate::cache::me_result_from_json) decodes it
+/// back to exactly that result. Failed scenarios have no entry; the
+/// `"health"` report counts them. Results carrying speed-vs-quality
+/// metrics also fill a top-level `"quality"` object (label →
+/// `sad_inflation`, `psnr_delta_db`). `"cache"`, `"health"` and any
+/// command-specific key are added by the caller.
+#[derive(Debug, Default)]
+pub struct RunMetrics {
+    results: Vec<MeResult>,
+    top: BTreeMap<String, Json>,
+}
+
+impl RunMetrics {
+    /// The envelope's `"schema"` version.
+    pub const SCHEMA: u64 = 1;
+
+    /// An envelope with no scenarios and no extra keys.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds every successful result, keyed by its label.
+    #[must_use]
+    pub fn results<'a>(mut self, results: impl IntoIterator<Item = &'a ScenarioResult>) -> Self {
+        self.results
+            .extend(results.into_iter().filter_map(|r| r.as_ref().ok()).cloned());
+        self
+    }
+
+    /// Adds the run's cache counters as `"cache"` (nothing without a
+    /// cache).
+    #[must_use]
+    pub fn cache(self, cache: Option<&ScenarioCache>) -> Self {
+        match cache {
+            Some(c) => self.insert("cache", c.counts().to_json()),
+            None => self,
+        }
+    }
+
+    /// Adds the run's supervision report as `"health"`.
+    #[must_use]
+    pub fn health(self, health: &HealthReport) -> Self {
+        self.insert("health", health.to_json())
+    }
+
+    /// Adds a command-specific top-level key.
+    #[must_use]
+    pub fn insert(mut self, key: &str, value: Json) -> Self {
+        self.top.insert(key.to_owned(), value);
+        self
+    }
+
+    /// The envelope as one JSON object.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let mut o = self.top.clone();
+        o.insert("schema".to_owned(), Json::Num(Self::SCHEMA.to_string()));
+        let scenarios = self
+            .results
+            .iter()
+            .map(|r| (r.label.clone(), me_result_to_json(r)))
+            .collect();
+        o.insert("scenarios".to_owned(), Json::Obj(scenarios));
+        if let Some(q) = quality_json(&self.results) {
+            o.insert("quality".to_owned(), q);
+        }
+        Json::Obj(o)
+    }
+
+    /// Writes the envelope to `path` as one line of JSON.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from writing the file.
+    pub fn write(&self, path: &str) -> std::io::Result<()> {
+        std::fs::write(path, format!("{}\n", self.to_json()))
+    }
+}
+
+/// The top-level `"quality"` object of a run: label → `sad_inflation`,
+/// `psnr_delta_db` for every result carrying speed-vs-quality metrics.
+/// `None` when no result does — the exact paper grid never does, which
+/// keeps golden reports byte-stable.
+#[must_use]
+pub fn quality_json<'a>(results: impl IntoIterator<Item = &'a MeResult>) -> Option<Json> {
+    let items: BTreeMap<String, Json> = results
+        .into_iter()
+        .filter_map(|r| {
+            let q = r.quality?;
+            let mut o = BTreeMap::new();
+            o.insert("sad_inflation".to_owned(), fnum(q.sad_inflation));
+            o.insert("psnr_delta_db".to_owned(), fnum(q.psnr_delta_db));
+            Some((r.label.clone(), Json::Obj(o)))
+        })
+        .collect();
+    (!items.is_empty()).then_some(Json::Obj(items))
 }
 
 #[cfg(test)]

@@ -320,9 +320,10 @@ pub fn run_me(scenario: &Scenario, workload: &Workload) -> Result<MeResult, Scen
 /// causes, cache and RFU activity) into `tracer` for the entire replay.
 ///
 /// With a [`NullTracer`] this monomorphizes to exactly [`run_me`]; with a
-/// [`CountingTracer`](rvliw_trace::CountingTracer) or
-/// [`ChromeTracer`](rvliw_trace::ChromeTracer) it powers the `--metrics-out`
-/// and `--trace` exports of the CLI tools.
+/// [`ChromeTracer`](rvliw_trace::ChromeTracer) it powers `tables --trace`.
+/// A non-null tracer makes the simulator use its interpreter, so no
+/// default run path attaches one: the `--metrics-out` envelopes are built
+/// from the runs' own [`MeResult`]s.
 ///
 /// # Errors
 ///

@@ -74,20 +74,6 @@ impl SimSession {
         Self::with_configs(MachineConfig::st200(), MemConfig::st200_loop_level())
     }
 
-    /// Overrides the core configuration.
-    #[must_use]
-    pub fn machine_config(mut self, cfg: MachineConfig) -> Self {
-        self.machine = cfg;
-        self
-    }
-
-    /// Overrides the memory configuration.
-    #[must_use]
-    pub fn mem_config(mut self, cfg: MemConfig) -> Self {
-        self.mem = cfg;
-        self
-    }
-
     /// Selects the fetch/issue substrate the built machine runs on
     /// (mutates the core configuration — the substrate lives in
     /// [`MachineConfig`], which is the single source of truth).

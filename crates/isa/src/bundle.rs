@@ -90,19 +90,6 @@ impl Bundle {
         Bundle::default()
     }
 
-    /// Creates a bundle from operations, validating resources.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`BundleError`] encountered.
-    pub fn from_ops(ops: &[Op], cfg: &MachineConfig) -> Result<Self, BundleError> {
-        let mut b = Bundle::new();
-        for op in ops {
-            b.push(*op, cfg)?;
-        }
-        Ok(b)
-    }
-
     /// Tries to add an operation, enforcing the machine's per-cycle
     /// resources.
     ///

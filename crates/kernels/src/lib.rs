@@ -32,10 +32,8 @@
 pub mod dct;
 pub mod driver;
 pub mod getsad;
-pub mod mc;
 pub mod regs;
 
 pub use dct::build_dct;
 pub use driver::{build_mb_prep, build_me_loop_call, DriverKind};
 pub use getsad::{build_getsad, build_getsad_approx, Variant};
-pub use mc::build_mc;

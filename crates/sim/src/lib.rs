@@ -5,7 +5,7 @@
 //!
 //! The model follows the paper's compiled-simulator platform:
 //!
-//! * one [`Code`] bundle issues per cycle (4-issue, parallel-read VLIW
+//! * one [`Code`](rvliw_asm::Code) bundle issues per cycle (4-issue, parallel-read VLIW
 //!   semantics);
 //! * a register **scoreboard** interlocks on compiler-visible latencies
 //!   (ALU 1, multiply 3, load 3, compare-to-branch 2);
@@ -48,20 +48,6 @@ pub use rvliw_isa::Substrate;
 pub use stats::SimStats;
 pub use substrate::{Core, ScalarCore, VliwCore, SCALAR_EXTRA_BRANCH_BUBBLE};
 
-use rvliw_asm::Code;
-
 /// Bytes of instruction memory charged per bundle when probing the I-cache
 /// (four 32-bit syllables).
 pub const BUNDLE_BYTES: u32 = 16;
-
-/// One-shot convenience: build a machine, run `code`, return it for
-/// inspection.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from [`Machine::run`].
-pub fn run_st200(code: &Code) -> Result<Machine, SimError> {
-    let mut m = Machine::st200();
-    m.run(code)?;
-    Ok(m)
-}

@@ -52,17 +52,6 @@ impl SimStats {
             ops_by_class: std::array::from_fn(|i| self.ops_by_class[i] - earlier.ops_by_class[i]),
         }
     }
-
-    /// Utilization of a functional-unit class over the measured cycles:
-    /// issued operations divided by available slots.
-    #[must_use]
-    pub fn fu_utilization(&self, class: rvliw_isa::FuClass, slots: usize) -> f64 {
-        if self.cycles == 0 || slots == 0 {
-            return 0.0;
-        }
-        let idx = class_index(class);
-        self.ops_by_class[idx] as f64 / (self.cycles as f64 * slots as f64)
-    }
 }
 
 /// Stable index of a functional-unit class in [`SimStats::ops_by_class`].

@@ -9,6 +9,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// document this project writes nests a few levels; the cap keeps the
+/// recursive-descent parser off the end of the stack on hostile input
+/// (a cache entry or journal line made of `[` characters).
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -33,11 +39,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a human-readable message with a byte offset on malformed
-    /// input or trailing garbage.
+    /// input, trailing garbage, or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -217,8 +225,11 @@ pub fn escape_json(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -260,11 +271,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -325,9 +350,11 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

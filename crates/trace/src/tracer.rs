@@ -221,17 +221,6 @@ impl CountingTracer {
         Self::default()
     }
 
-    /// Pre-sizes the per-PC histograms for a program of `len` bundles so
-    /// the steady-state hot loop never reallocates.
-    #[must_use]
-    pub fn with_program_len(len: usize) -> Self {
-        CountingTracer {
-            per_pc: vec![PcCounters::default(); len],
-            per_pc_stalls: vec![[0; StallCause::ALL.len()]; len],
-            ..CountingTracer::default()
-        }
-    }
-
     fn grow_to(&mut self, pc: usize) {
         if pc >= self.per_pc.len() {
             self.per_pc.resize(pc + 1, PcCounters::default());

@@ -57,9 +57,12 @@
 //! --timeout-secs N    wall-clock watchdog per scenario attempt; a hung
 //!                     simulation becomes a TimedOut error instead of
 //!                     stalling the sweep
-//! --metrics-out FILE  write the run's cache counters and health report
-//!                     (attempts, retries, timeouts, quarantined keys,
-//!                     slowest scenarios) as JSON
+//! --metrics-out FILE  write the run's metrics envelope as JSON (schema 1,
+//!                     shared with `tables` and `explore`): every
+//!                     successful row's measurement under "scenarios",
+//!                     quality blocks, cache counters and the health
+//!                     report (attempts, retries, timeouts, quarantined
+//!                     keys, slowest scenarios); nothing is re-simulated
 //! ```
 //!
 //! `explore` accepts:
@@ -79,9 +82,11 @@
 //! --resume FILE       replay completed evaluations from a journal
 //! --max-retries N     retry transient evaluation failures up to N times
 //! --timeout-secs N    wall-clock watchdog per evaluation attempt
-//! --metrics-out FILE  write evaluation/revisit counts and cache counters
-//!                     as JSON (kept out of the frontier JSON, which must
-//!                     stay byte-stable)
+//! --metrics-out FILE  write the run's metrics envelope as JSON (schema 1,
+//!                     shared with `tables` and `sweep`): evaluation and
+//!                     revisit counts and cache counters, with an empty
+//!                     "scenarios" object (the frontier JSON is the
+//!                     result, and stays byte-stable)
 //! ```
 //!
 //! `cache` manages the scenario result cache (the directory comes from
@@ -105,7 +110,7 @@ use std::process::ExitCode;
 use rvliw::asm::{parse_program, schedule_st200, Code};
 use rvliw::exp::{
     arch, flag_parse, flag_value, run_explore, run_summary, ExperimentSpec, ExploreSpec, RunFlags,
-    ScenarioCache, SimSession, Sweep,
+    RunMetrics, ScenarioCache, SimSession, Sweep,
 };
 use rvliw::fault::{FaultPlan, FaultProfile};
 use rvliw::isa::{Bundle, Gpr, MachineConfig, Substrate};
@@ -327,12 +332,12 @@ fn run_sweep(rest: &[String]) -> Result<(), String> {
         eprintln!("{summary}");
     }
     if let Some(mpath) = metrics_out {
-        let mut m = std::collections::BTreeMap::new();
-        if let Some(cache) = &cache {
-            m.insert("cache".to_owned(), cache.counts().to_json());
-        }
-        m.insert("health".to_owned(), health.to_json());
-        std::fs::write(mpath, Json::Obj(m).to_string()).map_err(|e| format!("{mpath}: {e}"))?;
+        RunMetrics::new()
+            .results(outcome.rows.iter().map(|r| &r.result))
+            .cache(cache.as_ref())
+            .health(&health)
+            .write(mpath)
+            .map_err(|e| format!("{mpath}: {e}"))?;
         eprintln!("wrote run metrics to {mpath}");
     }
     if let Some(out_path) = out_path {
@@ -422,19 +427,13 @@ fn run_explore_cmd(rest: &[String]) -> Result<(), String> {
         eprintln!("{summary}");
     }
     if let Some(mpath) = metrics_out {
-        let mut m = std::collections::BTreeMap::new();
-        if let Some(cache) = &cache {
-            m.insert("cache".to_owned(), cache.counts().to_json());
-        }
-        m.insert(
-            "evaluations".to_owned(),
-            Json::Num(outcome.evaluations.to_string()),
-        );
-        m.insert(
-            "revisits".to_owned(),
-            Json::Num(outcome.revisits.to_string()),
-        );
-        std::fs::write(mpath, Json::Obj(m).to_string()).map_err(|e| format!("{mpath}: {e}"))?;
+        // The frontier JSON is explore's result, so no scenario entries.
+        RunMetrics::new()
+            .cache(cache.as_ref())
+            .insert("evaluations", Json::Num(outcome.evaluations.to_string()))
+            .insert("revisits", Json::Num(outcome.revisits.to_string()))
+            .write(mpath)
+            .map_err(|e| format!("{mpath}: {e}"))?;
         eprintln!("wrote run metrics to {mpath}");
     }
     if let Some(out_path) = out_path {

@@ -3,10 +3,12 @@
 //! `SimStats`/`MemStats`/`RfuStats`, and attaching any tracer must not
 //! perturb the simulation itself.
 //!
-//! This is what makes the `--metrics-out` exports trustworthy: the tracer
-//! is an independent observer wired through different code paths
-//! (per-event emission instead of end-of-run counters), so agreement here
-//! cross-checks both accountings.
+//! This is what lets the `--metrics-out` envelopes report the runs' own
+//! counters instead of re-running under a tracer, and what makes
+//! `rvliw run --metrics-out` trustworthy: the tracer is an independent
+//! observer wired through different code paths (per-event emission
+//! instead of end-of-run counters), so agreement here cross-checks both
+//! accountings.
 
 use rvliw_core::{run_me, run_me_with_tracer, CaseStudy, Workload};
 use rvliw_trace::{CountingTracer, StallCause};
