@@ -6,13 +6,15 @@
 //! ```text
 //! cargo run --release -p rvliw-bench --bin tables \
 //!     [-- --write] [--frames N] [--csv DIR] [--bench-json]
-//!     [--metrics-out FILE] [--trace FILE] [--threads N] [--spec PATH]
+//!     [--check FILE [--min-cycles-per-sec-ratio R]]
+//!     [--metrics-out FILE] [--trace FILE] [--threads N]
 //!     [--cache-dir DIR] [--no-cache] [--substrate S]
 //!     [--fault-seed N] [--fault-profile PROFILE]
 //!     [--journal FILE] [--resume FILE] [--max-retries N] [--timeout-secs S]
-//! cargo run --release -p rvliw-bench --bin tables -- --check BENCH_tables.json \
-//!     [--min-cycles-per-sec-ratio R]
 //! ```
+//!
+//! Every invocation runs the paper grid once and prints the same report;
+//! the flags only add outputs and gates to that one run.
 //!
 //! Flags are parsed strictly, through the run-flag parser `rvliw sweep`
 //! and `rvliw explore` share: an unknown flag, a missing or malformed
@@ -35,18 +37,10 @@
 //! `--no-cache` disables it regardless. A `cache: hits=… misses=…` summary
 //! goes to stderr, and the `--metrics-out` envelope gains a top-level
 //! `"cache"` object.
-//! `--spec PATH` drives the run from declarative experiment specs instead
-//! of the built-in grid: a single `.json` spec file, or a directory whose
-//! `table*.json` files (the seven checked-in paper tables under `specs/`)
-//! are unioned. The specs must cover the paper grid exactly — this is the
-//! proof that the spec layer is behavior-preserving; combine with
-//! `--check` to assert the result bit-identical to the golden snapshot.
-//! Off-grid specs run through `rvliw sweep` instead.
-//! `--bench-json` writes `BENCH_tables.json` (wall time per phase and per
-//! table, simulated cycles, cycles per wall second, thread count, and a
-//! `"tables"` snapshot of every integer table cell). Host-time
-//! measurement beyond that one throughput figure — per-engine cycles/s,
-//! the block engine's speedup and fallbacks — is `perfbench/`'s job.
+//! `--bench-json` writes `BENCH_tables.json` (wall time per phase,
+//! simulated cycles, cycles per wall second, thread count, and a
+//! `"tables"` snapshot of every integer table cell); any other host-time
+//! measurement is `perfbench/`'s job.
 //! `--metrics-out FILE` writes the metrics envelope `rvliw sweep` and
 //! `rvliw explore` share (`rvliw_core::RunMetrics`, `"schema": 1`) from
 //! the run that printed the tables, re-simulating nothing: every
@@ -60,26 +54,23 @@
 //! `--trace FILE` captures a Chrome `trace_event` JSON (Perfetto-loadable)
 //! of the ORIG scenario.
 //!
-//! `--substrate S` (one of `vliw4`, `scalar`) pins every built-in-grid
-//! scenario to that fetch/issue substrate: the paper grid re-runs on a
-//! scalar in-order core with the paper's labels, so the printed tables
-//! show that core's cycle counts. The substrate *is* the experiment — it
-//! changes every cycle number — so it conflicts with
-//! `--check`, `--write` and `--bench-json` (the golden artifacts are
-//! VLIW-only) and with `--spec` (give the spec a `"substrate"` axis
-//! instead; see `specs/cross_substrate.json`). A non-default substrate is
-//! recorded in the `--metrics-out` envelope as a top-level `"substrate"`
-//! key; the default emits nothing, keeping existing reports byte-stable.
+//! `--substrate S` (one of `vliw4`, `scalar`) re-runs the paper grid,
+//! with the paper's labels, on that fetch/issue substrate, so the tables
+//! show that core's cycle counts; cross-substrate experiments run through
+//! `rvliw sweep` (see `specs/cross_substrate.json`). A non-default
+//! substrate is recorded as a top-level `"substrate"` key of the
+//! `--metrics-out` envelope.
 //!
-//! `--check FILE` is the regression gate: it re-runs the case study and
-//! compares every integer cell of Tables 1–7 against the `"tables"`
-//! snapshot committed in FILE, exiting non-zero on any drift. With
-//! `--min-cycles-per-sec-ratio R` it additionally fails when the check
-//! run's simulation throughput falls below `R` times the
-//! `cycles_per_sec` recorded in FILE — the throughput ratchet CI runs at
-//! `R = 0.8` to catch >20 % simulator slowdowns (skip it on warm-cache
-//! runs only if you want the trivial pass: cached scenarios are served
-//! from disk, so the ratio is then meaningless in the other direction).
+//! `--check FILE` gates the run it prints. The snapshot in FILE is read
+//! first: an unreadable file, bad JSON or a missing `"tables"` key is a
+//! usage error, and its `"frames"` sets the workload length (a differing
+//! `--frames` is a usage error). After the report and every requested
+//! output are written, any integer cell of Tables 1–7 that differs from
+//! the snapshot exits 1. `--min-cycles-per-sec-ratio R` also fails the
+//! run when its simulation throughput falls below `R` times the
+//! `cycles_per_sec` recorded in FILE (CI gates at `R = 0.8`; on a warm
+//! cache the ratio means nothing). `--check` refuses `--bench-json`,
+//! which would rewrite the baseline being checked.
 //!
 //! `--fault-profile PROFILE` (one of `none`, `latency`, `flush`,
 //! `linebuffer`, `bitflip`, `chaos`) with `--fault-seed N` runs the whole
@@ -88,7 +79,8 @@
 //! measurement, the tables render partially with `[failed]` annotations,
 //! a per-scenario failure report goes to stderr, and the process exits
 //! non-zero. `--bench-json`, `--write` and `--check` refuse to run under
-//! a non-inert plan so golden artifacts are never polluted.
+//! a non-inert plan or a forced `--substrate`: the golden artifacts are
+//! fault-free VLIW runs.
 //!
 //! `--journal FILE` appends every scenario outcome to FILE (JSONL) as it
 //! lands; `--resume FILE` replays the completed entries of a previous
@@ -105,9 +97,8 @@ use std::time::Instant;
 
 use rvliw_bench::{paper, splice_generated};
 use rvliw_core::{
-    arch, flag_parse, flag_value, grid_from_specs, quality_json, run_me_with_tracer, run_summary,
-    CaseStudy, ExperimentSpec, HealthReport, RunFlags, RunMetrics, Scenario, ScenarioCache,
-    SupervisorConfig, TablesSnapshot,
+    arch, flag_parse, flag_value, quality_json, run_me_with_tracer, run_summary, CaseStudy,
+    CycleBreakdown, RunFlags, RunMetrics, Scenario, ScenarioCache, TablesSnapshot,
 };
 use rvliw_fault::{FaultPlan, FaultProfile};
 use rvliw_isa::{MachineConfig, Substrate};
@@ -212,13 +203,6 @@ fn write_csvs(dir: &str, cs: &CaseStudy) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Wall-clock of `f`, in seconds.
-fn secs(f: impl FnOnce()) -> f64 {
-    let t = Instant::now();
-    f();
-    t.elapsed().as_secs_f64()
-}
-
 /// Reports a usage error and returns the usage-error exit code.
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("tables: {message}");
@@ -232,198 +216,98 @@ fn output_error(flag: &str, path: &str, e: impl std::fmt::Display) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The per-scenario progress line.
-fn progress(label: &str) {
-    eprintln!("  scenario {label} …");
+/// The committed snapshot `--check FILE` gates the run on.
+struct Baseline<'a> {
+    path: &'a str,
+    tables: TablesSnapshot,
+    /// The workload length the snapshot was measured on (25 when FILE
+    /// records none).
+    frames: usize,
+    /// The `--min-cycles-per-sec-ratio` floor and the throughput FILE
+    /// records.
+    ratchet: Option<(f64, f64)>,
 }
 
-/// Loads experiment specs from `path`: a single `.json` file, or a
-/// directory whose `table*.json` files are loaded in sorted order (other
-/// spec files in the directory — off-grid sweeps — are ignored, since they
-/// are not part of the paper grid the tables pipeline asserts).
-fn load_specs(path: &str) -> Result<Vec<ExperimentSpec>, String> {
-    let meta = std::fs::metadata(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut files: Vec<std::path::PathBuf> = if meta.is_dir() {
-        let mut v: Vec<_> = std::fs::read_dir(path)
-            .map_err(|e| format!("{path}: {e}"))?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("table") && n.ends_with(".json"))
-            })
-            .collect();
-        v.sort();
-        if v.is_empty() {
-            return Err(format!("{path}: no table*.json spec files found"));
-        }
-        v
-    } else {
-        vec![std::path::PathBuf::from(path)]
-    };
-    files
-        .drain(..)
-        .map(|p| {
-            let text = std::fs::read_to_string(&p).map_err(|e| format!("{}: {e}", p.display()))?;
-            ExperimentSpec::from_json_str(&text).map_err(|e| format!("{}: {e}", p.display()))
+impl<'a> Baseline<'a> {
+    /// Reads and validates the snapshot in `path`; a `min_ratio` ratchet
+    /// needs a recorded positive `cycles_per_sec`.
+    fn load(path: &'a str, min_ratio: Option<f64>) -> Result<Self, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let json = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
+        let regenerate = "regenerate it with `tables --bench-json`";
+        let tables = json
+            .get("tables")
+            .ok_or_else(|| format!("{path} has no \"tables\" snapshot; {regenerate}"))?;
+        let tables = TablesSnapshot::from_json(tables)
+            .map_err(|e| format!("{path}: bad \"tables\" snapshot: {e}"))?;
+        let frames = match json.get("frames") {
+            None => 25,
+            Some(f) => f
+                .as_u64()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{path}: \"frames\" is not a positive integer"))?
+                as usize,
+        };
+        let recorded = || {
+            json.get("cycles_per_sec")
+                .and_then(Json::as_f64)
+                .filter(|v| *v > 0.0)
+                .ok_or_else(|| {
+                    format!(
+                        "{path} records no usable \"cycles_per_sec\"; \
+                         {regenerate} before gating throughput"
+                    )
+                })
+        };
+        let ratchet = min_ratio.map(|r| recorded().map(|c| (r, c))).transpose()?;
+        Ok(Baseline {
+            path,
+            tables,
+            frames,
+            ratchet,
         })
-        .collect()
-}
-
-/// The scenario list of a run: the paper grid from `specs` when given,
-/// else the built-in grid under `plan`.
-///
-/// `substrate` pins every built-in-grid scenario to that fetch/issue
-/// substrate (the labels stay the paper's, so the tables render normally
-/// with that core's cycle counts). It never reaches the spec path — the
-/// CLI rejects `--spec --substrate` and points at the spec's own
-/// `"substrate"` axis, whose label suffixes would break the paper-grid
-/// coverage check of [`grid_from_specs`].
-fn case_grid(
-    specs: Option<&[ExperimentSpec]>,
-    plan: FaultPlan,
-    substrate: Option<Substrate>,
-) -> Result<Vec<Scenario>, String> {
-    match specs {
-        Some(specs) => grid_from_specs(specs).map_err(|e| e.to_string()),
-        None => Ok(CaseStudy::scenarios()
-            .into_iter()
-            .map(|sc| sc.with_fault_plan(plan))
-            .map(|sc| match substrate {
-                Some(su) => sc.with_substrate(su),
-                None => sc,
-            })
-            .collect()),
     }
-}
 
-/// Prints the shared run summary (cache traffic + supervision health)
-/// after a run, through the same formatting helper `rvliw sweep` uses.
-fn report_run(cache: Option<&ScenarioCache>, health: Option<&HealthReport>) {
-    let summary = run_summary(cache.map(ScenarioCache::counts).as_ref(), health);
-    if !summary.is_empty() {
-        eprintln!("{summary}");
-    }
-}
-
-/// The regression gate: re-runs the case study (spec-driven when `specs`
-/// is given) and diffs every integer table cell against the `"tables"`
-/// snapshot committed in `path`.
-fn run_check(
-    path: &str,
-    specs: Option<&[ExperimentSpec]>,
-    flags: &RunFlags,
-    min_cps_ratio: Option<f64>,
-    config: &SupervisorConfig,
-) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tables --check: {path}: {e}");
-            return ExitCode::from(2);
+    /// The `--check` verdict on the run `cs`, which simulated at
+    /// `cycles_per_sec`: every integer table cell equals the snapshot's,
+    /// and the run sustained the ratchet's share of the recorded
+    /// throughput. Reports to stderr; `false` fails the run.
+    fn holds(&self, cs: &CaseStudy, cycles_per_sec: f64) -> bool {
+        let path = self.path;
+        let fresh = TablesSnapshot::capture(cs);
+        let drift = fresh.diff(&self.tables);
+        if !drift.is_empty() {
+            eprintln!(
+                "tables --check: FAIL — {} cell(s) drifted from {path}:",
+                drift.len()
+            );
+            for line in &drift {
+                eprintln!("  {line}");
+            }
+            return false;
         }
-    };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("tables --check: {path}: invalid JSON: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let Some(tables) = json.get("tables") else {
-        eprintln!(
-            "tables --check: {path} has no \"tables\" snapshot; \
-             regenerate it with `tables --bench-json`"
-        );
-        return ExitCode::from(2);
-    };
-    let baseline = match TablesSnapshot::from_json(tables) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("tables --check: {path}: bad \"tables\" snapshot: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let frames = json.get("frames").and_then(Json::as_u64).unwrap_or(25) as usize;
-    let how = if specs.is_some() {
-        "from specs"
-    } else {
-        "from the built-in grid"
-    };
-    eprintln!("tables --check: re-running the case study {how} on {frames} QCIF frames …");
-    let run = case_grid(specs, FaultPlan::none(), None)
-        .and_then(|scenarios| Ok((scenarios, flags.open_workload(frames)?)));
-    let (scenarios, (workload, cache)) = match run {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("tables --check: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let t_run = Instant::now();
-    let (cs, health) = CaseStudy::run_scenarios_supervised(
-        &scenarios,
-        &workload,
-        flags.threads,
-        progress,
-        cache.as_ref(),
-        config,
-    );
-    let run_wall_s = t_run.elapsed().as_secs_f64();
-    report_run(cache.as_ref(), config.is_active().then_some(&health));
-    let fresh = TablesSnapshot::capture(&cs);
-    let drift = fresh.diff(&baseline);
-    if drift.is_empty() {
         eprintln!(
             "tables --check: OK — {} table cells bit-identical to {path}",
             fresh.cells.len()
         );
-        if let Some(ratio) = min_cps_ratio {
-            // The throughput ratchet: the check run must sustain at least
-            // `ratio` of the cycles/sec recorded in the golden envelope.
-            let Some(recorded) = json
-                .get("cycles_per_sec")
-                .and_then(Json::as_f64)
-                .filter(|v| *v > 0.0)
-            else {
-                eprintln!(
-                    "tables --check: {path} records no usable \"cycles_per_sec\"; \
-                     regenerate it with `tables --bench-json` before gating throughput"
-                );
-                return ExitCode::from(2);
-            };
-            let simulated: u64 = cs
-                .results()
-                .filter_map(|r| r.as_ref().ok())
-                .map(|r| r.me_cycles)
-                .sum();
-            let achieved = simulated as f64 / run_wall_s;
-            eprintln!(
-                "tables --check: throughput {:.1}M cycles/sec vs recorded {:.1}M \
-                 (ratio {:.2}, floor {ratio:.2})",
-                achieved / 1e6,
-                recorded / 1e6,
-                achieved / recorded
-            );
-            if achieved < ratio * recorded {
-                eprintln!(
-                    "tables --check: FAIL — simulation throughput regressed below \
-                     {ratio:.2}x the recorded baseline"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        ExitCode::SUCCESS
-    } else {
+        let Some((ratio, recorded)) = self.ratchet else {
+            return true;
+        };
         eprintln!(
-            "tables --check: FAIL — {} cell(s) drifted from {path}:",
-            drift.len()
+            "tables --check: throughput {:.1}M cycles/sec vs recorded {:.1}M \
+             (ratio {:.2}, floor {ratio:.2})",
+            cycles_per_sec / 1e6,
+            recorded / 1e6,
+            cycles_per_sec / recorded
         );
-        for line in &drift {
-            eprintln!("  {line}");
+        if cycles_per_sec < ratio * recorded {
+            eprintln!(
+                "tables --check: FAIL — simulation throughput regressed below \
+                 {ratio:.2}x the recorded baseline"
+            );
+            return false;
         }
-        ExitCode::FAILURE
+        true
     }
 }
 
@@ -435,7 +319,6 @@ fn main() -> ExitCode {
     let mut csv_dir: Option<&str> = None;
     let mut metrics_path: Option<&str> = None;
     let mut trace_path: Option<&str> = None;
-    let mut spec_path: Option<&str> = None;
     let mut min_cps_ratio: Option<f64> = None;
     let mut fault_seed = 0u64;
     let mut fault_profile = FaultProfile::None;
@@ -448,7 +331,6 @@ fn main() -> ExitCode {
             "--csv" => csv_dir = Some(flag_value(arg, it)?),
             "--metrics-out" => metrics_path = Some(flag_value(arg, it)?),
             "--trace" => trace_path = Some(flag_value(arg, it)?),
-            "--spec" => spec_path = Some(flag_value(arg, it)?),
             "--min-cycles-per-sec-ratio" => match flag_parse::<f64>(arg, it)? {
                 r if r > 0.0 && r.is_finite() => min_cps_ratio = Some(r),
                 r => return Err(format!("{arg}: {r} is not a positive ratio")),
@@ -466,71 +348,57 @@ fn main() -> ExitCode {
     };
     let threads = flags.threads;
     let plan = FaultPlan::from_profile(fault_profile, fault_seed);
-    let specs = match spec_path.map(load_specs).transpose() {
-        Ok(specs) => specs,
-        Err(e) => return usage_error(&format!("--spec: {e}")),
-    };
-    if specs.is_some() && !plan.is_inert() {
-        return usage_error(
-            "--spec and --fault-profile conflict; put the fault profile \
-             in the spec's \"fault\" object instead",
-        );
-    }
-    if substrate.is_some() && specs.is_some() {
-        return usage_error(
-            "--spec and --substrate conflict; put the substrate in the \
-             spec's \"substrate\" axis instead",
-        );
-    }
     let config = match flags.supervisor() {
         Ok(config) => config,
         Err(e) => return usage_error(&e),
     };
-    if let Some(file) = check_path {
-        if !plan.is_inert() {
-            return usage_error("--check compares against golden tables; drop --fault-profile");
-        }
-        if substrate.is_some() {
-            return usage_error("--check compares against golden VLIW tables; drop --substrate");
-        }
-        return run_check(file, specs.as_deref(), &flags, min_cps_ratio, &config);
-    }
-    if min_cps_ratio.is_some() {
-        return usage_error("--min-cycles-per-sec-ratio only applies with --check");
-    }
-    if !plan.is_inert() && (write || bench_json) {
+    let forced = if plan.is_inert() {
+        substrate.map(|su| format!("--substrate {su}"))
+    } else {
+        Some(format!("fault profile `{fault_profile}`"))
+    };
+    if let Some(forced) = forced.filter(|_| write || bench_json || check_path.is_some()) {
         return usage_error(&format!(
-            "refusing to rewrite golden artifacts (--write / --bench-json) \
-             under fault profile `{fault_profile}`"
+            "refusing to rewrite or check golden artifacts (--write / --bench-json / \
+             --check) under {forced}; the checked-in tables are fault-free VLIW runs"
         ));
     }
-    if substrate.is_some() && (write || bench_json) {
-        return usage_error(
-            "refusing to rewrite golden artifacts (--write / --bench-json) \
-             under a forced --substrate; the checked-in tables are VLIW-only",
-        );
-    }
-    let scenarios = match case_grid(specs.as_deref(), plan, substrate) {
-        Ok(scenarios) => scenarios,
-        Err(e) => return usage_error(&e),
-    };
-    let frames = match (flags.frames, &specs) {
-        (Some(n), _) => n,
-        // Without an explicit override every spec must agree on the
-        // workload length — the scenarios share one encoded sequence.
-        (None, Some(specs)) => {
-            let frames = specs.first().map_or(25, |s| s.frames);
-            if let Some(odd) = specs.iter().find(|s| s.frames != frames) {
-                return usage_error(&format!(
-                    "specs disagree on frames ({} wants {}, `{}` wants {}); \
-                     pass --frames to override",
-                    specs[0].name, frames, odd.name, odd.frames
-                ));
-            }
-            frames
+    let check = match check_path {
+        None if min_cps_ratio.is_some() => {
+            return usage_error("--min-cycles-per-sec-ratio only applies with --check")
         }
-        (None, None) => 25,
+        None => None,
+        Some(_) if bench_json => {
+            return usage_error(
+                "--check and --bench-json conflict: --bench-json rewrites the baseline",
+            )
+        }
+        Some(path) => match Baseline::load(path, min_cps_ratio) {
+            Ok(baseline) => Some(baseline),
+            Err(e) => {
+                eprintln!("tables --check: {e}");
+                return ExitCode::from(2);
+            }
+        },
     };
+    let frames = match (&check, flags.frames) {
+        (Some(b), Some(n)) if n != b.frames => {
+            return usage_error(&format!(
+                "--frames {n} conflicts with --check {}, measured on {} frame(s)",
+                b.path, b.frames
+            ))
+        }
+        (Some(b), _) => b.frames,
+        (None, n) => n.unwrap_or(25),
+    };
+    let scenarios: Vec<Scenario> = CaseStudy::scenarios()
+        .into_iter()
+        .map(|sc| sc.with_fault_plan(plan))
+        .map(|sc| match substrate {
+            Some(su) => sc.with_substrate(su),
+            None => sc,
+        })
+        .collect();
 
     let mut out = String::new();
     let t0 = Instant::now();
@@ -580,12 +448,24 @@ fn main() -> ExitCode {
         &scenarios,
         &workload,
         threads,
-        progress,
+        |label| eprintln!("  scenario {label} …"),
         cache.as_ref(),
         &config,
     );
     let scenarios_wall_s = t_scenarios.elapsed().as_secs_f64();
-    report_run(cache.as_ref(), config.is_active().then_some(&health));
+    let summary = run_summary(
+        cache.as_ref().map(ScenarioCache::counts).as_ref(),
+        config.is_active().then_some(&health),
+    );
+    if !summary.is_empty() {
+        eprintln!("{summary}");
+    }
+    let simulated_cycles: u64 = cs
+        .results()
+        .filter_map(|r| r.as_ref().ok())
+        .map(|r| r.me_cycles)
+        .sum();
+    let cycles_per_sec = simulated_cycles as f64 / scenarios_wall_s;
 
     let _ = writeln!(out, "```\n{}\n```\n", cs.table1());
     let _ = writeln!(out, "```\n{}\n```\n", cs.table2());
@@ -605,8 +485,7 @@ fn main() -> ExitCode {
             .rows
             .iter()
             .find(|r| r.name == name)
-            .map(|r| r.improvement)
-            .unwrap_or(f64::NAN);
+            .map_or(f64::NAN, |r| r.improvement);
         let _ = writeln!(
             out,
             "| Table 1 | {name} %improvement | {:.0}% | {:.1}% |",
@@ -620,8 +499,7 @@ fn main() -> ExitCode {
             .rows
             .iter()
             .find(|r| r.bw.label() == label)
-            .map(|r| r.speedup_b1)
-            .unwrap_or(f64::NAN);
+            .map_or(f64::NAN, |r| r.speedup_b1);
         let _ = writeln!(out, "| Table 2 | {label} speedup (b=1) | {p:.2} | {m:.2} |");
     }
     let _ = writeln!(
@@ -655,8 +533,7 @@ fn main() -> ExitCode {
             .rows
             .iter()
             .find(|r| r.bw.label() == label)
-            .map(|r| r.share_b5)
-            .unwrap_or(f64::NAN);
+            .map_or(f64::NAN, |r| r.share_b5);
         let _ = writeln!(
             out,
             "| Table 5 | {label} stall share (b=5) | {:.1}% | {:.1}% |",
@@ -678,8 +555,7 @@ fn main() -> ExitCode {
             .rows
             .iter()
             .find(|r| r.beta == beta)
-            .map(|r| r.speedup)
-            .unwrap_or(f64::NAN);
+            .map_or(f64::NAN, |r| r.speedup);
         let _ = writeln!(
             out,
             "| Table 7 | 2-LB speedup (b={beta}) | {p:.1} | {m:.2} |"
@@ -690,8 +566,7 @@ fn main() -> ExitCode {
             .rows
             .iter()
             .find(|r| r.beta == beta)
-            .map(|r| r.rel_share)
-            .unwrap_or(f64::NAN);
+            .map_or(f64::NAN, |r| r.rel_share);
         let _ = writeln!(
             out,
             "| Table 7 | %Rel (b={beta}) | {:.2}% | {:.2}% |",
@@ -717,12 +592,7 @@ fn main() -> ExitCode {
     for r in cs.results() {
         match r {
             Ok(r) => {
-                let _ = writeln!(
-                    out,
-                    "{:>10}: {}",
-                    r.label,
-                    rvliw_core::CycleBreakdown::of(r)
-                );
+                let _ = writeln!(out, "{:>10}: {}", r.label, CycleBreakdown::of(r));
             }
             Err(e) => {
                 let _ = writeln!(out, "{:>10}: [failed] {e}", e.label());
@@ -752,21 +622,6 @@ fn main() -> ExitCode {
     let total_wall_s = t0.elapsed().as_secs_f64();
     eprintln!("total runtime: {total_wall_s:.1}s");
     if bench_json {
-        let table_wall_s: Vec<(&str, f64)> = vec![
-            ("table1", secs(|| drop(cs.table1()))),
-            ("table2", secs(|| drop(cs.table2()))),
-            ("table3", secs(|| drop(cs.table3()))),
-            ("table4", secs(|| drop(cs.table4()))),
-            ("table5", secs(|| drop(cs.table5()))),
-            ("table6", secs(|| drop(cs.table6()))),
-            ("table7", secs(|| drop(cs.table7()))),
-        ];
-        let simulated_cycles: u64 = cs
-            .results()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|r| r.me_cycles)
-            .sum();
-        let cycles_per_sec = simulated_cycles as f64 / scenarios_wall_s;
         let mut json = String::from("{\n");
         let _ = writeln!(json, "  \"bin\": \"tables\",");
         let _ = writeln!(json, "  \"threads\": {threads},");
@@ -775,13 +630,6 @@ fn main() -> ExitCode {
         let _ = writeln!(json, "  \"scenarios\": 12,");
         let _ = writeln!(json, "  \"encode_wall_s\": {encode_wall_s:.3},");
         let _ = writeln!(json, "  \"scenarios_wall_s\": {scenarios_wall_s:.3},");
-        let _ = writeln!(json, "  \"tables_wall_s\": {{");
-        let tables_total: f64 = table_wall_s.iter().map(|(_, s)| s).sum();
-        for (name, s) in &table_wall_s {
-            let _ = writeln!(json, "    \"{name}\": {s:.6},");
-        }
-        let _ = writeln!(json, "    \"total\": {tables_total:.6}");
-        let _ = writeln!(json, "  }},");
         let _ = writeln!(json, "  \"total_wall_s\": {total_wall_s:.3},");
         let _ = writeln!(json, "  \"simulated_cycles\": {simulated_cycles},");
         let _ = writeln!(json, "  \"cycles_per_sec\": {cycles_per_sec:.0},");
@@ -856,9 +704,7 @@ fn main() -> ExitCode {
         eprintln!("wrote the generated block of {path}");
     }
     let failures = cs.failures();
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
+    if !failures.is_empty() {
         eprintln!(
             "tables: {} of {} scenarios failed (the others completed and keep \
              their measurements):",
@@ -868,6 +714,11 @@ fn main() -> ExitCode {
         for e in &failures {
             eprintln!("  {e}");
         }
+    }
+    let held = check.is_none_or(|b| b.holds(&cs, cycles_per_sec));
+    if failures.is_empty() && held {
+        ExitCode::SUCCESS
+    } else {
         ExitCode::FAILURE
     }
 }

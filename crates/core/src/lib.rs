@@ -64,7 +64,7 @@ pub use sweep::{
     run_scenario_list, Pareto, ParetoPoint, ScenarioResult, SubstrateRatio, Sweep, SweepOutcome,
     SweepRow,
 };
-pub use tables::{grid_from_specs, CaseStudy};
+pub use tables::CaseStudy;
 pub use threads::{auto_threads, default_threads, flag_parse, flag_value, parse_threads, RunFlags};
 pub use workload::Workload;
 

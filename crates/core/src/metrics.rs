@@ -8,9 +8,9 @@
 //! integer-only comparison is a complete drift detector while staying
 //! bit-exact across platforms.
 //!
-//! The `tables --check BENCH_tables.json` regression gate re-runs the case
-//! study and diffs the fresh snapshot against the committed one; any
-//! difference fails CI.
+//! The `tables --check BENCH_tables.json` regression gate diffs the
+//! snapshot of the run it prints against the committed one; any difference
+//! fails CI.
 //!
 //! [`RunMetrics`] is the one `--metrics-out` document of `tables`,
 //! `rvliw sweep` and `rvliw explore`. It serializes the results the run

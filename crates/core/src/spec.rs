@@ -55,12 +55,6 @@ pub enum SpecError {
         /// The label that appeared twice.
         label: String,
     },
-    /// The expanded grid does not match what the consumer needs (the
-    /// tables binary requires exactly the paper grid).
-    GridMismatch {
-        /// What differed.
-        message: String,
-    },
 }
 
 impl fmt::Display for SpecError {
@@ -73,7 +67,6 @@ impl fmt::Display for SpecError {
                 "duplicate scenario label `{label}` (labels key fault substreams \
                  and snapshot cells and must be unique within a spec)"
             ),
-            SpecError::GridMismatch { message } => write!(f, "scenario grid mismatch: {message}"),
         }
     }
 }

@@ -1,6 +1,5 @@
 //! Tables 1–7 of the paper, regenerated from measurements.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use rvliw_kernels::Variant;
@@ -10,7 +9,7 @@ use crate::app_model::AppModel;
 use crate::cache::ScenarioCache;
 use crate::runner::{MeResult, ScenarioError};
 use crate::scenario::Scenario;
-use crate::spec::{ExperimentSpec, SpecError};
+use crate::spec::ExperimentSpec;
 use crate::supervisor::{run_scenario_list_supervised, HealthReport, SupervisorConfig};
 use crate::threads::default_threads;
 use crate::workload::Workload;
@@ -43,66 +42,6 @@ pub struct CaseStudy {
     pub app: AppModel,
 }
 
-/// The paper grid from declarative specs — the `tables --spec` path. The
-/// specs' scenarios are unioned by label (identical duplicates collapse,
-/// e.g. every table spec carries the ORIG baseline), must cover the paper
-/// grid exactly, and come back in [`CaseStudy::scenarios`] order, ready for
-/// [`CaseStudy::run_scenarios`]: the tables are then bit-identical to the
-/// built-in grid's.
-///
-/// # Errors
-///
-/// [`SpecError::DuplicateLabel`] from a spec's own expansion, and
-/// [`SpecError::GridMismatch`] when two specs disagree about a label's
-/// configuration, a paper-grid scenario is missing, or a spec contributes
-/// an off-grid scenario (those run through `rvliw sweep`, not the tables
-/// pipeline).
-pub fn grid_from_specs(specs: &[ExperimentSpec]) -> Result<Vec<Scenario>, SpecError> {
-    let mut by_label: BTreeMap<String, Scenario> = BTreeMap::new();
-    for spec in specs {
-        for sc in spec.scenarios()? {
-            match by_label.get(&sc.label) {
-                None => {
-                    by_label.insert(sc.label.clone(), sc);
-                }
-                Some(existing) if *existing == sc => {}
-                Some(_) => {
-                    return Err(SpecError::GridMismatch {
-                        message: format!(
-                            "specs disagree about scenario `{}` (same label, \
-                             different configuration)",
-                            sc.label
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    let mut ordered = Vec::new();
-    for canonical in CaseStudy::scenarios() {
-        match by_label.remove(&canonical.label) {
-            Some(sc) => ordered.push(sc),
-            None => {
-                return Err(SpecError::GridMismatch {
-                    message: format!(
-                        "paper-grid scenario `{}` is missing from the specs",
-                        canonical.label
-                    ),
-                });
-            }
-        }
-    }
-    if let Some(label) = by_label.into_keys().next() {
-        return Err(SpecError::GridMismatch {
-            message: format!(
-                "scenario `{label}` is not part of the paper grid \
-                 (off-grid specs run through `rvliw sweep`)"
-            ),
-        });
-    }
-    Ok(ordered)
-}
-
 impl CaseStudy {
     /// The paper's scenarios in presentation order: ORIG; A1–A3; the six
     /// single-line-buffer loop points (bandwidth × β); the two
@@ -130,8 +69,7 @@ impl CaseStudy {
     }
 
     /// Runs an explicit scenario list — [`Self::scenarios`], possibly with
-    /// modified fault plans or cycle budgets, or [`grid_from_specs`] —
-    /// across `threads` workers (`<= 1` runs serially on the calling
+    /// modified fault plans, substrates or cycle budgets — across `threads` workers (`<= 1` runs serially on the calling
     /// thread): [`Self::run_scenarios_supervised`] with no cache and no
     /// supervision. The list must keep the fixed presentation order (ORIG,
     /// A1–A3, the six loop points, the two two-line-buffer points); slots

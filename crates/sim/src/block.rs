@@ -9,7 +9,7 @@
 //! transfers, discovered by [`rvliw_isa::block_leaders`] — into a flat
 //! **micro-trace**: per-bundle issue templates (scoreboard read set, RFU
 //! interlock flag, pre-resolved instruction-fetch behaviour) plus a
-//! contiguous array of [`MicroOp`]s with the per-operation decisions
+//! contiguous array of `MicroOp`s with the per-operation decisions
 //! (evaluator function, operand indices, latency) baked in. Executing a
 //! block is then a tight loop parameterized only by dynamic inputs:
 //! register values and memory/RFU response latencies.
@@ -20,13 +20,14 @@
 //! *representation*, never the transition sequence: every cycle advance,
 //! stall split, memory access and statistics delta is performed in the
 //! same order with the same operands as the interpreter, and the
-//! differential tests assert bit-identical [`RunSummary`]s. The backend
-//! only activates for observation-free runs — no per-bundle trace hook, a
-//! [`NullTracer`] (every event sink a no-op), and an inert
-//! [`FaultPlan`](rvliw_fault::FaultPlan) — so there is no observer whose
-//! view could distinguish the backends. Anything else, and any control
-//! transfer into the middle of a block (a computed `return` target), falls
-//! back to the interpreter mid-run.
+//! differential tests assert bit-identical
+//! [`RunSummary`](crate::RunSummary)s. The backend only activates for
+//! observation-free runs — no per-bundle trace hook, a
+//! [`NullTracer`](rvliw_trace::NullTracer) (every event sink a no-op), and
+//! an inert [`FaultPlan`](rvliw_fault::FaultPlan) — so there is no
+//! observer whose view could distinguish the backends. Anything else, and
+//! any control transfer into the middle of a block (a computed `return`
+//! target), falls back to the interpreter mid-run.
 //!
 //! Compiled blocks are cached on the machine, keyed by the program's
 //! 128-bit content address ([`Code::content_key`]) — the same
@@ -45,7 +46,7 @@ use crate::exec::PureFn;
 use crate::machine::{Machine, SimError, MAX_ISSUE};
 use crate::BUNDLE_BYTES;
 
-/// Which issue loop a [`Machine`](crate::Machine) run uses.
+/// Which issue loop a [`Machine`] run uses.
 ///
 /// There is no user-facing selection: the simulator picks the engine from
 /// what the machine observes. The pin exists for the differential tests

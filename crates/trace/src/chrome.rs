@@ -30,7 +30,7 @@ pub struct ChromeTracer {
     /// Cap on recorded events, guarding against multi-gigabyte traces on
     /// long runs (the default is [`ChromeTracer::DEFAULT_MAX_EVENTS`]).
     max_events: usize,
-    /// Events dropped after [`ChromeTracer::max_events`] was reached.
+    /// Events dropped after the event cap was reached.
     pub dropped: u64,
     record_bundles: bool,
 }

@@ -134,7 +134,8 @@ impl fmt::Display for Json {
     }
 }
 
-/// A field value [`json_codec!`] knows how to write and read back.
+/// A field value [`json_codec!`](crate::json_codec) knows how to write and
+/// read back.
 pub trait JsonField: Sized {
     /// The value as JSON.
     fn to_json(&self) -> Json;

@@ -101,6 +101,10 @@
 //!                     error and a non-zero exit
 //! ```
 //!
+//! An argument error (an unknown or malformed flag, a bad register
+//! override, a missing spec path) exits 2 with a message naming it, as
+//! `tables` does; a run that fails exits 1.
+//!
 //! Programs use the listing syntax of `rvliw::asm::parse_program` (see
 //! `examples/assemble_and_run.rs`); spec files use the schema documented
 //! in EXPERIMENTS.md § "Writing your own sweep".
@@ -133,6 +137,19 @@ fn usage() -> ExitCode {
          rvliw arch"
     );
     ExitCode::from(2)
+}
+
+/// Why a command failed: bad arguments (exit 2, as for [`usage`]) or a
+/// run that could not complete (exit 1).
+enum Fail {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for Fail {
+    fn from(e: String) -> Self {
+        Fail::Run(e)
+    }
 }
 
 fn load(path: &str) -> Result<Code, String> {
@@ -176,25 +193,30 @@ fn print_bundle(cycle: u64, pc: usize, bundle: &Bundle) {
     println!("{cycle:>6} {pc:>4}  {}", ops.join("  ||  "));
 }
 
-fn execute(path: &str, rest: &[String], trace: bool) -> Result<(), String> {
+fn execute(path: &str, rest: &[String], trace: bool) -> Result<(), Fail> {
     let mut regs: Vec<String> = Vec::new();
     let mut trace_out: Option<&str> = None;
     let mut metrics_out: Option<&str> = None;
     let mut fault_seed = 0u64;
     let mut fault_profile = FaultProfile::None;
     let mut substrate = Substrate::Vliw4;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        let arg = a.as_str();
-        match arg {
-            "--trace" => trace_out = Some(flag_value(arg, &mut it)?),
-            "--metrics-out" => metrics_out = Some(flag_value(arg, &mut it)?),
-            "--fault-seed" => fault_seed = flag_parse(arg, &mut it)?,
-            "--fault-profile" => fault_profile = flag_parse(arg, &mut it)?,
-            "--substrate" => substrate = flag_parse(arg, &mut it)?,
-            _ => regs.push(a.clone()),
+    let mut parse_args = || -> Result<(), String> {
+        let mut it = rest.iter();
+        while let Some(a) = it.next() {
+            let arg = a.as_str();
+            match arg {
+                "--trace" => trace_out = Some(flag_value(arg, &mut it)?),
+                "--metrics-out" => metrics_out = Some(flag_value(arg, &mut it)?),
+                "--fault-seed" => fault_seed = flag_parse(arg, &mut it)?,
+                "--fault-profile" => fault_profile = flag_parse(arg, &mut it)?,
+                "--substrate" => substrate = flag_parse(arg, &mut it)?,
+                _ => regs.push(a.clone()),
+            }
         }
-    }
+        Ok(())
+    };
+    parse_args().map_err(Fail::Usage)?;
+    let regs = parse_regs(&regs).map_err(Fail::Usage)?;
     let code = load(path)?;
     // Salt the fault substreams with the program path so distinct programs
     // under the same seed draw independent perturbations.
@@ -202,7 +224,7 @@ fn execute(path: &str, rest: &[String], trace: bool) -> Result<(), String> {
         .substrate(substrate)
         .fault_plan(FaultPlan::from_profile(fault_profile, fault_seed), path)
         .build();
-    for &(r, v) in &parse_regs(&regs)? {
+    for &(r, v) in &regs {
         m.set_gpr(r, v);
     }
     let before: Vec<u32> = (0..64).map(|i| m.gpr(Gpr::new(i))).collect();
@@ -252,10 +274,15 @@ fn execute(path: &str, rest: &[String], trace: bool) -> Result<(), String> {
     Ok(())
 }
 
+/// The usage error of `sweep` and `explore` without a spec path.
+fn no_spec() -> Fail {
+    Fail::Usage("no spec file (pass a spec path, positionally or through --spec FILE)".into())
+}
+
 /// `rvliw sweep <spec.json>` (or `--spec <spec.json>`): expand a
 /// declarative experiment spec and run its scenario matrix on the
 /// deterministic parallel runner.
-fn run_sweep(rest: &[String]) -> Result<(), String> {
+fn run_sweep(rest: &[String]) -> Result<(), Fail> {
     let mut path: Option<&str> = None;
     let mut out_path: Option<&str> = None;
     let mut pareto = false;
@@ -274,9 +301,9 @@ fn run_sweep(rest: &[String]) -> Result<(), String> {
             _ => return Ok(false),
         }
         Ok(true)
-    })?;
-    let path =
-        path.ok_or("no spec file (pass a spec path, positionally or through --spec FILE)")?;
+    })
+    .map_err(Fail::Usage)?;
+    let path = path.ok_or_else(no_spec)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = ExperimentSpec::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
     if let Some(su) = substrate {
@@ -359,11 +386,11 @@ fn run_sweep(rest: &[String]) -> Result<(), String> {
         Ok(())
     } else {
         let labels: Vec<String> = outcome.failures().map(ToString::to_string).collect();
-        Err(format!(
+        Err(Fail::Run(format!(
             "{} scenario(s) failed:\n  {}",
             labels.len(),
             labels.join("\n  ")
-        ))
+        )))
     }
 }
 
@@ -371,7 +398,7 @@ fn run_sweep(rest: &[String]) -> Result<(), String> {
 /// design-space search over an explore spec and print the Pareto-front
 /// JSON on stdout. Progress and cache/health summaries go to stderr so
 /// stdout stays byte-stable for a fixed seed.
-fn run_explore_cmd(rest: &[String]) -> Result<(), String> {
+fn run_explore_cmd(rest: &[String]) -> Result<(), Fail> {
     let mut path: Option<&str> = None;
     let mut seed = 0u64;
     let mut out_path: Option<&str> = None;
@@ -386,9 +413,9 @@ fn run_explore_cmd(rest: &[String]) -> Result<(), String> {
             _ => return Ok(false),
         }
         Ok(true)
-    })?;
-    let path =
-        path.ok_or("no spec file (pass a spec path, positionally or through --spec FILE)")?;
+    })
+    .map_err(Fail::Usage)?;
+    let path = path.ok_or_else(no_spec)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = ExploreSpec::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
     if let Some(frames) = flags.frames {
@@ -447,29 +474,35 @@ fn run_explore_cmd(rest: &[String]) -> Result<(), String> {
 /// `rvliw cache <stats|clear|verify>`: inspect, empty or spot-check the
 /// scenario result cache. The cache directory comes from `--cache-dir` or
 /// the `RVLIW_CACHE_DIR` environment variable.
-fn run_cache(cmd: &str, rest: &[String]) -> Result<(), String> {
+fn run_cache(cmd: &str, rest: &[String]) -> Result<(), Fail> {
     let mut dir = rvliw::exp::default_cache_dir();
     let mut sample = 4usize;
     let mut threads = rvliw::exp::default_threads();
     let mut json = false;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        let arg = a.as_str();
-        match arg {
-            "--cache-dir" => dir = Some(flag_value(arg, &mut it)?.into()),
-            "--json" => json = true,
-            "--sample" => match flag_parse(arg, &mut it)? {
-                0 => return Err(format!("{arg}: 0 checks nothing; want a positive integer")),
-                n => sample = n,
-            },
-            "--threads" => {
-                threads = rvliw::exp::parse_threads(flag_value(arg, &mut it)?)
-                    .map_err(|e| format!("{arg}: {e}"))?;
+    let mut parse_args = || -> Result<(), String> {
+        let mut it = rest.iter();
+        while let Some(a) = it.next() {
+            let arg = a.as_str();
+            match arg {
+                "--cache-dir" => dir = Some(flag_value(arg, &mut it)?.into()),
+                "--json" => json = true,
+                "--sample" => match flag_parse(arg, &mut it)? {
+                    0 => return Err(format!("{arg}: 0 checks nothing; want a positive integer")),
+                    n => sample = n,
+                },
+                "--threads" => {
+                    threads = rvliw::exp::parse_threads(flag_value(arg, &mut it)?)
+                        .map_err(|e| format!("{arg}: {e}"))?;
+                }
+                other => return Err(format!("unknown cache argument `{other}`")),
             }
-            other => return Err(format!("unknown cache argument `{other}`")),
         }
-    }
-    let dir = dir.ok_or("no cache directory (pass --cache-dir or set RVLIW_CACHE_DIR)")?;
+        Ok(())
+    };
+    parse_args().map_err(Fail::Usage)?;
+    let dir = dir.ok_or_else(|| {
+        Fail::Usage("no cache directory (pass --cache-dir or set RVLIW_CACHE_DIR)".into())
+    })?;
     match cmd {
         "stats" => {
             let store = rvliw::cache::ResultCache::open(&dir).map_err(|e| e.to_string())?;
@@ -532,7 +565,7 @@ fn run_cache(cmd: &str, rest: &[String]) -> Result<(), String> {
                 for d in &report.divergent {
                     eprintln!("rvliw: {d}");
                 }
-                Err(format!(
+                Err(Fail::Run(format!(
                     "{} divergent cache entr{}",
                     report.divergent.len(),
                     if report.divergent.len() == 1 {
@@ -540,12 +573,12 @@ fn run_cache(cmd: &str, rest: &[String]) -> Result<(), String> {
                     } else {
                         "ies"
                     }
-                ))
+                )))
             }
         }
-        other => Err(format!(
+        other => Err(Fail::Usage(format!(
             "unknown cache command `{other}` (want stats, clear or verify)"
-        )),
+        ))),
     }
 }
 
@@ -560,7 +593,9 @@ fn main() -> ExitCode {
             Ok(())
         }
         Some("asm") => match args.get(1) {
-            Some(path) => load(path).map(|code| println!("{}", code.disassemble())),
+            Some(path) => load(path)
+                .map(|code| println!("{}", code.disassemble()))
+                .map_err(Fail::Run),
             None => return usage(),
         },
         Some(cmd @ ("run" | "trace")) => match args.get(1) {
@@ -581,11 +616,11 @@ fn main() -> ExitCode {
         },
         _ => return usage(),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("rvliw: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let (e, code) = match result {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Fail::Usage(e)) => (e, ExitCode::from(2)),
+        Err(Fail::Run(e)) => (e, ExitCode::FAILURE),
+    };
+    eprintln!("rvliw: {e}");
+    code
 }

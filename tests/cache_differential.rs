@@ -4,13 +4,13 @@
 //! never leak into clean runs (or vice versa).
 //!
 //! These run on `Workload::tiny()` for speed; the full 25-frame warm
-//! `tables --spec specs/ --check` equivalence is CI's `cache-smoke` job.
+//! `tables --check` equivalence is CI's `cache-smoke` job.
 
 use std::path::{Path, PathBuf};
 
 use rvliw::exp::{
-    grid_from_specs, verify_cache, CaseStudy, ExperimentSpec, Scenario, ScenarioCache,
-    SupervisorConfig, Sweep, TablesSnapshot, Workload,
+    verify_cache, CaseStudy, ExperimentSpec, Scenario, ScenarioCache, SupervisorConfig, Sweep,
+    TablesSnapshot, Workload,
 };
 use rvliw::fault::{FaultPlan, FaultProfile};
 
@@ -22,12 +22,6 @@ fn load_spec(name: &str) -> ExperimentSpec {
     let path = specs_dir().join(name);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     ExperimentSpec::from_json_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-}
-
-fn table_specs() -> Vec<ExperimentSpec> {
-    (1..=7)
-        .map(|i| load_spec(&format!("table{i}.json")))
-        .collect()
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -45,15 +39,15 @@ fn open(dir: &Path, w: &Workload) -> ScenarioCache {
     ScenarioCache::open(dir, w, "tiny").expect("cache opens")
 }
 
-/// The union of the seven table specs, run cold (simulating, populating
-/// the cache) and then warm (served from disk) at 1 and 4 threads: every
+/// The paper grid, run cold (simulating, populating the cache) and then
+/// warm (served from disk) at 1 and 4 threads: every
 /// `TablesSnapshot` cell is bit-identical, and the warm runs are pure
 /// hits. An uncached run is the cross-check that caching never bends the
 /// measurement.
 #[test]
 fn table_specs_cold_then_warm_are_bit_identical() {
     let w = Workload::tiny();
-    let grid = grid_from_specs(&table_specs()).expect("specs cover the grid");
+    let grid = CaseStudy::scenarios();
     let dir = tmpdir("tables");
     let cached = |threads: usize, cache: &ScenarioCache| {
         let config = SupervisorConfig::default();

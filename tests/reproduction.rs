@@ -116,13 +116,6 @@ fn reference_prefetches_are_rarely_late() {
 /// `BENCH_tables.json` (the same baseline `tables --check` gates CI on).
 /// The simulation is fully deterministic, so any drift is a semantic
 /// change that must be reviewed and re-baselined deliberately.
-///
-/// Debug builds skip it — the full workload takes minutes unoptimized;
-/// `cargo test --release` and the CI regression gate exercise it.
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full-workload golden check; run with --release"
-)]
 #[test]
 fn tables_bit_match_the_committed_baseline() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_tables.json");

@@ -98,7 +98,7 @@ fn no_run_flags_mean_no_supervision() {
 }
 
 /// `rvliw cache verify --sample 0` would check nothing and report a clean
-/// cache; it is an error naming `--sample` instead (exit 1, like every
+/// cache; it is an error naming `--sample` instead (exit 2, like every
 /// other `rvliw` argument error).
 #[test]
 fn cache_verify_rejects_a_zero_sample() {
@@ -112,7 +112,7 @@ fn cache_verify_rejects_a_zero_sample() {
     };
     let zero = verify("0");
     let stderr = String::from_utf8_lossy(&zero.stderr);
-    assert_eq!(zero.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(zero.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--sample"), "{stderr}");
     assert!(zero.stdout.is_empty(), "nothing may be reported as checked");
     // A positive sample over the (empty) cache is a clean verify.
@@ -145,7 +145,7 @@ fn run_rejects_register_overrides_wider_than_32_bits() {
     for bad in ["4294967296", "99999999999999", "-2147483649"] {
         let out = run(bad);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "r1={bad}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "r1={bad}: {stderr}");
         assert!(stderr.contains(&format!("r1={bad}")), "r1={bad}: {stderr}");
         assert!(out.stdout.is_empty(), "r1={bad} must not run");
     }
@@ -164,4 +164,35 @@ fn run_rejects_register_overrides_wider_than_32_bits() {
         assert!(stdout.contains(r2), "r1={good}: {stdout}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Argument errors of `rvliw sweep` are usage errors (exit 2, the code of
+/// `tables` and of `rvliw` without a command); a failed run exits 1.
+#[test]
+fn sweep_argument_errors_exit_2_and_run_failures_exit_1() {
+    let sweep = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_rvliw"))
+            .arg("sweep")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .unwrap()
+    };
+    for args in [
+        &["specs/table1.json", "--frames", "0"][..],
+        &["specs/table1.json", "--no-such-flag"],
+        &["--frames", "2"],
+    ] {
+        let out = sweep(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+    }
+    let missing = sweep(&["no/such/spec.json"]);
+    assert_eq!(
+        missing.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&missing.stderr)
+    );
 }
