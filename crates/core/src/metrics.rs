@@ -8,11 +8,11 @@
 //! integer-only comparison is a complete drift detector while staying
 //! bit-exact across platforms.
 //!
-//! The `tables --check BENCH_tables.json` regression gate diffs the
+//! The `rvliw tables --check BENCH_tables.json` regression gate diffs the
 //! snapshot of the run it prints against the committed one; any difference
 //! fails CI.
 //!
-//! [`RunMetrics`] is the one `--metrics-out` document of `tables`,
+//! [`RunMetrics`] is the one `--metrics-out` document of `rvliw tables`,
 //! `rvliw sweep` and `rvliw explore`. It serializes the results the run
 //! already holds, so writing it simulates nothing.
 
@@ -155,7 +155,7 @@ impl TablesSnapshot {
     }
 }
 
-/// The `--metrics-out` envelope shared by `tables`, `rvliw sweep` and
+/// The `--metrics-out` envelope shared by `rvliw tables`, `rvliw sweep` and
 /// `rvliw explore`:
 ///
 /// ```json

@@ -320,7 +320,7 @@ pub fn run_me(scenario: &Scenario, workload: &Workload) -> Result<MeResult, Scen
 /// causes, cache and RFU activity) into `tracer` for the entire replay.
 ///
 /// With a [`NullTracer`] this monomorphizes to exactly [`run_me`]; with a
-/// [`ChromeTracer`](rvliw_trace::ChromeTracer) it powers `tables --trace`.
+/// [`ChromeTracer`](rvliw_trace::ChromeTracer) it powers `rvliw tables --trace`.
 /// A non-null tracer makes the simulator use its interpreter, so no
 /// default run path attaches one: the `--metrics-out` envelopes are built
 /// from the runs' own [`MeResult`]s.

@@ -288,7 +288,7 @@ impl fmt::Display for HealthReport {
     }
 }
 
-/// The shared stderr summary both `rvliw sweep` and `tables` print after
+/// The shared stderr summary both `rvliw sweep` and `rvliw tables` print after
 /// a run: the cache counters line and, when supervision was active, the
 /// health line. Empty when there is nothing to report.
 #[must_use]

@@ -1,7 +1,7 @@
-//! Worker-thread configuration and the run flags every CLI front end
-//! shares.
+//! Worker-thread configuration and the run flags the `rvliw` run
+//! commands share.
 //!
-//! `rvliw sweep`, `rvliw explore` and the `tables` binary parse their
+//! `rvliw tables`, `rvliw sweep` and `rvliw explore` parse their
 //! common flags through one strict parser, [`RunFlags::parse`], which also
 //! assembles what those flags describe: the workload, the result cache and
 //! the [`SupervisorConfig`]. `--threads` and `RVLIW_THREADS` go through
@@ -88,7 +88,7 @@ where
         .map_err(|e| format!("{flag}: invalid value `{v}`: {e}"))
 }
 
-/// The run flags shared by `rvliw sweep`, `rvliw explore` and `tables`:
+/// The run flags shared by `rvliw tables`, `rvliw sweep` and `rvliw explore`:
 /// `--threads N`, `--frames N`, `--cache-dir DIR`, `--no-cache`,
 /// `--journal FILE`, `--resume FILE`, `--max-retries N` and
 /// `--timeout-secs N`.

@@ -107,7 +107,7 @@ impl Workload {
     /// shared behind an [`Arc`]. Generating and encoding the 25-frame
     /// sequence takes about 0.2 s in a release build (several times that
     /// in a debug build); everything downstream only reads the workload,
-    /// so repeated callers (the `tables` binary, tests) should prefer this.
+    /// so repeated callers (`rvliw tables`, tests) should prefer this.
     #[must_use]
     pub fn paper_shared() -> Arc<Workload> {
         static PAPER: OnceLock<Arc<Workload>> = OnceLock::new();

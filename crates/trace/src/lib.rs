@@ -20,7 +20,7 @@
 //!   Chrome trace plus counting metrics).
 //!
 //! The [`json`] module carries the minimal JSON reader/writer the exporters
-//! and the `tables --check` regression gate share (the build environment is
+//! and the `rvliw tables --check` regression gate share (the build environment is
 //! offline; there is no serde).
 //!
 //! ```

@@ -21,7 +21,7 @@ fn main() -> Result<(), rvliw::exp::ScenarioError> {
     );
 
     // A reduced workload (QCIF, 3 frames) keeps this example under a
-    // second; the full experiments use 25 frames (see `rvliw-bench`).
+    // second; the full experiments use 25 frames (`rvliw tables`).
     println!("encoding the workload on the host …");
     let workload = Workload::qcif_frames(3);
     println!(

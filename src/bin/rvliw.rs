@@ -1,19 +1,112 @@
 //! `rvliw` — command-line front end for the toolchain.
 //!
 //! ```text
-//! rvliw asm <file.s>           parse + schedule, print the bundled code
-//! rvliw run <file.s> [rN=V..]  assemble and execute; prints changed GPRs
-//! rvliw trace <file.s> [rN=V]  like run, with a per-bundle execution trace
+//! rvliw tables                 run the paper's 12 scenarios on the 25-frame
+//!                              QCIF workload and print Tables 1–7, the
+//!                              paper-vs-measured comparison, the cycle
+//!                              breakdown and Figures 1–2
 //! rvliw sweep <spec.json>      expand and run a declarative experiment spec
 //!                              (also: rvliw sweep --spec <spec.json>)
 //! rvliw explore <spec.json>    budgeted design-space exploration: run a
 //!                              search strategy over an explore spec and
 //!                              print the Pareto-front JSON
+//! rvliw asm <file.s>           parse + schedule, print the bundled code
+//! rvliw run <file.s> [rN=V..]  assemble and execute; prints changed GPRs
+//! rvliw trace <file.s> [rN=V]  like run, with a per-bundle execution trace
 //! rvliw cache <stats|clear|verify>  inspect the scenario result cache
 //! rvliw arch                   print the Figure 1 block diagram
 //! ```
 //!
-//! `run` and `trace` also accept:
+//! `tables`, `sweep` and `explore` share the run flags (one strict parser,
+//! `RunFlags`, except `--metrics-out`, which each command fills itself):
+//!
+//! ```text
+//! --threads N         worker threads (0 = auto; default: RVLIW_THREADS or
+//!                     all cores)
+//! --frames N          QCIF workload length (tables: default 25; sweep and
+//!                     explore: override the spec's)
+//! --cache-dir DIR     reuse cached scenario results from DIR (also:
+//!                     RVLIW_CACHE_DIR); results are bit-identical to an
+//!                     uncached run, a summary line reports hits/misses
+//! --no-cache          ignore --cache-dir / RVLIW_CACHE_DIR for this run
+//! --journal FILE      append every scenario outcome to FILE (JSONL) as
+//!                     it lands, so an interrupted run can resume
+//! --resume FILE       replay completed entries from a previous run's
+//!                     journal instead of re-simulating them; the results
+//!                     are bit-identical to an uninterrupted run
+//! --max-retries N     retry transient failures (injected faults, cycle
+//!                     budget trips, timeouts) up to N extra attempts
+//!                     with deterministic reseeded fault substreams
+//! --timeout-secs N    wall-clock watchdog per scenario attempt; a hung
+//!                     simulation becomes a TimedOut error instead of
+//!                     stalling the run
+//! --metrics-out FILE  write the run's metrics envelope as JSON (schema 1)
+//!                     from its own results, re-simulating nothing: cache
+//!                     counters, and for tables and sweep every successful
+//!                     scenario's measurement under "scenarios", quality
+//!                     blocks and the health report (attempts, retries,
+//!                     timeouts, quarantined keys, slowest scenarios);
+//!                     explore records evaluation and revisit counts with
+//!                     an empty "scenarios" object (its frontier JSON is
+//!                     the result, and stays byte-stable)
+//! ```
+//!
+//! Supervised runs (any of `--journal`, `--resume`, `--max-retries`,
+//! `--timeout-secs`) print a `health: …` summary line to stderr.
+//!
+//! `tables` also accepts:
+//!
+//! ```text
+//! --check FILE        gate the run it prints on the snapshot in FILE
+//!                     (BENCH_tables.json): FILE's "frames" sets the
+//!                     workload length, and after every other output is
+//!                     written any Table 1–7 cell that differs fails the run
+//! --write             replace the text between the BEGIN/END GENERATED
+//!                     markers of EXPERIMENTS.md with the report
+//! --bench-json        write BENCH_tables.json: wall time per phase,
+//!                     simulated cycles, cycles per wall second, thread
+//!                     count and a "tables" snapshot of every integer cell
+//! --csv DIR           write one CSV per table (table1.csv … table7.csv)
+//! --trace FILE        write a Chrome trace_event JSON of the ORIG scenario
+//! --fault-profile P   run every scenario under a deterministic seeded
+//!                     fault plan (none | latency | flush | linebuffer |
+//!                     bitflip | chaos); failed scenarios render as
+//!                     [failed] and the run exits 1
+//! --fault-seed N      seed for the fault plan (default 0)
+//! --substrate S       run the paper grid, with its labels, on one
+//!                     fetch/issue substrate (vliw4 | scalar)
+//! ```
+//!
+//! `--write` and `--bench-json` write into the repository the binary was
+//! built from. They and `--check` refuse a fault plan or `--substrate`
+//! (the golden artifacts are fault-free VLIW runs), and `--check` refuses
+//! `--bench-json`, which would rewrite the snapshot it checks.
+//!
+//! `sweep` also accepts:
+//!
+//! ```text
+//! --spec FILE         the spec file (equivalent to the positional path)
+//! --out FILE          also write the result matrix as JSON
+//! --pareto            print the cycles-vs-quality Pareto partition as
+//!                     JSON (rows without a quality block are skipped)
+//! --pareto-out FILE   write that partition to FILE instead of stdout
+//! --substrate S       force one fetch/issue substrate (vliw4 | scalar) on
+//!                     every sweep axis, overriding the spec's `substrate`
+//!                     arrays; cross-substrate specs report per-scenario
+//!                     cycle ratios after the matrix
+//! ```
+//!
+//! `explore` also accepts:
+//!
+//! ```text
+//! --spec FILE         the explore spec (equivalent to the positional path)
+//! --seed N            search seed (default 0); for a fixed seed the
+//!                     printed frontier JSON is byte-identical at any
+//!                     thread count and on cold or warm caches
+//! --out FILE          also write the outcome JSON to FILE
+//! ```
+//!
+//! `run` and `trace` accept:
 //!
 //! ```text
 //! --trace FILE        write a Chrome trace_event JSON of the run (load it
@@ -27,70 +120,8 @@
 //!                     architectural results, different cycle counts
 //! ```
 //!
-//! `sweep` accepts:
-//!
-//! ```text
-//! --spec FILE         the spec file (equivalent to the positional path)
-//! --threads N         worker threads (0 = auto; default: RVLIW_THREADS or
-//!                     all cores)
-//! --frames N          override the spec's QCIF workload length
-//! --out FILE          also write the result matrix as JSON
-//! --pareto            print the cycles-vs-quality Pareto partition as
-//!                     JSON (rows without a quality block are skipped)
-//! --pareto-out FILE   write that partition to FILE instead of stdout
-//! --cache-dir DIR     reuse cached scenario results from DIR (also:
-//!                     RVLIW_CACHE_DIR); results are bit-identical to an
-//!                     uncached run, a summary line reports hits/misses
-//! --no-cache          ignore --cache-dir / RVLIW_CACHE_DIR for this run
-//! --substrate S       force one fetch/issue substrate (vliw4 | scalar) on
-//!                     every sweep axis, overriding the spec's `substrate`
-//!                     arrays; cross-substrate specs report per-scenario
-//!                     cycle ratios after the matrix
-//! --journal FILE      append every scenario outcome to FILE (JSONL) as
-//!                     it lands, so an interrupted sweep can resume
-//! --resume FILE       replay completed entries from a previous run's
-//!                     journal instead of re-simulating them; the final
-//!                     matrix is bit-identical to an uninterrupted run
-//! --max-retries N     retry transient failures (injected faults, cycle
-//!                     budget trips, timeouts) up to N extra attempts
-//!                     with deterministic reseeded fault substreams
-//! --timeout-secs N    wall-clock watchdog per scenario attempt; a hung
-//!                     simulation becomes a TimedOut error instead of
-//!                     stalling the sweep
-//! --metrics-out FILE  write the run's metrics envelope as JSON (schema 1,
-//!                     shared with `tables` and `explore`): every
-//!                     successful row's measurement under "scenarios",
-//!                     quality blocks, cache counters and the health
-//!                     report (attempts, retries, timeouts, quarantined
-//!                     keys, slowest scenarios); nothing is re-simulated
-//! ```
-//!
-//! `explore` accepts:
-//!
-//! ```text
-//! --spec FILE         the explore spec (equivalent to the positional path)
-//! --seed N            search seed (default 0); for a fixed seed the
-//!                     printed frontier JSON is byte-identical at any
-//!                     thread count and on cold or warm caches
-//! --threads N         worker threads for fitness batches (0 = auto)
-//! --frames N          override the spec's QCIF workload length
-//! --out FILE          also write the outcome JSON to FILE
-//! --cache-dir DIR     memoize scenario evaluations in DIR (also:
-//!                     RVLIW_CACHE_DIR); hits never change the trajectory
-//! --no-cache          ignore --cache-dir / RVLIW_CACHE_DIR for this run
-//! --journal FILE      append every evaluation outcome to FILE (JSONL)
-//! --resume FILE       replay completed evaluations from a journal
-//! --max-retries N     retry transient evaluation failures up to N times
-//! --timeout-secs N    wall-clock watchdog per evaluation attempt
-//! --metrics-out FILE  write the run's metrics envelope as JSON (schema 1,
-//!                     shared with `tables` and `sweep`): evaluation and
-//!                     revisit counts and cache counters, with an empty
-//!                     "scenarios" object (the frontier JSON is the
-//!                     result, and stays byte-stable)
-//! ```
-//!
 //! `cache` manages the scenario result cache (the directory comes from
-//! `--cache-dir` or `RVLIW_CACHE_DIR`):
+//! `--cache-dir` or `RVLIW_CACHE_DIR`) with its own strict argument list:
 //!
 //! ```text
 //! rvliw cache stats   [--cache-dir DIR] [--json]        entry count + size
@@ -102,39 +133,43 @@
 //! ```
 //!
 //! An argument error (an unknown or malformed flag, a bad register
-//! override, a missing spec path) exits 2 with a message naming it, as
-//! `tables` does; a run that fails exits 1.
+//! override, a missing spec path, an unreadable `--check` snapshot) exits
+//! 2 with a message naming it; a run that fails (a failed scenario, a
+//! drifted table cell, a failed output write) exits 1.
 //!
 //! Programs use the listing syntax of `rvliw::asm::parse_program` (see
 //! `examples/assemble_and_run.rs`); spec files use the schema documented
 //! in EXPERIMENTS.md § "Writing your own sweep".
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use rvliw::asm::{parse_program, schedule_st200, Code};
 use rvliw::exp::{
-    arch, flag_parse, flag_value, run_explore, run_summary, ExperimentSpec, ExploreSpec, RunFlags,
-    RunMetrics, ScenarioCache, SimSession, Sweep,
+    arch, flag_parse, flag_value, quality_json, run_explore, run_me_with_tracer, run_summary,
+    CaseStudy, ExperimentSpec, ExploreSpec, RunFlags, RunMetrics, Scenario, ScenarioCache,
+    SimSession, Sweep, TablesSnapshot,
 };
 use rvliw::fault::{FaultPlan, FaultProfile};
 use rvliw::isa::{Bundle, Gpr, MachineConfig, Substrate};
 use rvliw::mem::MemConfig;
 use rvliw::trace::{ChromeTracer, CountingTracer, Json, NullTracer, TeeTracer, Tracer};
+use rvliw_bench::{report, splice_generated, write_csvs};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: rvliw <asm|run|trace> <file.s> [rN=value ...] \
-         [--trace FILE] [--metrics-out FILE]\n       \
+        "usage: rvliw tables [--check FILE] [--write] [--bench-json] [--csv DIR] [--trace FILE]\n       \
+         [--fault-profile PROFILE] [--fault-seed N] [--substrate S] [RUN FLAGS]\n       \
+         rvliw sweep <spec.json | --spec FILE> [--out FILE] [--pareto] [--pareto-out FILE]\n       \
+         [--substrate S] [RUN FLAGS]\n       \
+         rvliw explore <spec.json | --spec FILE> [--seed N] [--out FILE] [RUN FLAGS]\n       \
+         rvliw <asm|run|trace> <file.s> [rN=value ...] [--trace FILE] [--metrics-out FILE]\n       \
          [--fault-profile PROFILE] [--fault-seed N] [--substrate S]\n       \
-         rvliw sweep <spec.json | --spec FILE> [--threads N] [--frames N] [--out FILE]\n       \
-         [--pareto] [--pareto-out FILE] [--cache-dir DIR] [--no-cache]\n       \
-         [--substrate S] [--journal FILE] [--resume FILE] [--max-retries N]\n       \
-         [--timeout-secs N] [--metrics-out FILE]\n       \
-         rvliw explore <spec.json | --spec FILE> [--seed N] [--threads N] [--frames N]\n       \
-         [--out FILE] [--cache-dir DIR] [--no-cache] [--journal FILE]\n       \
-         [--resume FILE] [--max-retries N] [--timeout-secs N] [--metrics-out FILE]\n       \
          rvliw cache <stats|clear|verify> [--cache-dir DIR] [--json] [--sample N] [--threads N]\n       \
-         rvliw arch"
+         rvliw arch\n\
+         RUN FLAGS: [--threads N] [--frames N] [--cache-dir DIR] [--no-cache] [--journal FILE]\n       \
+         [--resume FILE] [--max-retries N] [--timeout-secs N] [--metrics-out FILE]"
     );
     ExitCode::from(2)
 }
@@ -272,6 +307,272 @@ fn execute(path: &str, rest: &[String], trace: bool) -> Result<(), Fail> {
         }
     }
     Ok(())
+}
+
+/// The committed snapshot `rvliw tables --check FILE` gates the run on.
+struct Baseline<'a> {
+    path: &'a str,
+    tables: TablesSnapshot,
+    /// The workload length the snapshot was measured on (25 when FILE
+    /// records none).
+    frames: usize,
+}
+
+impl<'a> Baseline<'a> {
+    /// Reads and validates the snapshot in `path`.
+    fn load(path: &'a str) -> Result<Self, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let json = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
+        let tables = json.get("tables").ok_or_else(|| {
+            format!(
+                "{path} has no \"tables\" snapshot; regenerate it with `rvliw tables --bench-json`"
+            )
+        })?;
+        let tables = TablesSnapshot::from_json(tables)
+            .map_err(|e| format!("{path}: bad \"tables\" snapshot: {e}"))?;
+        let frames = match json.get("frames") {
+            None => 25,
+            Some(f) => f
+                .as_u64()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{path}: \"frames\" is not a positive integer"))?
+                as usize,
+        };
+        Ok(Baseline {
+            path,
+            tables,
+            frames,
+        })
+    }
+
+    /// The `--check` verdict on the run `cs`: every integer table cell
+    /// equals the snapshot's. The error lists the drifted cells.
+    fn holds(&self, cs: &CaseStudy) -> Result<(), String> {
+        let path = self.path;
+        let fresh = TablesSnapshot::capture(cs);
+        let drift = fresh.diff(&self.tables);
+        if !drift.is_empty() {
+            return Err(format!(
+                "--check: FAIL — {} cell(s) drifted from {path}:\n  {}",
+                drift.len(),
+                drift.join("\n  ")
+            ));
+        }
+        eprintln!(
+            "rvliw tables --check: OK — {} table cells bit-identical to {path}",
+            fresh.cells.len()
+        );
+        Ok(())
+    }
+}
+
+/// A failed output write, naming its flag and path.
+fn output_failed(flag: &str, path: &str, e: impl std::fmt::Display) -> Fail {
+    Fail::Run(format!("{flag} {path}: {e}"))
+}
+
+/// `rvliw tables`: run the paper grid once, print the report, write every
+/// output the flags ask for, then gate the run on `--check`.
+fn run_tables(rest: &[String]) -> Result<(), Fail> {
+    let mut write = false;
+    let mut bench_json = false;
+    let mut check_path: Option<&str> = None;
+    let mut csv_dir: Option<&str> = None;
+    let mut metrics_path: Option<&str> = None;
+    let mut trace_path: Option<&str> = None;
+    let mut fault_seed = 0u64;
+    let mut fault_profile = FaultProfile::None;
+    let mut substrate: Option<Substrate> = None;
+    let flags = RunFlags::parse(rest, |arg, it| {
+        match arg {
+            "--write" => write = true,
+            "--bench-json" => bench_json = true,
+            "--check" => check_path = Some(flag_value(arg, it)?),
+            "--csv" => csv_dir = Some(flag_value(arg, it)?),
+            "--metrics-out" => metrics_path = Some(flag_value(arg, it)?),
+            "--trace" => trace_path = Some(flag_value(arg, it)?),
+            "--fault-seed" => fault_seed = flag_parse(arg, it)?,
+            "--fault-profile" => fault_profile = flag_parse(arg, it)?,
+            "--substrate" => substrate = Some(flag_parse(arg, it)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })
+    .map_err(Fail::Usage)?;
+    let threads = flags.threads;
+    let plan = FaultPlan::from_profile(fault_profile, fault_seed);
+    let config = flags.supervisor().map_err(Fail::Usage)?;
+    let forced = if plan.is_inert() {
+        substrate.map(|su| format!("--substrate {su}"))
+    } else {
+        Some(format!("fault profile `{fault_profile}`"))
+    };
+    if let Some(forced) = forced.filter(|_| write || bench_json || check_path.is_some()) {
+        return Err(Fail::Usage(format!(
+            "refusing to rewrite or check golden artifacts (--write / --bench-json / \
+             --check) under {forced}; the checked-in tables are fault-free VLIW runs"
+        )));
+    }
+    let check = match check_path {
+        None => None,
+        Some(_) if bench_json => {
+            return Err(Fail::Usage(
+                "--check and --bench-json conflict: --bench-json rewrites the baseline".into(),
+            ))
+        }
+        Some(path) => Some(Baseline::load(path).map_err(|e| Fail::Usage(format!("--check {e}")))?),
+    };
+    let frames = match (&check, flags.frames) {
+        (Some(b), Some(n)) if n != b.frames => {
+            return Err(Fail::Usage(format!(
+                "--frames {n} conflicts with --check {}, measured on {} frame(s)",
+                b.path, b.frames
+            )))
+        }
+        (Some(b), _) => b.frames,
+        (None, n) => n.unwrap_or(25),
+    };
+    let scenarios: Vec<Scenario> = CaseStudy::scenarios()
+        .into_iter()
+        .map(|sc| sc.with_fault_plan(plan))
+        .map(|sc| match substrate {
+            Some(su) => sc.with_substrate(su),
+            None => sc,
+        })
+        .collect();
+
+    let t0 = Instant::now();
+    eprintln!("generating + encoding the {frames}-frame QCIF workload …");
+    let (workload, cache) = flags.open_workload(frames).map_err(Fail::Usage)?;
+    let encode_wall_s = t0.elapsed().as_secs_f64();
+    if let Some(su) = substrate {
+        eprintln!("pinning every scenario to the `{su}` substrate");
+    }
+    if plan.is_inert() {
+        eprintln!("running the 12 architecture scenarios on {threads} thread(s) …");
+    } else {
+        eprintln!(
+            "running the 12 architecture scenarios on {threads} thread(s) \
+             under fault profile `{fault_profile}`, seed {fault_seed} …"
+        );
+    }
+    let t_scenarios = Instant::now();
+    let (cs, health) = CaseStudy::run_scenarios_supervised(
+        &scenarios,
+        &workload,
+        threads,
+        |label| eprintln!("  scenario {label} …"),
+        cache.as_ref(),
+        &config,
+    );
+    let scenarios_wall_s = t_scenarios.elapsed().as_secs_f64();
+    let summary = run_summary(
+        cache.as_ref().map(ScenarioCache::counts).as_ref(),
+        config.is_active().then_some(&health),
+    );
+    if !summary.is_empty() {
+        eprintln!("{summary}");
+    }
+
+    let out = report(&cs, &workload);
+    println!("{out}");
+    let total_wall_s = t0.elapsed().as_secs_f64();
+    eprintln!("total runtime: {total_wall_s:.1}s");
+    if bench_json {
+        let simulated_cycles: u64 = cs
+            .results()
+            .filter_map(|r| r.as_ref().ok())
+            .map(|r| r.me_cycles)
+            .sum();
+        let cycles_per_sec = simulated_cycles as f64 / scenarios_wall_s;
+        let mut json = String::from("{\n");
+        let _ = writeln!(json, "  \"bin\": \"tables\",");
+        let _ = writeln!(json, "  \"threads\": {threads},");
+        let _ = writeln!(json, "  \"frames\": {frames},");
+        let _ = writeln!(json, "  \"getsad_calls\": {},", workload.num_calls());
+        let _ = writeln!(json, "  \"scenarios\": 12,");
+        let _ = writeln!(json, "  \"encode_wall_s\": {encode_wall_s:.3},");
+        let _ = writeln!(json, "  \"scenarios_wall_s\": {scenarios_wall_s:.3},");
+        let _ = writeln!(json, "  \"total_wall_s\": {total_wall_s:.3},");
+        let _ = writeln!(json, "  \"simulated_cycles\": {simulated_cycles},");
+        let _ = writeln!(json, "  \"cycles_per_sec\": {cycles_per_sec:.0},");
+        if let Some(q) = quality_json(cs.results().filter_map(|r| r.as_ref().ok())) {
+            let _ = writeln!(json, "  \"quality\": {q},");
+        }
+        let _ = writeln!(
+            json,
+            "  \"tables\": {}",
+            TablesSnapshot::capture(&cs).to_json()
+        );
+        json.push_str("}\n");
+        Json::parse(&json).map_err(|e| format!("generated bench report is not JSON: {e}"))?;
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_tables.json");
+        std::fs::write(path, json).map_err(|e| output_failed("--bench-json", path, e))?;
+        eprintln!("wrote {path}");
+    }
+    if let Some(dir) = csv_dir {
+        write_csvs(dir, &cs).map_err(|e| output_failed("--csv", dir, e))?;
+        eprintln!("wrote table CSVs to {dir}");
+    }
+    if let Some(path) = metrics_path {
+        let mut metrics = RunMetrics::new()
+            .results(cs.results())
+            .cache(cache.as_ref())
+            .health(&health);
+        // Non-default substrates are recorded in the envelope so a scalar
+        // metrics file can never be mistaken for a VLIW one.
+        if let Some(su) = substrate.filter(|&su| su != Substrate::default()) {
+            metrics = metrics.insert("substrate", Json::Str(su.name().to_owned()));
+        }
+        metrics
+            .write(path)
+            .map_err(|e| output_failed("--metrics-out", path, e))?;
+        eprintln!("wrote run metrics to {path}");
+    }
+    if let Some(path) = trace_path {
+        eprintln!("capturing a Chrome trace of the ORIG scenario …");
+        let mut tracer = ChromeTracer::without_bundles();
+        if let Err(e) = run_me_with_tracer(
+            &Scenario::orig().with_fault_plan(plan),
+            &workload,
+            &mut tracer,
+        ) {
+            eprintln!("  note: ORIG replay failed ({e}); the trace covers the run up to the fault");
+        }
+        if tracer.dropped > 0 {
+            eprintln!(
+                "  note: {} events dropped past the {}-event cap",
+                tracer.dropped,
+                ChromeTracer::DEFAULT_MAX_EVENTS
+            );
+        }
+        std::fs::write(path, tracer.to_json()).map_err(|e| output_failed("--trace", path, e))?;
+        eprintln!("wrote Chrome trace ({} events) to {path}", tracer.len());
+    }
+    if write {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| splice_generated(&doc, &out))
+            .and_then(|doc| std::fs::write(path, doc).map_err(|e| e.to_string()))
+            .map_err(|e| output_failed("--write", path, e))?;
+        eprintln!("wrote the generated block of {path}");
+    }
+    let held = check.map_or(Ok(()), |b| b.holds(&cs));
+    let failures = cs.failures();
+    if failures.is_empty() {
+        return held.map_err(Fail::Run);
+    }
+    if let Err(e) = held {
+        eprintln!("rvliw: {e}");
+    }
+    let labels: Vec<String> = failures.iter().map(ToString::to_string).collect();
+    Err(Fail::Run(format!(
+        "{} of {} scenarios failed (the others completed and keep their measurements):\n  {}",
+        labels.len(),
+        cs.results().count(),
+        labels.join("\n  ")
+    )))
 }
 
 /// The usage error of `sweep` and `explore` without a spec path.
@@ -602,6 +903,7 @@ fn main() -> ExitCode {
             Some(path) => execute(path, &args[2..], cmd == "trace"),
             None => return usage(),
         },
+        Some("tables") => run_tables(&args[1..]),
         Some("sweep") => match args.get(1) {
             Some(_) => run_sweep(&args[1..]),
             None => return usage(),

@@ -3,8 +3,9 @@
 //! checked-in spec, at every thread count, and cached faulty runs must
 //! never leak into clean runs (or vice versa).
 //!
-//! These run on `Workload::tiny()` for speed; the full 25-frame warm
-//! `tables --check` equivalence is CI's `cache-smoke` job.
+//! These run on `Workload::tiny()` for speed; the full 25-frame cold and
+//! warm golden runs are
+//! `tests/reproduction.rs::tables_through_one_cache_cold_at_four_threads_then_warm`.
 
 use std::path::{Path, PathBuf};
 

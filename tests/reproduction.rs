@@ -1,18 +1,56 @@
-//! End-to-end reproduction bands: on a reduced workload, the measured
-//! results must show the qualitative shape of the paper's Tables 1–7.
+//! End-to-end reproduction: on a reduced workload, the measured results
+//! must show the qualitative shape of the paper's Tables 1–7; on the full
+//! 25-frame workload they must bit-match the committed `BENCH_tables.json`
+//! snapshot, at any thread count and through a cold or warm result cache,
+//! and render to the committed generated block of `EXPERIMENTS.md`.
 //!
-//! The full 25-frame run (and the exact paper-vs-measured comparison) is
-//! produced by `cargo run --release -p rvliw-bench --bin tables`; these
-//! tests guard the shape on every `cargo test`.
+//! The same report is printed by `cargo run --release --bin rvliw --
+//! tables`.
 
-use rvliw::exp::{CaseStudy, TablesSnapshot, Workload, GETSAD_SHARE_ORIG};
+use std::sync::OnceLock;
+
+use rvliw::exp::{
+    CaseStudy, ScenarioCache, SupervisorConfig, TablesSnapshot, Workload, GETSAD_SHARE_ORIG,
+};
 use rvliw::trace::Json;
+use rvliw_bench::{report, splice_generated};
 
 fn case_study() -> CaseStudy {
     // QCIF, 2 frames: ~3000 GetSad calls — small enough for debug-mode CI,
     // large enough for stable ratios.
     let w = Workload::qcif_frames(2);
     CaseStudy::run(&w)
+}
+
+/// The case study on the full 25-frame paper workload, run once per test
+/// binary and shared by the golden tests.
+fn paper_run() -> &'static CaseStudy {
+    static RUN: OnceLock<CaseStudy> = OnceLock::new();
+    RUN.get_or_init(|| CaseStudy::run(&Workload::paper_shared()))
+}
+
+/// The `"tables"` snapshot committed in `BENCH_tables.json`.
+fn committed_baseline() -> TablesSnapshot {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_tables.json");
+    let text = std::fs::read_to_string(path).expect("read BENCH_tables.json");
+    let json = Json::parse(&text).expect("BENCH_tables.json is valid JSON");
+    TablesSnapshot::from_json(
+        json.get("tables")
+            .expect("BENCH_tables.json has a \"tables\" snapshot"),
+    )
+    .expect("snapshot well-formed")
+}
+
+/// Fails naming every cell of `fresh` that differs from the committed
+/// snapshot.
+fn assert_matches_baseline(fresh: &TablesSnapshot, run: &str) {
+    let drift = fresh.diff(&committed_baseline());
+    assert!(
+        drift.is_empty(),
+        "{run}: {} table cell(s) drifted from the committed baseline:\n{}",
+        drift.len(),
+        drift.join("\n")
+    );
 }
 
 #[test]
@@ -113,28 +151,76 @@ fn reference_prefetches_are_rarely_late() {
 
 /// Golden exact-cycle test: every integer cell of Tables 1–7 on the full
 /// 25-frame workload must bit-match the `"tables"` snapshot committed in
-/// `BENCH_tables.json` (the same baseline `tables --check` gates CI on).
+/// `BENCH_tables.json` (the baseline `rvliw tables --check` gates on).
 /// The simulation is fully deterministic, so any drift is a semantic
 /// change that must be reviewed and re-baselined deliberately.
 #[test]
 fn tables_bit_match_the_committed_baseline() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_tables.json");
-    let text = std::fs::read_to_string(path).expect("read BENCH_tables.json");
-    let json = Json::parse(&text).expect("BENCH_tables.json is valid JSON");
-    let baseline = TablesSnapshot::from_json(
-        json.get("tables")
-            .expect("BENCH_tables.json has a \"tables\" snapshot"),
-    )
-    .expect("snapshot well-formed");
+    assert_matches_baseline(&TablesSnapshot::capture(paper_run()), "default threads");
+}
 
-    let cs = CaseStudy::run(&Workload::paper_shared());
-    let drift = TablesSnapshot::capture(&cs).diff(&baseline);
-    assert!(
-        drift.is_empty(),
-        "{} table cell(s) drifted from the committed baseline:\n{}",
-        drift.len(),
-        drift.join("\n")
+/// The generated block of `EXPERIMENTS.md` is what `rvliw tables --write`
+/// would write now: the report of the golden run, spliced between the
+/// markers, leaves the file byte-identical. Nothing is written.
+#[test]
+fn experiments_md_generated_block_is_current() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
+    let fresh = splice_generated(&doc, &report(paper_run(), &Workload::paper_shared()))
+        .expect("EXPERIMENTS.md has one pair of generated-block markers");
+    if fresh != doc {
+        let line = doc
+            .lines()
+            .zip(fresh.lines())
+            .take_while(|(old, new)| old == new)
+            .count();
+        panic!(
+            "EXPERIMENTS.md is stale from line {}; regenerate it with \
+             `cargo run --release --bin rvliw -- tables --write`:\n  \
+             committed: {:?}\n  generated: {:?}",
+            line + 1,
+            doc.lines().nth(line),
+            fresh.lines().nth(line)
+        );
+    }
+}
+
+/// The golden grid through one result-cache directory: a cold run at four
+/// workers simulates and publishes all 12 scenarios, and a warm
+/// single-threaded run serves every one from disk. Both bit-match the
+/// committed snapshot.
+#[test]
+fn tables_through_one_cache_cold_at_four_threads_then_warm() {
+    let dir = std::env::temp_dir().join(format!("rvliw-reproduction-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let workload = Workload::paper_shared();
+    let run = |threads| {
+        let cache = ScenarioCache::open(&dir, &workload, "paper").expect("open the cache");
+        let (cs, _) = CaseStudy::run_scenarios_supervised(
+            &CaseStudy::scenarios(),
+            &workload,
+            threads,
+            |_| {},
+            Some(&cache),
+            &SupervisorConfig::default(),
+        );
+        (TablesSnapshot::capture(&cs), cache.counts())
+    };
+    let (cold, counts) = run(4);
+    assert_matches_baseline(&cold, "cold, 4 threads");
+    assert_eq!(
+        (counts.misses, counts.writes, counts.hits),
+        (12, 12, 0),
+        "cold run: {counts:?}"
     );
+    let (warm, counts) = run(1);
+    assert_eq!(
+        (counts.hits, counts.misses, counts.stale),
+        (12, 0, 0),
+        "warm run: {counts:?}"
+    );
+    assert_eq!(warm.cells, cold.cells, "warm run differs from the cold one");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,14 +1,27 @@
-//! The strict run-flag parser `rvliw sweep`, `rvliw explore` and `tables`
-//! share: bad input is an error naming the flag — never a panic, a silent
-//! default or an ignored argument — and every run flag reaches the
-//! workload, cache and supervision it configures. The `rvliw cache`
+//! The strict run-flag parser `rvliw tables`, `rvliw sweep` and `rvliw
+//! explore` share: bad input is an error naming the flag — never a panic,
+//! a silent default or an ignored argument — and every run flag reaches
+//! the workload, cache and supervision it configures. The `rvliw cache`
 //! arguments and the `rvliw run` register overrides are held to the same
 //! rule.
+//!
+//! The process tests drive the `rvliw` binary. `rvliw tables --check`
+//! gates the very run it prints and writes every requested output, usage
+//! errors exit 2 naming the flag, failed writes exit 1 naming the flag,
+//! and a chaos fault run fails cleanly instead of panicking. Their golden
+//! snapshot is a 1-frame one built in the test process, so every spawned
+//! run stays short. No test passes `--write` or `--bench-json`: both write
+//! to fixed paths in the repository.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use std::sync::OnceLock;
 use std::time::Duration;
 
-use rvliw::exp::{flag_parse, flag_value, RunFlags};
+use rvliw::exp::{flag_parse, flag_value, CaseStudy, RunFlags, TablesSnapshot, Workload};
+use rvliw::fault::FaultProfile;
+use rvliw::trace::Json;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rvliw-run-flags-{tag}-{}", std::process::id()));
@@ -16,8 +29,30 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Runs `rvliw` with `args` from the workspace root (where `specs/` and
+/// `BENCH_tables.json` live), with no cache directory from the
+/// environment.
+fn rvliw(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rvliw"))
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .env_remove("RVLIW_CACHE_DIR")
+        .output()
+        .unwrap()
+}
+
+/// Runs `rvliw tables` with `args`.
+fn tables(args: &[&str]) -> Output {
+    rvliw(&[&["tables"], args].concat())
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
 /// Parses `line` with a command-specific handler shaped like the one
-/// `tables` passes: a switch, a path-valued flag and two parsed values.
+/// `rvliw tables` passes: a switch, a path-valued flag and two parsed
+/// values.
 fn parse(line: &str) -> Result<RunFlags, String> {
     let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
     RunFlags::parse(&args, |arg, it| {
@@ -25,7 +60,7 @@ fn parse(line: &str) -> Result<RunFlags, String> {
             "--write" => {}
             "--check" => drop(flag_value(arg, it)?),
             "--fault-seed" => drop(flag_parse::<u64>(arg, it)?),
-            "--min-cycles-per-sec-ratio" => drop(flag_parse::<f64>(arg, it)?),
+            "--fault-profile" => drop(flag_parse::<FaultProfile>(arg, it)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -46,10 +81,7 @@ fn bad_flags_are_errors_naming_the_flag() {
         ("--backend auto", "--backend"),
         ("--cache-dir", "--cache-dir"),
         ("--fault-seed", "--fault-seed"),
-        (
-            "--min-cycles-per-sec-ratio abc",
-            "--min-cycles-per-sec-ratio",
-        ),
+        ("--fault-profile loud", "--fault-profile"),
         ("--check", "--check"),
     ] {
         match parse(line) {
@@ -69,7 +101,7 @@ fn every_run_flag_is_accepted_and_applied() {
     let line = format!(
         "--write --threads 3 --frames 2 --cache-dir {} --no-cache \
          --journal {j} --resume {j} --max-retries 2 --timeout-secs 9 \
-         --fault-seed 7 --min-cycles-per-sec-ratio 0.8 --check BENCH_tables.json",
+         --fault-seed 7 --fault-profile chaos --check BENCH_tables.json",
         dir.display(),
         j = journal.display()
     );
@@ -104,11 +136,8 @@ fn no_run_flags_mean_no_supervision() {
 fn cache_verify_rejects_a_zero_sample() {
     let dir = tmpdir("verify");
     let verify = |sample: &str| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_rvliw"))
-            .args(["cache", "verify", "--sample", sample, "--cache-dir"])
-            .arg(&dir)
-            .output()
-            .unwrap()
+        let dir = dir.to_str().unwrap();
+        rvliw(&["cache", "verify", "--sample", sample, "--cache-dir", dir])
     };
     let zero = verify("0");
     let stderr = String::from_utf8_lossy(&zero.stderr);
@@ -134,14 +163,7 @@ fn run_rejects_register_overrides_wider_than_32_bits() {
     let dir = tmpdir("regs");
     let program = dir.join("inc.s");
     std::fs::write(&program, "    add $r2 = $r1, 1\n    halt\n").unwrap();
-    let run = |value: &str| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_rvliw"))
-            .arg("run")
-            .arg(&program)
-            .arg(format!("r1={value}"))
-            .output()
-            .unwrap()
-    };
+    let run = |value: &str| rvliw(&["run", program.to_str().unwrap(), &format!("r1={value}")]);
     for bad in ["4294967296", "99999999999999", "-2147483649"] {
         let out = run(bad);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -167,17 +189,10 @@ fn run_rejects_register_overrides_wider_than_32_bits() {
 }
 
 /// Argument errors of `rvliw sweep` are usage errors (exit 2, the code of
-/// `tables` and of `rvliw` without a command); a failed run exits 1.
+/// `rvliw` without a command); a failed run exits 1.
 #[test]
 fn sweep_argument_errors_exit_2_and_run_failures_exit_1() {
-    let sweep = |args: &[&str]| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_rvliw"))
-            .arg("sweep")
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .output()
-            .unwrap()
-    };
+    let sweep = |args: &[&str]| rvliw(&[&["sweep"], args].concat());
     for args in [
         &["specs/table1.json", "--frames", "0"][..],
         &["specs/table1.json", "--no-such-flag"],
@@ -195,4 +210,177 @@ fn sweep_argument_errors_exit_2_and_run_failures_exit_1() {
         "{}",
         String::from_utf8_lossy(&missing.stderr)
     );
+}
+
+/// The 1-frame case study, run once per test binary.
+fn one_frame_run() -> &'static CaseStudy {
+    static RUN: OnceLock<CaseStudy> = OnceLock::new();
+    RUN.get_or_init(|| CaseStudy::run(&Workload::qcif_frames(1)))
+}
+
+/// Writes a `--check` baseline for the 1-frame workload into `dir`, with
+/// `edit` applied to its cells first.
+fn write_snapshot(dir: &Path, edit: impl FnOnce(&mut BTreeMap<String, u64>)) -> String {
+    let mut cells = TablesSnapshot::capture(one_frame_run()).cells;
+    edit(&mut cells);
+    let mut doc = BTreeMap::new();
+    doc.insert("frames".to_owned(), Json::Num("1".to_owned()));
+    doc.insert("tables".to_owned(), TablesSnapshot { cells }.to_json());
+    let path = dir.join("snap.json");
+    std::fs::write(&path, Json::Obj(doc).to_string()).unwrap();
+    path.to_str().unwrap().to_owned()
+}
+
+/// `--check` is not a separate run: the outputs asked for alongside it
+/// are written, here the `--metrics-out` envelope.
+#[test]
+fn check_writes_the_metrics_of_the_run_it_gates() {
+    let dir = tmpdir("metrics");
+    let snap = write_snapshot(&dir, |_| {});
+    let metrics = dir.join("m.json");
+    let out = tables(&["--check", &snap, "--metrics-out", metrics.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stderr(&out).contains("bit-identical"), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&metrics).unwrap_or_else(|e| panic!("no envelope: {e}"));
+    let doc = Json::parse(&text).unwrap();
+    assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1), "{text}");
+    assert!(
+        matches!(doc.get("scenarios"), Some(Json::Obj(m)) if m.len() == 12),
+        "{text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn check_fails_naming_a_drifted_cell() {
+    let dir = tmpdir("drift");
+    let cell = "table1/Orig/cycles";
+    let snap = write_snapshot(&dir, |cells| {
+        *cells
+            .get_mut(cell)
+            .expect("snapshot has the ORIG cycle cell") += 1;
+    });
+    let out = tables(&["--check", &snap]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("1 cell(s) drifted"), "{err}");
+    assert!(err.contains(cell), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The snapshot fixes the workload length; a different `--frames` would
+/// compare two different workloads.
+#[test]
+fn check_rejects_frames_that_differ_from_the_snapshot() {
+    let dir = tmpdir("frames");
+    let snap = write_snapshot(&dir, |_| {});
+    let out = tables(&["--check", &snap, "--frames", "2"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("--frames"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Usage errors of `rvliw tables` exit 2 and name the flag; `--spec`,
+/// `--backend` and `--min-cycles-per-sec-ratio` are retired flags, so they
+/// are unknown ones now.
+#[test]
+fn bad_flags_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        (&["--no-such-flag"][..], "--no-such-flag"),
+        (&["--frames", "0"], "--frames"),
+        (&["--backend", "auto"], "--backend"),
+        (&["--spec", "specs/", "--frames", "1"], "--spec"),
+        (
+            &["--min-cycles-per-sec-ratio", "0.8"],
+            "--min-cycles-per-sec-ratio",
+        ),
+    ] {
+        let out = tables(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+    }
+}
+
+#[test]
+fn unwritable_metrics_out_exits_1_naming_the_flag() {
+    let dir = tmpdir("unwritable");
+    let file = dir.join("plain-file");
+    std::fs::write(&file, "").unwrap();
+    let target = file.join("m.json");
+    let out = tables(&["--frames", "1", "--metrics-out", target.to_str().unwrap()]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("--metrics-out"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under the chaos fault profile some scenarios fail; the run still
+/// completes and exits with a failure code, never a panic (101) or an
+/// abort.
+#[test]
+fn chaos_run_fails_cleanly() {
+    let out = tables(&[
+        "--frames",
+        "2",
+        "--fault-profile",
+        "chaos",
+        "--fault-seed",
+        "7",
+    ]);
+    let code = out.status.code();
+    assert!(
+        code.is_some_and(|c| c != 0 && c < 101),
+        "exit {code:?}: {}",
+        stderr(&out)
+    );
+}
+
+/// `rvliw tables --csv DIR` writes `table1.csv` … `table7.csv`, each the
+/// header `rvliw_bench::write_csvs` documents and one row per row of its
+/// table, every row as wide as the header.
+#[test]
+fn csv_writes_one_file_per_table() {
+    let dir = tmpdir("csv");
+    let csv = dir.join("csv");
+    let out = tables(&["--frames", "1", "--csv", csv.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let cs = one_frame_run();
+    let headers = [
+        "scenario,cycles,speedup,improvement",
+        "bandwidth,beta,lat,cycles,speedup",
+        "bandwidth,lat_b1,lat_b5,pct_latency_increase,pct_speedup_reduction",
+        "scenario,beta,stall_cycles,reduction_vs_orig",
+        "scenario,beta,stall_share",
+        "bandwidth,beta,static_cycles,th_speedup,speedup,ratio",
+        "beta,lat,cycles,speedup,rel_share,stalls,stall_reduction",
+    ];
+    // Tables 2, 4 and 5 give each bandwidth a row per β; 4 and 5 add Orig.
+    let rows = [
+        cs.table1().rows.len(),
+        2 * cs.table2().rows.len(),
+        cs.table3().rows.len(),
+        1 + 2 * cs.table4().rows.len(),
+        1 + 2 * cs.table5().rows.len(),
+        cs.table6().rows.len(),
+        cs.table7().rows.len(),
+    ];
+    for (i, (header, rows)) in headers.into_iter().zip(rows).enumerate() {
+        let name = format!("table{}", i + 1);
+        let path = csv.join(format!("{name}.csv"));
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some(header), "{name}.csv header");
+        let body: Vec<&str> = lines.collect();
+        assert_eq!(body.len(), rows, "{name}.csv rows:\n{text}");
+        assert!(rows > 0, "{name} renders no rows");
+        let width = header.split(',').count();
+        for row in &body {
+            assert_eq!(row.split(',').count(), width, "{name}.csv row `{row}`");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
