@@ -59,6 +59,9 @@ impl CacheGeometry {
     }
 }
 
+/// The empty most-recently-used memo: no `u32` line number equals it.
+const NO_LINE: u64 = u64::MAX;
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Way {
     valid: bool,
@@ -103,12 +106,14 @@ pub struct Cache {
     /// `log2(num_sets)` when the set count is a power of two (the common
     /// case, letting index/tag extraction use shifts instead of division).
     sets_shift: Option<u32>,
-    /// Direct-mapped fast path: the line index of a known-resident line
-    /// (`u32::MAX` = none). With one way, a repeat read of this line is a
-    /// guaranteed hit and skips the lookup entirely; any fill resets the
-    /// memo. Only consulted when `ways == 1`, where LRU stamps cannot
-    /// influence victim selection.
-    last_line: u32,
+    /// Most-recently-used memo: the line number (`addr >> line_shift`) of
+    /// the last line that hit, or [`NO_LINE`]. While set, that line is
+    /// resident in flat way `mru_way`, so a repeat access skips the set
+    /// scan and does exactly what a scanned hit does. Every fill and
+    /// flush clears it (a fill may evict the memoized line).
+    mru_line: u64,
+    /// Flat index into `sets` of the way holding `mru_line`.
+    mru_way: usize,
     /// Bumped whenever the set of resident lines can shrink (any fill or
     /// flush). While this is unchanged, every line observed resident is
     /// still resident — the basis for [`Cache::contents_gen`] memos.
@@ -153,7 +158,8 @@ impl Cache {
             sets_shift: num_sets
                 .is_power_of_two()
                 .then(|| num_sets.trailing_zeros()),
-            last_line: u32::MAX,
+            mru_line: NO_LINE,
+            mru_way: 0,
             gen: 0,
             hits: 0,
             misses: 0,
@@ -202,9 +208,8 @@ impl Cache {
     /// the caller knows the previous access was to the same line (then
     /// this access is a guaranteed hit, nothing can have evicted the line
     /// in between, and — with a single way — LRU stamps never influence
-    /// victim selection). The bookkeeping is exactly what
-    /// [`Cache::access`]'s resident-line fast path performs, so counters
-    /// stay bit-identical to issuing the access.
+    /// victim selection). The counters stay bit-identical to issuing the
+    /// access.
     ///
     /// The block-compiled simulator backend uses this to batch per-bundle
     /// instruction fetches that stay within one cache line.
@@ -251,38 +256,32 @@ impl Cache {
     /// Accesses `addr`, filling on miss; `write` marks the line dirty.
     #[inline(always)]
     pub fn access(&mut self, addr: u32, write: bool) -> FillOutcome {
-        // Direct-mapped repeat read of a known-resident line: a guaranteed
-        // hit. Skipping the stamp update is safe with a single way (the
-        // victim choice never consults stamps), and the dirty bit only
-        // changes on writes, which take the slow path.
-        if !write && self.geom.ways == 1 && (addr >> self.line_shift) == self.last_line {
-            self.tick += 1;
-            self.hits += 1;
-            return FillOutcome {
-                hit: true,
-                writeback: None,
-            };
-        }
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_index(addr);
-        let tag = self.tag_of(addr);
         let policy = self.geom.policy;
-        let ways = self.geom.ways;
-        // Fast path: hit.
-        if let Some(way) = self
-            .set_ways(set)
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
+        let line = addr >> self.line_shift;
+        // Repeat access to the most recently used line: the same hit
+        // without the set scan.
+        let found = if u64::from(line) == self.mru_line {
+            Some(self.mru_way)
+        } else {
+            let set = self.set_index(addr);
+            let tag = self.tag_of(addr);
+            let base = set as usize * self.geom.ways as usize;
+            self.sets[base..base + self.geom.ways as usize]
+                .iter()
+                .position(|w| w.valid && w.tag == tag)
+                .map(|i| base + i)
+        };
+        if let Some(i) = found {
+            let way = &mut self.sets[i];
             if policy == ReplacementPolicy::Lru {
                 way.stamp = tick;
             }
             way.dirty |= write;
             self.hits += 1;
-            if ways == 1 {
-                self.last_line = addr >> self.line_shift;
-            }
+            self.mru_line = u64::from(line);
+            self.mru_way = i;
             return FillOutcome {
                 hit: true,
                 writeback: None,
@@ -355,13 +354,8 @@ impl Cache {
             self.writebacks += 1;
         }
         self.gen += 1;
-        // A fill may have evicted the memoized line; repoint the memo at
-        // the line that is now certainly resident.
-        self.last_line = if self.geom.ways == 1 {
-            addr >> self.line_shift
-        } else {
-            u32::MAX
-        };
+        // The fill may have evicted the memoized line.
+        self.mru_line = NO_LINE;
         writeback
     }
 
@@ -371,7 +365,7 @@ impl Cache {
             *w = Way::default();
         }
         self.tick = 0;
-        self.last_line = u32::MAX;
+        self.mru_line = NO_LINE;
         self.gen += 1;
     }
 }

@@ -73,7 +73,9 @@ impl Ram {
     #[inline]
     pub fn load16(&self, addr: u32) -> u16 {
         let a = addr as usize;
-        u16::from_le_bytes([self.bytes[a], self.bytes[a + 1]])
+        // One bounds check: the indices below are within the 2-byte slice.
+        let b = &self.bytes[a..a + 2];
+        u16::from_le_bytes([b[0], b[1]])
     }
 
     /// Loads a 32-bit little-endian value.
@@ -81,12 +83,9 @@ impl Ram {
     #[inline]
     pub fn load32(&self, addr: u32) -> u32 {
         let a = addr as usize;
-        u32::from_le_bytes([
-            self.bytes[a],
-            self.bytes[a + 1],
-            self.bytes[a + 2],
-            self.bytes[a + 3],
-        ])
+        // One bounds check: the indices below are within the 4-byte slice.
+        let b = &self.bytes[a..a + 4];
+        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
     }
 
     /// Stores one byte.

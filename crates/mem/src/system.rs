@@ -133,8 +133,17 @@ impl MemorySystem {
         self.bus_free_at
     }
 
-    #[inline]
+    /// Installs the prefetches completed by `now`. Every demand access
+    /// drains, and nothing is in flight outside the loop-level scenarios,
+    /// so the empty check is inlined into each access and the drain is not.
+    #[inline(always)]
     fn drain_prefetches<T: Tracer + ?Sized>(&mut self, now: u64, tracer: &mut T) {
+        if !self.pfq.is_empty() {
+            self.drain_completed(now, tracer);
+        }
+    }
+
+    fn drain_completed<T: Tracer + ?Sized>(&mut self, now: u64, tracer: &mut T) {
         for line in self.pfq.drain_completed(now) {
             if self.dcache.install(line).is_some() {
                 // Dirty eviction on drain: the writeback occupies the bus.

@@ -10,9 +10,19 @@
 //! **micro-trace**: per-bundle issue templates (scoreboard read set, RFU
 //! interlock flag, pre-resolved instruction-fetch behaviour) plus a
 //! contiguous array of `MicroOp`s with the per-operation decisions
-//! (evaluator function, operand indices, latency) baked in. Executing a
-//! block is then a tight loop parameterized only by dynamic inputs:
-//! register values and memory/RFU response latencies.
+//! (opcode, operand shape, operand indices, destination, latency) baked
+//! in. Executing a block is then a tight loop parameterized only by
+//! dynamic inputs: register values and memory/RFU response latencies.
+//!
+//! Each operation runs through exactly one `match` arm. The opcodes the
+//! paper kernels issue most (ALU, shift, byte-extract and SIMD ops, word
+//! loads, compares into branch registers and every RFU operation) have a
+//! typed variant per operand shape that calls the opcode's one
+//! definition in [`crate::exec`] or [`rvliw_isa::simd`], or the RFU
+//! method of [`Machine`] the interpreter also calls. The long tail of
+//! pure operations goes through a [`PureFn`]; only shapes with neither
+//! re-enter the interpreter's exec phase (`MicroOp::Gen`), and no paper
+//! scenario issues one.
 //!
 //! **Soundness.** The scoreboard outcome of a straight-line bundle
 //! sequence is a pure function of entry state (register-ready times, cache
@@ -23,7 +33,7 @@
 //! differential tests assert bit-identical
 //! [`RunSummary`](crate::RunSummary)s. The backend only activates for
 //! observation-free runs — no per-bundle trace hook, a
-//! [`NullTracer`](rvliw_trace::NullTracer) (every event sink a no-op), and
+//! [`NullTracer`] (every event sink a no-op), and
 //! an inert [`FaultPlan`](rvliw_fault::FaultPlan) — so there is no
 //! observer whose view could distinguish the backends. Anything else, and
 //! any control transfer into the middle of a block (a computed `return`
@@ -38,11 +48,13 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use rvliw_asm::Code;
-use rvliw_isa::{block_leaders, Dest, Gpr, NUM_BRS, NUM_GPRS};
+use rvliw_isa::simd;
+use rvliw_isa::{block_leaders, Br, Dest, Gpr, Opcode, NUM_BRS, NUM_GPRS};
 use rvliw_mem::MemorySystem;
+use rvliw_trace::NullTracer;
 
 use crate::decode::{DSrc, DecodedCode, DecodedOp, ExecKind, ScoreRead, NUM_OP_CLASSES};
-use crate::exec::PureFn;
+use crate::exec::{self, PureFn};
 use crate::machine::{Machine, SimError, MAX_ISSUE};
 use crate::BUNDLE_BYTES;
 
@@ -168,14 +180,146 @@ pub(crate) fn add_to_totals(s: &BackendStats) {
     }
 }
 
-/// One operation of a micro-trace, with the operand-shape decisions taken
-/// at compile time so the hot loop never re-matches [`DSrc`] patterns.
-/// Shapes the compiler does not specialize fall back to [`MicroOp::Gen`],
+/// One operation of a micro-trace, with the per-operation decisions taken
+/// at compile time so the hot loop dispatches each operation through
+/// exactly one `match` arm.
+///
+/// The opcodes the paper kernels issue most have typed variants: one per
+/// opcode and operand shape (`GG` two registers, `GI` a register and an
+/// immediate, `G` one register), each calling the opcode's one definition
+/// in [`crate::exec`] or [`rvliw_isa::simd`], with its destination
+/// resolved to a non-zero [`Gpr`] (a [`Br`] for compares). The `Pure*`
+/// variants carry a [`PureFn`] for the long tail of pure operations.
+/// Shapes the compiler does not lower fall back to [`MicroOp::Gen`],
 /// which re-enters the interpreter's exec phase for that operation only.
+/// Register sources are array indices: `$r0` is slot 0, which no write
+/// ever touches, so it reads 0.
 #[derive(Debug, Clone)]
 enum MicroOp {
-    /// Pure op over two register sources (`$r0` encodes as index 0, whose
-    /// array slot is never written and stays 0).
+    AddGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    AddGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    SubGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    OrGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    SllGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    SllGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    SrlGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    SrlGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    ExtbuGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    MovG {
+        a: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    Sad4GG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    Avg4rGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    Hadd2GGI {
+        a: u8,
+        b: u8,
+        k: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    Rnd2G {
+        a: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    Pack4GG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    CmpNeGI {
+        a: u8,
+        imm: u32,
+        d: Br,
+        lat: u64,
+    },
+    /// `ldw` from `gpr[base] + off`.
+    LoadW {
+        base: u8,
+        off: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    /// RFU operations over up to [`RFU_SRCS`] register sources, through
+    /// the same [`Machine`] methods the interpreter calls.
+    RfuInit {
+        cfg: u16,
+    },
+    RfuSend {
+        cfg: u16,
+        srcs: [u8; RFU_SRCS],
+        n: u8,
+    },
+    RfuExec {
+        cfg: u16,
+        srcs: [u8; RFU_SRCS],
+        n: u8,
+        dest: Dest,
+        lat: u64,
+    },
+    RfuPref {
+        cfg: u16,
+        a: u8,
+    },
+    /// Pure op over two register sources.
     PureGG {
         f: PureFn,
         a: u8,
@@ -198,7 +342,7 @@ enum MicroOp {
         dest: Dest,
         lat: u64,
     },
-    /// Pure op over one immediate (e.g. `movi`).
+    /// Pure op over one immediate.
     PureI {
         f: PureFn,
         imm: u32,
@@ -234,7 +378,9 @@ enum MicroOp {
         target: u32,
     },
     /// Unconditional jump, resolved target.
-    Goto { target: u32 },
+    Goto {
+        target: u32,
+    },
     /// Stop the run.
     Halt,
     /// No operation.
@@ -242,6 +388,10 @@ enum MicroOp {
     /// Any other shape: executed through the interpreter's exec phase.
     Gen(Box<DecodedOp>),
 }
+
+/// Most register sources a typed RFU micro-op carries (the ME loop
+/// instruction takes three).
+const RFU_SRCS: usize = 3;
 
 /// Per-bundle issue template of a compiled block.
 #[derive(Debug, Clone, Copy)]
@@ -488,21 +638,42 @@ fn compile_block(
 /// In-place writes then land in issue order — the same order the
 /// write-back loop would apply them.
 fn bundle_all_direct(mops: &[MicroOp]) -> bool {
+    use MicroOp::*;
     let (mut gw, mut bw) = (0u64, 0u64);
     let mut wrote = false;
+    let bits = |regs: &[u8]| regs.iter().fold(0u64, |m, &r| m | 1u64 << r);
     for mop in mops {
         let (rg, rb, fallible, dest) = match *mop {
-            MicroOp::PureGG { a, b, dest, .. } => (1u64 << a | 1u64 << b, 0, false, dest),
-            MicroOp::PureGI { a, dest, .. } | MicroOp::PureG { a, dest, .. } => {
-                (1u64 << a, 0, false, dest)
-            }
-            MicroOp::PureI { dest, .. } => (0, 0, false, dest),
-            MicroOp::Load { base, dest, .. } => (1u64 << base, 0, true, dest),
-            MicroOp::Store { val, base, .. } => (1u64 << val | 1u64 << base, 0, true, Dest::None),
-            MicroOp::BrCondB { breg, .. } => (0, 1u64 << breg, false, Dest::None),
-            MicroOp::BrCondG { greg, .. } => (1u64 << greg, 0, false, Dest::None),
-            MicroOp::Goto { .. } | MicroOp::Halt | MicroOp::Nop => (0, 0, false, Dest::None),
-            MicroOp::Gen(_) => return false,
+            AddGG { a, b, d, .. }
+            | OrGG { a, b, d, .. }
+            | SllGG { a, b, d, .. }
+            | SrlGG { a, b, d, .. }
+            | Sad4GG { a, b, d, .. }
+            | Avg4rGG { a, b, d, .. }
+            | Hadd2GGI { a, b, d, .. }
+            | Pack4GG { a, b, d, .. } => (bits(&[a, b]), 0, false, Dest::Gpr(d)),
+            AddGI { a, d, .. }
+            | SubGI { a, d, .. }
+            | SllGI { a, d, .. }
+            | SrlGI { a, d, .. }
+            | ExtbuGI { a, d, .. }
+            | MovG { a, d, .. }
+            | Rnd2G { a, d, .. } => (bits(&[a]), 0, false, Dest::Gpr(d)),
+            CmpNeGI { a, d, .. } => (bits(&[a]), 0, false, Dest::Br(d)),
+            LoadW { base, d, .. } => (bits(&[base]), 0, true, Dest::Gpr(d)),
+            RfuInit { .. } => (0, 0, true, Dest::None),
+            RfuSend { srcs, n, .. } => (bits(&srcs[..n as usize]), 0, true, Dest::None),
+            RfuExec { srcs, n, dest, .. } => (bits(&srcs[..n as usize]), 0, true, dest),
+            RfuPref { a, .. } => (bits(&[a]), 0, true, Dest::None),
+            PureGG { a, b, dest, .. } => (bits(&[a, b]), 0, false, dest),
+            PureGI { a, dest, .. } | PureG { a, dest, .. } => (bits(&[a]), 0, false, dest),
+            PureI { dest, .. } => (0, 0, false, dest),
+            Load { base, dest, .. } => (bits(&[base]), 0, true, dest),
+            Store { val, base, .. } => (bits(&[val, base]), 0, true, Dest::None),
+            BrCondB { breg, .. } => (0, 1u64 << breg, false, Dest::None),
+            BrCondG { greg, .. } => (bits(&[greg]), 0, false, Dest::None),
+            Goto { .. } | Halt | Nop => (0, 0, false, Dest::None),
+            Gen(_) => return false,
         };
         if rg & gw != 0 || rb & bw != 0 || (fallible && wrote) {
             return false;
@@ -522,62 +693,190 @@ fn bundle_all_direct(mops: &[MicroOp]) -> bool {
     true
 }
 
+/// The operand shape of a decoded operation's sources, with register
+/// sources as array indices (`$r0` is slot 0).
+// The variant names are the `MicroOp` shape suffixes, not acronyms.
+#[allow(clippy::upper_case_acronyms)]
+#[derive(Clone, Copy)]
+enum Shape {
+    /// No sources.
+    None,
+    /// One register.
+    G(u8),
+    /// One immediate.
+    I(u32),
+    /// Two registers.
+    GG(u8, u8),
+    /// A register, then an immediate.
+    GI(u8, u32),
+    /// Two registers, then an immediate.
+    GGI(u8, u8, u32),
+    /// Anything else.
+    Other,
+}
+
+impl Shape {
+    fn of(srcs: &[DSrc]) -> Shape {
+        let g = |s: &DSrc| match *s {
+            DSrc::Gpr(i) => Some(i),
+            DSrc::Zero => Some(0),
+            DSrc::Br(_) | DSrc::Imm(_) => None,
+        };
+        match *srcs {
+            [] => Shape::None,
+            [DSrc::Imm(v)] => Shape::I(v),
+            [a] => g(&a).map_or(Shape::Other, Shape::G),
+            [a, DSrc::Imm(v)] => g(&a).map_or(Shape::Other, |a| Shape::GI(a, v)),
+            [a, b] => match (g(&a), g(&b)) {
+                (Some(a), Some(b)) => Shape::GG(a, b),
+                _ => Shape::Other,
+            },
+            [a, b, DSrc::Imm(v)] => match (g(&a), g(&b)) {
+                (Some(a), Some(b)) => Shape::GGI(a, b, v),
+                _ => Shape::Other,
+            },
+            _ => Shape::Other,
+        }
+    }
+}
+
+/// The register indices of an RFU operation's sources, when every source
+/// is a register and there are at most [`RFU_SRCS`] of them.
+fn rfu_srcs(srcs: &[DSrc]) -> Option<([u8; RFU_SRCS], u8)> {
+    if srcs.len() > RFU_SRCS {
+        return None;
+    }
+    let mut regs = [0u8; RFU_SRCS];
+    for (r, s) in regs.iter_mut().zip(srcs) {
+        *r = match *s {
+            DSrc::Gpr(i) => i,
+            DSrc::Zero => 0,
+            DSrc::Br(_) | DSrc::Imm(_) => return None,
+        };
+    }
+    Some((regs, srcs.len() as u8))
+}
+
+/// Lowers a pure or load operation to its typed variant, when its opcode,
+/// operand shape and destination have one.
+fn lower_typed(op: &DecodedOp, shape: Shape) -> Option<MicroOp> {
+    use MicroOp::*;
+    use Opcode as O;
+    use Shape::{G, GG, GGI, GI, I};
+    let lat = op.lat;
+    let gd = match op.dest {
+        Dest::Gpr(d) if !d.is_zero() => Some(d),
+        _ => None,
+    };
+    let bd = match op.dest {
+        Dest::Br(d) => Some(d),
+        _ => None,
+    };
+    if let ExecKind::Load {
+        size: 4,
+        sext_from: 0,
+    } = op.kind
+    {
+        let (base, off) = match shape {
+            G(a) => (a, 0),
+            I(v) => (0, v),
+            GI(a, v) => (a, v),
+            _ => return None,
+        };
+        return Some(LoadW {
+            base,
+            off,
+            d: gd?,
+            lat,
+        });
+    }
+    if !matches!(op.kind, ExecKind::Pure(_)) {
+        return None;
+    }
+    Some(match (op.opcode, shape) {
+        (O::Add, GG(a, b)) => AddGG { a, b, d: gd?, lat },
+        (O::Add, GI(a, imm)) => AddGI {
+            a,
+            imm,
+            d: gd?,
+            lat,
+        },
+        (O::Sub, GI(a, imm)) => SubGI {
+            a,
+            imm,
+            d: gd?,
+            lat,
+        },
+        (O::Or, GG(a, b)) => OrGG { a, b, d: gd?, lat },
+        (O::Sll, GG(a, b)) => SllGG { a, b, d: gd?, lat },
+        (O::Sll, GI(a, imm)) => SllGI {
+            a,
+            imm,
+            d: gd?,
+            lat,
+        },
+        (O::Srl, GG(a, b)) => SrlGG { a, b, d: gd?, lat },
+        (O::Srl, GI(a, imm)) => SrlGI {
+            a,
+            imm,
+            d: gd?,
+            lat,
+        },
+        (O::Extbu, GI(a, imm)) => ExtbuGI {
+            a,
+            imm,
+            d: gd?,
+            lat,
+        },
+        (O::Mov, G(a)) => MovG { a, d: gd?, lat },
+        (O::Sad4, GG(a, b)) => Sad4GG { a, b, d: gd?, lat },
+        (O::Avg4r, GG(a, b)) => Avg4rGG { a, b, d: gd?, lat },
+        (O::Hadd2, GGI(a, b, k)) => Hadd2GGI {
+            a,
+            b,
+            k,
+            d: gd?,
+            lat,
+        },
+        (O::Rnd2, G(a)) => Rnd2G { a, d: gd?, lat },
+        (O::Pack4, GG(a, b)) => Pack4GG { a, b, d: gd?, lat },
+        (O::CmpNe, GI(a, imm)) => CmpNeGI {
+            a,
+            imm,
+            d: bd?,
+            lat,
+        },
+        _ => return None,
+    })
+}
+
 /// Lowers one decoded operation to its micro-trace form.
 fn lower(op: &DecodedOp) -> MicroOp {
-    // `$r0` reads as array slot 0, which no write-back ever touches.
-    let gidx = |s: &DSrc| match *s {
-        DSrc::Gpr(i) => Some(i),
-        DSrc::Zero => Some(0),
-        DSrc::Br(_) | DSrc::Imm(_) => None,
-    };
+    let shape = Shape::of(op.srcs());
+    if let Some(typed) = lower_typed(op, shape) {
+        return typed;
+    }
     let gen = || MicroOp::Gen(Box::new(op.clone()));
+    let (dest, lat) = (op.dest, op.lat);
     match op.kind {
-        ExecKind::Pure(f) => match op.srcs() {
-            [a, b] => match (gidx(a), gidx(b), b) {
-                (Some(a), Some(b), _) => MicroOp::PureGG {
-                    f,
-                    a,
-                    b,
-                    dest: op.dest,
-                    lat: op.lat,
-                },
-                (Some(a), None, DSrc::Imm(imm)) => MicroOp::PureGI {
-                    f,
-                    a,
-                    imm: *imm,
-                    dest: op.dest,
-                    lat: op.lat,
-                },
-                _ => gen(),
+        ExecKind::Pure(f) => match shape {
+            Shape::GG(a, b) => MicroOp::PureGG { f, a, b, dest, lat },
+            Shape::GI(a, imm) => MicroOp::PureGI {
+                f,
+                a,
+                imm,
+                dest,
+                lat,
             },
-            [a] => match (gidx(a), a) {
-                (Some(a), _) => MicroOp::PureG {
-                    f,
-                    a,
-                    dest: op.dest,
-                    lat: op.lat,
-                },
-                (None, DSrc::Imm(imm)) => MicroOp::PureI {
-                    f,
-                    imm: *imm,
-                    dest: op.dest,
-                    lat: op.lat,
-                },
-                _ => gen(),
-            },
+            Shape::G(a) => MicroOp::PureG { f, a, dest, lat },
+            Shape::I(imm) => MicroOp::PureI { f, imm, dest, lat },
             _ => gen(),
         },
         ExecKind::Load { size, sext_from } => {
-            let (base, off) = match op.srcs() {
-                [a] => match (gidx(a), a) {
-                    (Some(a), _) => (a, 0),
-                    (None, DSrc::Imm(v)) => (0, *v),
-                    _ => return gen(),
-                },
-                [a, DSrc::Imm(v)] => match gidx(a) {
-                    Some(a) => (a, *v),
-                    None => return gen(),
-                },
+            let (base, off) = match shape {
+                Shape::G(a) => (a, 0),
+                Shape::I(v) => (0, v),
+                Shape::GI(a, v) => (a, v),
                 _ => return gen(),
             };
             MicroOp::Load {
@@ -585,28 +884,22 @@ fn lower(op: &DecodedOp) -> MicroOp {
                 off,
                 size: size as u8,
                 sext_from,
-                dest: op.dest,
-                lat: op.lat,
+                dest,
+                lat,
             }
         }
-        ExecKind::Store { size } => match op.srcs() {
-            [v, a] => match (gidx(v), gidx(a)) {
-                (Some(val), Some(base)) => MicroOp::Store {
-                    val,
-                    base,
-                    off: 0,
-                    size: size as u8,
-                },
-                _ => gen(),
+        ExecKind::Store { size } => match shape {
+            Shape::GG(val, base) => MicroOp::Store {
+                val,
+                base,
+                off: 0,
+                size: size as u8,
             },
-            [v, a, DSrc::Imm(off)] => match (gidx(v), gidx(a)) {
-                (Some(val), Some(base)) => MicroOp::Store {
-                    val,
-                    base,
-                    off: *off,
-                    size: size as u8,
-                },
-                _ => gen(),
+            Shape::GGI(val, base, off) => MicroOp::Store {
+                val,
+                base,
+                off,
+                size: size as u8,
             },
             _ => gen(),
         },
@@ -631,6 +924,25 @@ fn lower(op: &DecodedOp) -> MicroOp {
         } => MicroOp::Goto { target },
         ExecKind::Halt => MicroOp::Halt,
         ExecKind::Nop => MicroOp::Nop,
+        ExecKind::RfuInit(cfg) => MicroOp::RfuInit { cfg },
+        ExecKind::RfuSend(cfg) => match rfu_srcs(op.srcs()) {
+            Some((srcs, n)) => MicroOp::RfuSend { cfg, srcs, n },
+            None => gen(),
+        },
+        ExecKind::RfuExec(cfg) => match rfu_srcs(op.srcs()) {
+            Some((srcs, n)) => MicroOp::RfuExec {
+                cfg,
+                srcs,
+                n,
+                dest,
+                lat,
+            },
+            None => gen(),
+        },
+        ExecKind::RfuPref(cfg) => match shape {
+            Shape::G(a) => MicroOp::RfuPref { cfg, a },
+            _ => gen(),
+        },
         _ => gen(),
     }
 }
@@ -734,13 +1046,8 @@ pub(crate) fn run_blocks(
             let bt = &blk.bundles[i];
             if cyc >= limit {
                 // The interpreter charges nothing for the bundle it never
-                // issued; reconstruct the classes of the issued prefix.
-                for cc in &blk.class_counts[..i] {
-                    for (total, &c) in agg.classes.iter_mut().zip(cc) {
-                        *total += u64::from(c);
-                    }
-                }
-                agg.flush(m, cyc, entry_cyc);
+                // issued: only the issued prefix counts.
+                partial_flush(m, &mut agg, blk, i, cyc, entry_cyc);
                 return Err(SimError::CycleLimit {
                     limit: m.cycle_limit,
                 });
@@ -817,13 +1124,145 @@ pub(crate) fn run_blocks(
                     }
                 };
             }
-            // The exec loop, parameterized by the write-commit policy.
+            // Typed-destination commits: the destination is a non-zero
+            // GPR or a branch register, resolved at lowering.
+            macro_rules! defer_gpr {
+                ($d:expr, $v:expr, $r:expr) => {
+                    defer_write!(Dest::Gpr($d), $v, $r)
+                };
+            }
+            macro_rules! direct_gpr {
+                ($d:expr, $v:expr, $r:expr) => {{
+                    m.gpr[$d.index() as usize] = $v;
+                    m.gpr_ready[$d.index() as usize] = $r;
+                }};
+            }
+            macro_rules! defer_br {
+                ($d:expr, $v:expr, $r:expr) => {
+                    defer_write!(Dest::Br($d), u32::from($v), $r)
+                };
+            }
+            macro_rules! direct_br {
+                ($d:expr, $v:expr, $r:expr) => {{
+                    m.br[$d.index() as usize] = $v;
+                    m.br_ready[$d.index() as usize] = $r;
+                }};
+            }
+            // Source register read.
+            macro_rules! r {
+                ($i:expr) => {
+                    m.gpr[$i as usize]
+                };
+            }
+            // Runs a fallible machine call at the current cycle, taking
+            // its stalls; an error leaves every counter as the interpreter
+            // would.
+            macro_rules! at_cycle {
+                ($call:expr) => {{
+                    m.cycle = cyc;
+                    let r = $call;
+                    cyc = m.cycle;
+                    match r {
+                        Ok(v) => v,
+                        Err(e) => {
+                            partial_flush(m, &mut agg, blk, i + 1, cyc, entry_cyc);
+                            return Err(e);
+                        }
+                    }
+                }};
+            }
+            // The exec loop, parameterized by the write-commit policy:
+            // one `match` arm per operation.
             macro_rules! exec_ops {
-                ($commit:ident) => {
+                ($commit:ident, $gw:ident, $bw:ident) => {
                     for op in ops {
                         match *op {
+                            MicroOp::AddGG { a, b, d, lat } => {
+                                $gw!(d, exec::add(r!(a), r!(b)), cyc + lat)
+                            }
+                            MicroOp::AddGI { a, imm, d, lat } => {
+                                $gw!(d, exec::add(r!(a), imm), cyc + lat)
+                            }
+                            MicroOp::SubGI { a, imm, d, lat } => {
+                                $gw!(d, exec::sub(r!(a), imm), cyc + lat)
+                            }
+                            MicroOp::OrGG { a, b, d, lat } => {
+                                $gw!(d, exec::or(r!(a), r!(b)), cyc + lat)
+                            }
+                            MicroOp::SllGG { a, b, d, lat } => {
+                                $gw!(d, simd::sll(r!(a), r!(b)), cyc + lat)
+                            }
+                            MicroOp::SllGI { a, imm, d, lat } => {
+                                $gw!(d, simd::sll(r!(a), imm), cyc + lat)
+                            }
+                            MicroOp::SrlGG { a, b, d, lat } => {
+                                $gw!(d, simd::srl(r!(a), r!(b)), cyc + lat)
+                            }
+                            MicroOp::SrlGI { a, imm, d, lat } => {
+                                $gw!(d, simd::srl(r!(a), imm), cyc + lat)
+                            }
+                            MicroOp::ExtbuGI { a, imm, d, lat } => {
+                                $gw!(d, exec::extbu(r!(a), imm), cyc + lat)
+                            }
+                            MicroOp::MovG { a, d, lat } => $gw!(d, exec::mov(r!(a)), cyc + lat),
+                            MicroOp::Sad4GG { a, b, d, lat } => {
+                                $gw!(d, simd::sad4(r!(a), r!(b)), cyc + lat)
+                            }
+                            MicroOp::Avg4rGG { a, b, d, lat } => {
+                                $gw!(d, simd::avg4r(r!(a), r!(b)), cyc + lat)
+                            }
+                            MicroOp::Hadd2GGI { a, b, k, d, lat } => {
+                                $gw!(d, simd::hadd2(r!(a), r!(b), k), cyc + lat)
+                            }
+                            MicroOp::Rnd2G { a, d, lat } => $gw!(d, simd::rnd2(r!(a)), cyc + lat),
+                            MicroOp::Pack4GG { a, b, d, lat } => {
+                                $gw!(d, simd::pack4(r!(a), r!(b)), cyc + lat)
+                            }
+                            MicroOp::CmpNeGI { a, imm, d, lat } => {
+                                $bw!(d, exec::cmpne(r!(a), imm), cyc + lat)
+                            }
+                            MicroOp::LoadW { base, off, d, lat } => {
+                                let addr = r!(base).wrapping_add(off);
+                                let acc = match m.mem.read(addr, 4, cyc) {
+                                    Ok(acc) => acc,
+                                    Err(e) => {
+                                        partial_flush(m, &mut agg, blk, i + 1, cyc, entry_cyc);
+                                        return Err(SimError::Mem(e));
+                                    }
+                                };
+                                // Whole-machine stall on a miss.
+                                cyc += acc.stall;
+                                $gw!(d, acc.value, cyc + lat);
+                            }
+                            MicroOp::RfuInit { cfg } => {
+                                at_cycle!(m.rfu_init(cfg, pc_abs, &mut NullTracer));
+                            }
+                            MicroOp::RfuSend { cfg, srcs, n } => {
+                                let v = srcs.map(|s| r!(s));
+                                at_cycle!(m.rfu_send(cfg, &v[..n as usize], &mut NullTracer));
+                            }
+                            MicroOp::RfuExec {
+                                cfg,
+                                srcs,
+                                n,
+                                dest,
+                                lat,
+                            } => {
+                                let v = srcs.map(|s| r!(s));
+                                let (value, ready) = at_cycle!(m.rfu_exec(
+                                    cfg,
+                                    &v[..n as usize],
+                                    lat,
+                                    pc_abs,
+                                    &mut NullTracer
+                                ));
+                                $commit!(dest, value, ready);
+                            }
+                            MicroOp::RfuPref { cfg, a } => {
+                                at_cycle!(m.rfu_pref(cfg, r!(a), &mut NullTracer));
+                            }
                             MicroOp::PureGG { f, a, b, dest, lat } => {
-                                let v = f(&[m.gpr[a as usize], m.gpr[b as usize]]);
+                                let v = f(&[r!(a), r!(b)]);
                                 $commit!(dest, v, cyc + lat);
                             }
                             MicroOp::PureGI {
@@ -833,11 +1272,11 @@ pub(crate) fn run_blocks(
                                 dest,
                                 lat,
                             } => {
-                                let v = f(&[m.gpr[a as usize], imm]);
+                                let v = f(&[r!(a), imm]);
                                 $commit!(dest, v, cyc + lat);
                             }
                             MicroOp::PureG { f, a, dest, lat } => {
-                                let v = f(&[m.gpr[a as usize]]);
+                                let v = f(&[r!(a)]);
                                 $commit!(dest, v, cyc + lat);
                             }
                             MicroOp::PureI { f, imm, dest, lat } => {
@@ -852,11 +1291,11 @@ pub(crate) fn run_blocks(
                                 dest,
                                 lat,
                             } => {
-                                let addr = m.gpr[base as usize].wrapping_add(off);
+                                let addr = r!(base).wrapping_add(off);
                                 let acc = match m.mem.read(addr, u32::from(size), cyc) {
                                     Ok(acc) => acc,
                                     Err(e) => {
-                                        exec_error_flush(m, &mut agg, blk, i, cyc, entry_cyc);
+                                        partial_flush(m, &mut agg, blk, i + 1, cyc, entry_cyc);
                                         return Err(SimError::Mem(e));
                                     }
                                 };
@@ -875,12 +1314,12 @@ pub(crate) fn run_blocks(
                                 off,
                                 size,
                             } => {
-                                let addr = m.gpr[base as usize].wrapping_add(off);
-                                let value = m.gpr[val as usize];
+                                let addr = r!(base).wrapping_add(off);
+                                let value = r!(val);
                                 let acc = match m.mem.write(addr, u32::from(size), value, cyc) {
                                     Ok(acc) => acc,
                                     Err(e) => {
-                                        exec_error_flush(m, &mut agg, blk, i, cyc, entry_cyc);
+                                        partial_flush(m, &mut agg, blk, i + 1, cyc, entry_cyc);
                                         return Err(SimError::Mem(e));
                                     }
                                 };
@@ -900,7 +1339,7 @@ pub(crate) fn run_blocks(
                                 on_true,
                                 target,
                             } => {
-                                if (m.gpr[greg as usize] != 0) == on_true {
+                                if (r!(greg) != 0) == on_true {
                                     next_pc = Some(target as usize);
                                 }
                             }
@@ -918,14 +1357,13 @@ pub(crate) fn run_blocks(
                                 let nsrcs = dop.srcs().len();
                                 for (s, v) in dop.srcs().iter().zip(slot.iter_mut()) {
                                     *v = match *s {
-                                        DSrc::Gpr(idx) => m.gpr[idx as usize],
+                                        DSrc::Gpr(idx) => r!(idx),
                                         DSrc::Zero => 0,
                                         DSrc::Br(idx) => u32::from(m.br[idx as usize]),
                                         DSrc::Imm(imm) => imm,
                                     };
                                 }
-                                m.cycle = cyc;
-                                let r = m.exec_op(
+                                at_cycle!(m.exec_op(
                                     dop,
                                     &slot[..nsrcs],
                                     &mut writes,
@@ -933,22 +1371,17 @@ pub(crate) fn run_blocks(
                                     &mut next_pc,
                                     &mut halted,
                                     pc_abs,
-                                    &mut rvliw_trace::NullTracer,
-                                );
-                                cyc = m.cycle;
-                                if let Err(e) = r {
-                                    exec_error_flush(m, &mut agg, blk, i, cyc, entry_cyc);
-                                    return Err(e);
-                                }
+                                    &mut NullTracer,
+                                ));
                             }
                         }
                     }
                 };
             }
             if bt.all_direct {
-                exec_ops!(direct_write);
+                exec_ops!(direct_write, direct_gpr, direct_br);
             } else {
-                exec_ops!(defer_write);
+                exec_ops!(defer_write, defer_gpr, defer_br);
             }
 
             // Write-back phase (no-op for all-direct bundles).
@@ -1020,18 +1453,22 @@ fn note_resident(
     }
 }
 
-/// Cold path: an error escaped the exec phase of bundle `i`. The
-/// interpreter had already counted that bundle's ops and classes (but not
-/// the bundle itself); reconstruct the same totals before flushing.
-fn exec_error_flush(
+/// Cold exits from inside a block: flushes the counters with the classes
+/// of the block's first `issued` bundles. The interpreter counts a bundle's
+/// ops and classes when it issues, so an error inside bundle `i` counts
+/// `i + 1` bundles' classes (but not the bundle itself), and the cycle
+/// limit, hit before bundle `i` issues, counts `i`.
+#[cold]
+#[inline(never)]
+fn partial_flush(
     m: &mut Machine,
     agg: &mut Agg,
     blk: &Block,
-    i: usize,
+    issued: usize,
     cyc: u64,
     entry_cyc: u64,
 ) {
-    for cc in &blk.class_counts[..=i] {
+    for cc in &blk.class_counts[..issued] {
         for (total, &c) in agg.classes.iter_mut().zip(cc) {
             *total += u64::from(c);
         }

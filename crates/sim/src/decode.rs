@@ -117,6 +117,9 @@ pub enum ExecKind {
 /// One lowered operation.
 #[derive(Debug, Clone)]
 pub struct DecodedOp {
+    /// The source opcode, which the block engine lowers to a typed
+    /// micro-op.
+    pub opcode: Opcode,
     /// Pre-matched execution discriminant.
     pub kind: ExecKind,
     /// Destination (or [`Dest::None`]).
@@ -354,6 +357,7 @@ fn decode_op(op: &rvliw_isa::Op, cfg: &MachineConfig) -> DecodedOp {
         };
     }
     DecodedOp {
+        opcode: op.opcode,
         kind,
         dest: op.dest,
         srcs,

@@ -2,12 +2,59 @@
 //!
 //! Branch-register sources are resolved to `0`/`1` before reaching these
 //! functions, so every operand is a `u32`.
+//!
+//! Each opcode's semantics is written once. The scalar operations the
+//! block engine specializes into typed micro-ops are the named functions
+//! below (the SIMD ones live in [`rvliw_isa::simd`]); [`pure_fn`] and the
+//! typed arms in [`crate::block`] both call them.
 
 use rvliw_isa::{simd, Opcode};
 
 /// The signature of a lowered pure operation: resolved sources in, result
 /// out.
 pub type PureFn = fn(&[u32]) -> u32;
+
+/// `add`: wrapping 32-bit sum.
+#[inline(always)]
+#[must_use]
+pub fn add(a: u32, b: u32) -> u32 {
+    a.wrapping_add(b)
+}
+
+/// `sub`: wrapping 32-bit difference.
+#[inline(always)]
+#[must_use]
+pub fn sub(a: u32, b: u32) -> u32 {
+    a.wrapping_sub(b)
+}
+
+/// `or`: bitwise or.
+#[inline(always)]
+#[must_use]
+pub fn or(a: u32, b: u32) -> u32 {
+    a | b
+}
+
+/// `mov`: the source, unchanged.
+#[inline(always)]
+#[must_use]
+pub fn mov(a: u32) -> u32 {
+    a
+}
+
+/// `extbu`: byte lane `lane & 3` of `a`, zero-extended.
+#[inline(always)]
+#[must_use]
+pub fn extbu(a: u32, lane: u32) -> u32 {
+    (a >> (8 * (lane & 3))) & 0xff
+}
+
+/// `cmpne`: inequality, as a branch-register truth value.
+#[inline(always)]
+#[must_use]
+pub fn cmpne(a: u32, b: u32) -> bool {
+    a != b
+}
 
 /// Evaluates a pure (non-memory, non-control, non-RFU) operation over its
 /// resolved source values. Returns the destination value — a boolean result
@@ -34,11 +81,11 @@ pub fn eval_pure(opcode: Opcode, s: &[u32]) -> u32 {
 pub fn pure_fn(opcode: Opcode) -> Option<PureFn> {
     use Opcode::*;
     Some(match opcode {
-        Add => |s| s[0].wrapping_add(s[1]),
-        Sub => |s| s[0].wrapping_sub(s[1]),
+        Add => |s| add(s[0], s[1]),
+        Sub => |s| sub(s[0], s[1]),
         And => |s| s[0] & s[1],
         Andc => |s| s[0] & !s[1],
-        Or => |s| s[0] | s[1],
+        Or => |s| or(s[0], s[1]),
         Xor => |s| s[0] ^ s[1],
         Nor => |s| !(s[0] | s[1]),
         Sll => |s| simd::sll(s[0], s[1]),
@@ -48,12 +95,12 @@ pub fn pure_fn(opcode: Opcode) -> Option<PureFn> {
         Max => |s| (s[0] as i32).max(s[1] as i32) as u32,
         Minu => |s| s[0].min(s[1]),
         Maxu => |s| s[0].max(s[1]),
-        Mov => |s| s[0],
+        Mov => |s| mov(s[0]),
         Sxtb => |s| s[0] as u8 as i8 as i32 as u32,
         Sxth => |s| s[0] as u16 as i16 as i32 as u32,
         Zxtb => |s| s[0] & 0xff,
         Zxth => |s| s[0] & 0xffff,
-        Extbu => |s| (s[0] >> (8 * (s[1] & 3))) & 0xff,
+        Extbu => |s| extbu(s[0], s[1]),
         // insb rd = rs1 with byte<s[2]> := low8(rs2)
         Insb => |s| {
             let lane = s[2] & 3;
@@ -63,7 +110,7 @@ pub fn pure_fn(opcode: Opcode) -> Option<PureFn> {
         // slct rd = b ? rs1 : rs2 — s[0] is the resolved branch register.
         Slct => |s| if s[0] != 0 { s[1] } else { s[2] },
         CmpEq => |s| u32::from(s[0] == s[1]),
-        CmpNe => |s| u32::from(s[0] != s[1]),
+        CmpNe => |s| u32::from(cmpne(s[0], s[1])),
         CmpLt => |s| u32::from((s[0] as i32) < (s[1] as i32)),
         CmpLe => |s| u32::from((s[0] as i32) <= (s[1] as i32)),
         CmpGt => |s| u32::from((s[0] as i32) > (s[1] as i32)),

@@ -560,44 +560,87 @@ impl Machine {
             }
             ExecKind::Halt => *halted = true,
             ExecKind::Nop => {}
-            ExecKind::RfuInit(cfg) => {
-                let penalty = self
-                    .rfu
-                    .init_traced(cfg, self.cycle, tracer)
-                    .map_err(|e| SimError::Rfu(e.to_string()))?;
-                if penalty > 0 {
-                    tracer.stall(self.cycle, pc, StallCause::Reconfig, penalty);
-                }
-                self.cycle += penalty;
-            }
-            ExecKind::RfuSend(cfg) => {
-                self.rfu
-                    .send_traced(cfg, srcs, self.cycle, tracer)
-                    .map_err(|e| SimError::Rfu(e.to_string()))?;
-            }
+            ExecKind::RfuInit(cfg) => self.rfu_init(cfg, pc, tracer)?,
+            ExecKind::RfuSend(cfg) => self.rfu_send(cfg, srcs, tracer)?,
             ExecKind::RfuExec(cfg) => {
-                let out = self
-                    .rfu
-                    .exec_traced(cfg, srcs, &mut self.mem, self.cycle, tracer)
-                    .map_err(|e| SimError::Rfu(e.to_string()))?;
-                if out.stall > 0 {
-                    tracer.stall(self.cycle, pc, StallCause::RfuLoop, out.stall);
-                }
-                // Memory stalls freeze the whole machine, as usual.
-                self.cycle += out.stall;
-                let ready = self.cycle + out.busy.max(lat);
-                self.rfu_busy_until = ready;
-                push(writes, nwrites, (op.dest, out.value, ready));
+                let (value, ready) = self.rfu_exec(cfg, srcs, lat, pc, tracer)?;
+                push(writes, nwrites, (op.dest, value, ready));
             }
-            ExecKind::RfuPref(cfg) => {
-                let addr = srcs[0];
-                self.rfu
-                    .pref_traced(cfg, addr, &mut self.mem, self.cycle, tracer)
-                    .map_err(|e| SimError::Rfu(e.to_string()))?;
-            }
+            ExecKind::RfuPref(cfg) => self.rfu_pref(cfg, srcs[0], tracer)?,
             ExecKind::Undecodable { what } => return Err(SimError::Undecodable { what }),
         }
         Ok(())
+    }
+
+    // The RFU operations at the current cycle, shared by both engines so
+    // each has one definition.
+
+    /// `rfuinit`: activates configuration `cfg`, stalling the machine for
+    /// any reconfiguration penalty.
+    pub(crate) fn rfu_init<T: Tracer + ?Sized>(
+        &mut self,
+        cfg: u16,
+        pc: usize,
+        tracer: &mut T,
+    ) -> Result<(), SimError> {
+        let penalty = self
+            .rfu
+            .init_traced(cfg, self.cycle, tracer)
+            .map_err(|e| SimError::Rfu(e.to_string()))?;
+        if penalty > 0 {
+            tracer.stall(self.cycle, pc, StallCause::Reconfig, penalty);
+        }
+        self.cycle += penalty;
+        Ok(())
+    }
+
+    /// `rfusend`: queues `srcs` as operands of configuration `cfg`.
+    pub(crate) fn rfu_send<T: Tracer + ?Sized>(
+        &mut self,
+        cfg: u16,
+        srcs: &[u32],
+        tracer: &mut T,
+    ) -> Result<(), SimError> {
+        self.rfu
+            .send_traced(cfg, srcs, self.cycle, tracer)
+            .map_err(|e| SimError::Rfu(e.to_string()))
+    }
+
+    /// `rfuexec`: runs configuration `cfg` over `srcs`. Returns the result
+    /// and the cycle it is ready, which also holds the RFU busy.
+    pub(crate) fn rfu_exec<T: Tracer + ?Sized>(
+        &mut self,
+        cfg: u16,
+        srcs: &[u32],
+        lat: u64,
+        pc: usize,
+        tracer: &mut T,
+    ) -> Result<(u32, u64), SimError> {
+        let out = self
+            .rfu
+            .exec_traced(cfg, srcs, &mut self.mem, self.cycle, tracer)
+            .map_err(|e| SimError::Rfu(e.to_string()))?;
+        if out.stall > 0 {
+            tracer.stall(self.cycle, pc, StallCause::RfuLoop, out.stall);
+        }
+        // Memory stalls freeze the whole machine, as usual.
+        self.cycle += out.stall;
+        let ready = self.cycle + out.busy.max(lat);
+        self.rfu_busy_until = ready;
+        Ok((out.value, ready))
+    }
+
+    /// `rfupref`: starts configuration `cfg`'s macroblock prefetch at
+    /// `addr`.
+    pub(crate) fn rfu_pref<T: Tracer + ?Sized>(
+        &mut self,
+        cfg: u16,
+        addr: u32,
+        tracer: &mut T,
+    ) -> Result<(), SimError> {
+        self.rfu
+            .pref_traced(cfg, addr, &mut self.mem, self.cycle, tracer)
+            .map_err(|e| SimError::Rfu(e.to_string()))
     }
 }
 

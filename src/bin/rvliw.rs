@@ -486,7 +486,7 @@ fn run_tables(rest: &[String]) -> Result<(), Fail> {
             .sum();
         let cycles_per_sec = simulated_cycles as f64 / scenarios_wall_s;
         let mut json = String::from("{\n");
-        let _ = writeln!(json, "  \"bin\": \"tables\",");
+        let _ = writeln!(json, "  \"bin\": \"rvliw tables\",");
         let _ = writeln!(json, "  \"threads\": {threads},");
         let _ = writeln!(json, "  \"frames\": {frames},");
         let _ = writeln!(json, "  \"getsad_calls\": {},", workload.num_calls());

@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 use rvliw_asm::{schedule_st200, Builder, Code};
 use rvliw_fault::{FaultPlan, FaultProfile};
-use rvliw_isa::{block_leaders, Br, Gpr};
+use rvliw_isa::{block_leaders, Br, Gpr, Op, Opcode, Src};
+use rvliw_rfu::{cfgs, MeLoopCfg, Rfu, RfuBandwidth};
 use rvliw_sim::{ExecBackend, Machine, RunSummary, SimError};
 use rvliw_trace::CountingTracer;
 
@@ -23,6 +24,7 @@ fn observe(
     backend: ExecBackend,
 ) -> Vec<(Result<RunSummary, SimError>, Vec<u32>, Vec<bool>, u64)> {
     let mut m = Machine::st200();
+    m.rfu = Rfu::with_case_study_configs(MeLoopCfg::new(RfuBandwidth::B1x32, 1, 176));
     m.backend = backend;
     let observed = (0..2)
         .map(|_| {
@@ -66,7 +68,8 @@ const DATA_REGS: u8 = 8;
 const COUNTER: Gpr = Gpr::new(10);
 const BASE: Gpr = Gpr::new(11);
 
-/// Emits one generated operation. `sel` picks the shape, the remaining
+/// Emits one generated operation (or, for the RFU shapes, one short
+/// operation sequence). `sel` picks the shape, the remaining
 /// fields are raw material for registers, immediates and offsets — every
 /// mapping is total, so any byte soup becomes a well-formed program.
 fn emit(b: &mut Builder, sel: u8, x: u8, y: u8, z: u8, imm: i32) {
@@ -76,7 +79,7 @@ fn emit(b: &mut Builder, sel: u8, x: u8, y: u8, z: u8, imm: i32) {
     let bd = Br::new(x % 4);
     // Word-aligned offset within a 4 KiB window of the scratch region.
     let woff = (imm & 0xffc).abs();
-    match sel % 16 {
+    match sel % 34 {
         0 => b.add(rd, rs1, rs2),
         1 => b.sub(rd, rs1, rs2),
         2 => b.and(rd, rs1, rs2),
@@ -92,12 +95,49 @@ fn emit(b: &mut Builder, sel: u8, x: u8, y: u8, z: u8, imm: i32) {
         12 => b.slct(rd, bd, rs1, rs2),
         13 => b.ldw(rd, BASE, woff),
         14 => b.ldbu(rd, BASE, imm.abs() & 0xfff),
-        _ => {
+        15 => {
             if x.is_multiple_of(2) {
                 b.stw(rs1, BASE, woff);
             } else {
                 b.stb(rs1, BASE, imm.abs() & 0xfff);
             }
+        }
+        // The opcodes and shapes the block engine lowers to typed
+        // micro-ops, including shift amounts past the word width.
+        16 => b.add(rd, rs1, imm),
+        17 => b.sub(rd, rs1, imm),
+        18 => b.sll(rd, rs1, rs2),
+        19 => b.srl(rd, rs1, rs2),
+        20 => b.srl(rd, rs1, i32::from(z % 40)),
+        21 => b.extbu(rd, rs1, i32::from(z % 8)),
+        22 => b.avg4r(rd, rs1, rs2),
+        23 => b.op(Op::new(
+            Opcode::Hadd2,
+            rd.into(),
+            &[rs1.into(), rs2.into(), Src::Imm(i32::from(z % 6))],
+        )),
+        24 => b.op(Op::new(Opcode::Rnd2, rd.into(), &[rs1.into()])),
+        25 => b.op(Op::new(Opcode::Pack4, rd.into(), &[rs1.into(), rs2.into()])),
+        26 => b.mov(rd, rs1),
+        27 => b.cmpeq_br(bd, rs1, imm),
+        28 => b.cmpne_br(bd, rs1, imm),
+        29 => b.op(Op::new(Opcode::Minu, rd.into(), &[rs1.into(), rs2.into()])),
+        30 => b.cmpeq_br(bd, rs1, rs2),
+        31 => b.ldw(rd, BASE, woff),
+        // The instruction-level RFU operations of A2 (four words sent,
+        // then the diagonal interpolation) and A3 (ten words, then the
+        // result and a read-out).
+        32 => {
+            b.rfu_send(cfgs::DIAG4, &[rs1, rs2]);
+            b.rfu_send(cfgs::DIAG4, &[rs2, rd]);
+            b.rfu_exec(cfgs::DIAG4, rd, &[rs1.into()]);
+        }
+        _ => {
+            for _ in 0..5 {
+                b.rfu_send(cfgs::DIAG16, &[rs1, rs2]);
+            }
+            b.rfu_exec(cfgs::DIAG16, rd, &[rs1.into()]);
+            b.rfu_exec(cfgs::DIAG16_R1 + u16::from(z % 3), rs2, &[]);
         }
     }
 }
@@ -269,4 +309,36 @@ fn attached_tracer_forces_the_interpreter_and_matches() {
     let rp = plain.run(&code).expect("plain run completes");
     assert_eq!(rt, rp, "tracing perturbed the simulation");
     assert_eq!(t.bundles, rt.stats.bundles, "tracer bundle count");
+}
+
+#[test]
+fn cycle_limit_exit_matches_interpreter() {
+    // A runaway loop whose body spans several bundles: each budget stops
+    // the run at a different bundle inside the block, and both engines
+    // must report the same error with the same partial statistics.
+    let mut b = Builder::new("runaway");
+    let top = b.label();
+    b.bind(top);
+    for i in 1..6 {
+        b.addi(Gpr::new(i), Gpr::new(i + 1), 1);
+        b.sad4(Gpr::new(i + 1), Gpr::new(i), Gpr::new(i));
+    }
+    b.goto(top);
+    b.halt();
+    let code = schedule_st200(&b.build()).expect("schedules");
+    for limit in 20..40 {
+        let run = |backend| {
+            let mut m = Machine::st200();
+            m.backend = backend;
+            m.cycle_limit = limit;
+            let r = m.run(&code);
+            (r, m.gpr(Gpr::new(3)), m.snapshot())
+        };
+        let interp = run(ExecBackend::Interpreter);
+        assert!(
+            matches!(interp.0, Err(SimError::CycleLimit { .. })),
+            "{interp:?}"
+        );
+        assert_eq!(interp, run(ExecBackend::Auto), "cycle limit {limit}");
+    }
 }

@@ -302,3 +302,409 @@ proptest! {
         check_prefetch_queue(capacity, &ops, false);
     }
 }
+
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Read(u32),
+    Write(u32),
+    Install(u32),
+    Flush,
+}
+
+/// Geometries over 1, 2, 4 and 8 ways, set counts that are and are not
+/// powers of two, and all three policies.
+fn memo_geometry() -> impl Strategy<Value = CacheGeometry> {
+    (
+        prop_oneof![
+            Just(1u32),
+            Just(2),
+            Just(3),
+            Just(4),
+            Just(5),
+            Just(7),
+            Just(8),
+            Just(16)
+        ],
+        prop_oneof![Just(16u32), Just(32), Just(64)],
+        prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
+        prop_oneof![
+            Just(ReplacementPolicy::Lru),
+            Just(ReplacementPolicy::Fifo),
+            Just(ReplacementPolicy::Random)
+        ],
+    )
+        .prop_map(|(sets, line_size, ways, policy)| CacheGeometry {
+            capacity: sets * line_size * ways,
+            line_size,
+            ways,
+            policy,
+        })
+}
+
+/// Raw operations: a kind selector, a line number and a byte offset, which
+/// [`check_cache_against_reference`] folds into four times the cache's
+/// lines.
+fn cache_ops() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
+    proptest::collection::vec((0u8..16, 0u32..1024, any::<u32>()), 1..300)
+}
+
+fn check_cache_against_reference(geom: CacheGeometry, raw: &[(u8, u32, u32)]) {
+    let mut new = Cache::new(geom);
+    let mut old = reference::RefCache::new(geom);
+    let probe_span = geom.num_sets() * geom.ways * 4;
+    let mut prev = None;
+    for (step, &(k, line, off)) in raw.iter().enumerate() {
+        let a = (line % probe_span) * geom.line_size + off % geom.line_size;
+        let op = match k {
+            0..=7 => CacheOp::Read(a),
+            8..=12 => CacheOp::Write(a),
+            13..=14 => CacheOp::Install(a),
+            _ => CacheOp::Flush,
+        };
+        // Half the time, repeat the previous address's line first so the
+        // memo is exercised on reads, writes and after fills.
+        let op = match (op, prev) {
+            (CacheOp::Read(a), Some(p)) if a % 2 == 0 => CacheOp::Read(p),
+            (CacheOp::Write(a), Some(p)) if a % 2 == 0 => CacheOp::Write(p),
+            _ => op,
+        };
+        let gen_before = (new.contents_gen(), old.contents_gen());
+        match op {
+            CacheOp::Read(a) | CacheOp::Write(a) => {
+                let w = matches!(op, CacheOp::Write(_));
+                assert_eq!(new.access(a, w), old.access(a, w), "step {step}: {op:?}");
+                prev = Some(a);
+            }
+            CacheOp::Install(a) => {
+                assert_eq!(new.install(a), old.install(a), "step {step}: {op:?}");
+            }
+            CacheOp::Flush => {
+                new.flush();
+                old.flush();
+            }
+        }
+        assert_eq!(
+            (new.hits, new.misses, new.writebacks),
+            (old.hits, old.misses, old.writebacks),
+            "step {step}: {op:?} counters"
+        );
+        assert_eq!(
+            new.contents_gen() - gen_before.0,
+            old.contents_gen() - gen_before.1,
+            "step {step}: {op:?} contents_gen movement"
+        );
+        for line in 0..probe_span {
+            let a = line * geom.line_size;
+            assert_eq!(
+                new.probe(a),
+                old.probe(a),
+                "step {step}: {op:?} probe {a:#x}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// The most-recently-used memo in `Cache::access` changes only how a
+    /// hit is found: every outcome, counter, eviction (through `probe`)
+    /// and `contents_gen` step equals the pre-memo cache's.
+    #[test]
+    fn cache_matches_the_pre_memo_model(geom in memo_geometry(), ops in cache_ops()) {
+        check_cache_against_reference(geom, &ops);
+    }
+}
+
+/// The pre-memo `Cache`, copied verbatim (only renamed) as the reference
+/// model for the most-recently-used memo in today's `Cache::access`.
+mod reference {
+    use rvliw::mem::cache::FillOutcome;
+    use rvliw::mem::{CacheGeometry, ReplacementPolicy};
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Way {
+        valid: bool,
+        dirty: bool,
+        tag: u32,
+        /// LRU stamp or FIFO insertion counter.
+        stamp: u64,
+    }
+
+    /// `Cache` as it was before the most-recently-used memo: the reference
+    /// model of [`cache_matches_the_pre_memo_model`].
+    #[derive(Clone)]
+    pub struct RefCache {
+        geom: CacheGeometry,
+        sets: Vec<Way>,
+        tick: u64,
+        rng: u32,
+        /// `log2(line_size)` — the line size is asserted to be a power of two.
+        line_shift: u32,
+        /// Set count, cached so the hot lookup path never re-derives it.
+        num_sets: u32,
+        /// `log2(num_sets)` when the set count is a power of two (the common
+        /// case, letting index/tag extraction use shifts instead of division).
+        sets_shift: Option<u32>,
+        /// Direct-mapped fast path: the line index of a known-resident line
+        /// (`u32::MAX` = none). With one way, a repeat read of this line is a
+        /// guaranteed hit and skips the lookup entirely; any fill resets the
+        /// memo. Only consulted when `ways == 1`, where LRU stamps cannot
+        /// influence victim selection.
+        last_line: u32,
+        /// Bumped whenever the set of resident lines can shrink (any fill or
+        /// flush). While this is unchanged, every line observed resident is
+        /// still resident — the basis for [`RefCache::contents_gen`] memos.
+        gen: u64,
+        /// Lookup/fill counters.
+        pub hits: u64,
+        /// Demand misses (fills).
+        pub misses: u64,
+        /// Dirty evictions.
+        pub writebacks: u64,
+    }
+
+    #[allow(dead_code)]
+    impl RefCache {
+        /// Creates an empty (cold) cache.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the geometry is degenerate (zero sets or a non-power-of-two
+        /// line size).
+        #[must_use]
+        pub fn new(geom: CacheGeometry) -> Self {
+            assert!(geom.line_size.is_power_of_two(), "line size power of two");
+            assert!(geom.num_sets() > 0, "cache must have at least one set");
+            let num_sets = geom.num_sets();
+            RefCache {
+                geom,
+                sets: vec![Way::default(); (num_sets * geom.ways) as usize],
+                tick: 0,
+                rng: 0x2545_f491,
+                line_shift: geom.line_size.trailing_zeros(),
+                num_sets,
+                sets_shift: num_sets
+                    .is_power_of_two()
+                    .then(|| num_sets.trailing_zeros()),
+                last_line: u32::MAX,
+                gen: 0,
+                hits: 0,
+                misses: 0,
+                writebacks: 0,
+            }
+        }
+
+        /// The geometry this cache was built with.
+        #[must_use]
+        pub fn geometry(&self) -> &CacheGeometry {
+            &self.geom
+        }
+
+        /// The base address of the line containing `addr`.
+        #[must_use]
+        pub fn line_of(&self, addr: u32) -> u32 {
+            addr & !(self.geom.line_size - 1)
+        }
+
+        fn set_index(&self, addr: u32) -> u32 {
+            let line = addr >> self.line_shift;
+            match self.sets_shift {
+                Some(s) => line & ((1 << s) - 1),
+                None => line % self.num_sets,
+            }
+        }
+
+        fn tag_of(&self, addr: u32) -> u32 {
+            let line = addr >> self.line_shift;
+            match self.sets_shift {
+                Some(s) => line >> s,
+                None => line / self.num_sets,
+            }
+        }
+
+        fn set_ways(&mut self, set: u32) -> &mut [Way] {
+            let w = self.geom.ways as usize;
+            let base = set as usize * w;
+            &mut self.sets[base..base + w]
+        }
+
+        /// Accounts a repeat access to the same line the previous access
+        /// touched, without re-running the lookup.
+        ///
+        /// Valid only for a direct-mapped cache (`ways == 1`) and only when
+        /// the caller knows the previous access was to the same line (then
+        /// this access is a guaranteed hit, nothing can have evicted the line
+        /// in between, and — with a single way — LRU stamps never influence
+        /// victim selection). The bookkeeping is exactly what
+        /// [`RefCache::access`]'s resident-line fast path performs, so counters
+        /// stay bit-identical to issuing the access.
+        ///
+        /// The block-compiled simulator backend uses this to batch per-bundle
+        /// instruction fetches that stay within one cache line.
+        pub fn note_repeat_hit(&mut self) {
+            debug_assert_eq!(
+                self.geom.ways, 1,
+                "repeat-hit shortcut is direct-mapped only"
+            );
+            self.tick += 1;
+            self.hits += 1;
+        }
+
+        /// [`RefCache::note_repeat_hit`], `n` accesses at once. The same validity
+        /// conditions apply to every one of them.
+        pub fn note_repeat_hits(&mut self, n: u64) {
+            debug_assert!(self.geom.ways == 1 || n == 0);
+            self.tick += n;
+            self.hits += n;
+        }
+
+        /// An opaque stamp of the resident-line set: unchanged means no line
+        /// has been evicted or invalidated since the stamp was taken, so any
+        /// line observed resident then is resident now (fills only add lines).
+        /// Lets the block-compiled simulator backend skip re-looking-up lines
+        /// it has already proven resident.
+        #[must_use]
+        pub fn contents_gen(&self) -> u64 {
+            self.gen
+        }
+
+        /// Whether the line containing `addr` is present (no state change, no
+        /// statistics).
+        #[must_use]
+        pub fn probe(&self, addr: u32) -> bool {
+            let set = self.set_index(addr);
+            let tag = self.tag_of(addr);
+            let w = self.geom.ways as usize;
+            let base = set as usize * w;
+            self.sets[base..base + w]
+                .iter()
+                .any(|way| way.valid && way.tag == tag)
+        }
+
+        /// Accesses `addr`, filling on miss; `write` marks the line dirty.
+        #[inline(always)]
+        pub fn access(&mut self, addr: u32, write: bool) -> FillOutcome {
+            // Direct-mapped repeat read of a known-resident line: a guaranteed
+            // hit. Skipping the stamp update is safe with a single way (the
+            // victim choice never consults stamps), and the dirty bit only
+            // changes on writes, which take the slow path.
+            if !write && self.geom.ways == 1 && (addr >> self.line_shift) == self.last_line {
+                self.tick += 1;
+                self.hits += 1;
+                return FillOutcome {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            self.tick += 1;
+            let tick = self.tick;
+            let set = self.set_index(addr);
+            let tag = self.tag_of(addr);
+            let policy = self.geom.policy;
+            let ways = self.geom.ways;
+            // Fast path: hit.
+            if let Some(way) = self
+                .set_ways(set)
+                .iter_mut()
+                .find(|w| w.valid && w.tag == tag)
+            {
+                if policy == ReplacementPolicy::Lru {
+                    way.stamp = tick;
+                }
+                way.dirty |= write;
+                self.hits += 1;
+                if ways == 1 {
+                    self.last_line = addr >> self.line_shift;
+                }
+                return FillOutcome {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            self.misses += 1;
+            let writeback = self.fill(addr, write, tick);
+            FillOutcome {
+                hit: false,
+                writeback,
+            }
+        }
+
+        /// Installs the line containing `addr` without counting a demand access
+        /// (used when a completed prefetch drains into the cache). Returns the
+        /// evicted dirty line, if any. No-op when the line is already present.
+        pub fn install(&mut self, addr: u32) -> Option<u32> {
+            self.tick += 1;
+            let tick = self.tick;
+            let set = self.set_index(addr);
+            let tag = self.tag_of(addr);
+            if self.set_ways(set).iter().any(|w| w.valid && w.tag == tag) {
+                return None;
+            }
+            self.fill(addr, false, tick)
+        }
+
+        fn fill(&mut self, addr: u32, write: bool, tick: u64) -> Option<u32> {
+            let set = self.set_index(addr);
+            let tag = self.tag_of(addr);
+            let line_size = self.geom.line_size;
+            let num_sets = self.num_sets;
+            let policy = self.geom.policy;
+            // Victim selection. Advance the xorshift32 state up front so the
+            // borrow of the set does not overlap the RNG update.
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 17;
+            self.rng ^= self.rng << 5;
+            let rng = self.rng;
+            let victim_idx = {
+                let ways = self.set_ways(set);
+                if let Some(i) = ways.iter().position(|w| !w.valid) {
+                    i
+                } else {
+                    match policy {
+                        ReplacementPolicy::Lru | ReplacementPolicy::Fifo => ways
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|(_, w)| w.stamp)
+                            .map(|(i, _)| i)
+                            .unwrap_or(0),
+                        ReplacementPolicy::Random => (rng as usize) % ways.len(),
+                    }
+                }
+            };
+            let ways = self.set_ways(set);
+            let victim = &mut ways[victim_idx];
+            let mut writeback = None;
+            if victim.valid && victim.dirty {
+                let old_addr = (victim.tag * num_sets + set) * line_size;
+                writeback = Some(old_addr);
+            }
+            *victim = Way {
+                valid: true,
+                dirty: write,
+                tag,
+                stamp: tick,
+            };
+            if writeback.is_some() {
+                self.writebacks += 1;
+            }
+            self.gen += 1;
+            // A fill may have evicted the memoized line; repoint the memo at
+            // the line that is now certainly resident.
+            self.last_line = if self.geom.ways == 1 {
+                addr >> self.line_shift
+            } else {
+                u32::MAX
+            };
+            writeback
+        }
+
+        /// Invalidates everything (cold restart between experiments).
+        pub fn flush(&mut self) {
+            for w in &mut self.sets {
+                *w = Way::default();
+            }
+            self.tick = 0;
+            self.last_line = u32::MAX;
+            self.gen += 1;
+        }
+    }
+}

@@ -9,8 +9,8 @@
 //! gates the very run it prints and writes every requested output, usage
 //! errors exit 2 naming the flag, failed writes exit 1 naming the flag,
 //! and a chaos fault run fails cleanly instead of panicking. Their golden
-//! snapshot is a 1-frame one built in the test process, so every spawned
-//! run stays short. No test passes `--write` or `--bench-json`: both write
+//! snapshot is a 2-frame one built in the test process (the shortest
+//! workload with motion estimation), so every spawned run stays short. No test passes `--write` or `--bench-json`: both write
 //! to fixed paths in the repository.
 
 use std::collections::BTreeMap;
@@ -212,19 +212,31 @@ fn sweep_argument_errors_exit_2_and_run_failures_exit_1() {
     );
 }
 
-/// The 1-frame case study, run once per test binary.
-fn one_frame_run() -> &'static CaseStudy {
+/// The 2-frame case study, run once per test binary. Two frames is the
+/// shortest workload with motion estimation: the first frame is
+/// intra-coded, so a 1-frame run makes no `GetSad` call and every table
+/// cell is 0 or `NaN`.
+fn two_frame_run() -> &'static CaseStudy {
     static RUN: OnceLock<CaseStudy> = OnceLock::new();
-    RUN.get_or_init(|| CaseStudy::run(&Workload::qcif_frames(1)))
+    RUN.get_or_init(|| CaseStudy::run(&Workload::qcif_frames(2)))
 }
 
-/// Writes a `--check` baseline for the 1-frame workload into `dir`, with
+/// Asserts a report or CSV text has no `NaN` cell.
+fn assert_no_nan(what: &str, text: &str) {
+    assert!(!text.contains("NaN"), "{what} has a NaN cell:\n{text}");
+}
+
+/// Writes a `--check` baseline for the 2-frame workload into `dir`, with
 /// `edit` applied to its cells first.
 fn write_snapshot(dir: &Path, edit: impl FnOnce(&mut BTreeMap<String, u64>)) -> String {
-    let mut cells = TablesSnapshot::capture(one_frame_run()).cells;
+    let mut cells = TablesSnapshot::capture(two_frame_run()).cells;
+    assert!(
+        cells.get("table1/Orig/cycles").is_some_and(|&c| c > 0),
+        "the 2-frame workload must simulate motion estimation"
+    );
     edit(&mut cells);
     let mut doc = BTreeMap::new();
-    doc.insert("frames".to_owned(), Json::Num("1".to_owned()));
+    doc.insert("frames".to_owned(), Json::Num("2".to_owned()));
     doc.insert("tables".to_owned(), TablesSnapshot { cells }.to_json());
     let path = dir.join("snap.json");
     std::fs::write(&path, Json::Obj(doc).to_string()).unwrap();
@@ -241,6 +253,7 @@ fn check_writes_the_metrics_of_the_run_it_gates() {
     let out = tables(&["--check", &snap, "--metrics-out", metrics.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert!(stderr(&out).contains("bit-identical"), "{}", stderr(&out));
+    assert_no_nan("stdout", &String::from_utf8_lossy(&out.stdout));
     let text = std::fs::read_to_string(&metrics).unwrap_or_else(|e| panic!("no envelope: {e}"));
     let doc = Json::parse(&text).unwrap();
     assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1), "{text}");
@@ -274,7 +287,7 @@ fn check_fails_naming_a_drifted_cell() {
 fn check_rejects_frames_that_differ_from_the_snapshot() {
     let dir = tmpdir("frames");
     let snap = write_snapshot(&dir, |_| {});
-    let out = tables(&["--check", &snap, "--frames", "2"]);
+    let out = tables(&["--check", &snap, "--frames", "1"]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.contains("--frames"), "{err}");
@@ -310,7 +323,7 @@ fn unwritable_metrics_out_exits_1_naming_the_flag() {
     let file = dir.join("plain-file");
     std::fs::write(&file, "").unwrap();
     let target = file.join("m.json");
-    let out = tables(&["--frames", "1", "--metrics-out", target.to_str().unwrap()]);
+    let out = tables(&["--frames", "2", "--metrics-out", target.to_str().unwrap()]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("--metrics-out"), "{err}");
@@ -345,9 +358,10 @@ fn chaos_run_fails_cleanly() {
 fn csv_writes_one_file_per_table() {
     let dir = tmpdir("csv");
     let csv = dir.join("csv");
-    let out = tables(&["--frames", "1", "--csv", csv.to_str().unwrap()]);
+    let out = tables(&["--frames", "2", "--csv", csv.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let cs = one_frame_run();
+    assert_no_nan("stdout", &String::from_utf8_lossy(&out.stdout));
+    let cs = two_frame_run();
     let headers = [
         "scenario,cycles,speedup,improvement",
         "bandwidth,beta,lat,cycles,speedup",
@@ -380,6 +394,7 @@ fn csv_writes_one_file_per_table() {
         let width = header.split(',').count();
         for row in &body {
             assert_eq!(row.split(',').count(), width, "{name}.csv row `{row}`");
+            assert_no_nan(&format!("{name}.csv row"), row);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
