@@ -6,6 +6,8 @@
 //! streams from Line Buffer A; with the two-line-buffer scheme the predictor
 //! rows come from Line Buffer B and the cache is touched only on misses.
 
+use std::borrow::Cow;
+
 use rvliw_mem::{MemError, MemorySystem};
 use rvliw_trace::{RfuEvent, Tracer};
 
@@ -129,7 +131,7 @@ fn sad_rows<'a>(
     stride: u32,
     mode: InterpMode,
     approx: SadApprox,
-    reference: impl Fn(u32) -> &'a [u8],
+    reference: impl Fn(u32) -> Cow<'a, [u8]>,
 ) -> u32 {
     let cols = MB_SIZE as u32 + u32::from(mode.needs_extra_col());
     let mask = approx.pixel_mask();
@@ -137,12 +139,18 @@ fn sad_rows<'a>(
     let mut y = 0;
     while y < MB_SIZE as u32 {
         let row = cand_addr + y * stride;
-        let below: &[u8] = if mode.needs_extra_row() {
+        let below = if mode.needs_extra_row() {
             ram.read_bytes(row + stride, cols)
         } else {
-            &[]
+            Cow::Borrowed(&[][..])
         };
-        sad += row_sad(mode, ram.read_bytes(row, cols), below, reference(y), mask);
+        sad += row_sad(
+            mode,
+            &ram.read_bytes(row, cols),
+            &below,
+            &reference(y),
+            mask,
+        );
         if let SadApprox::EarlyExit { threshold } = approx {
             if sad > threshold {
                 return sad;
@@ -385,7 +393,7 @@ fn sad_via_lba(
         if lb_a.row_ready_at(y as usize) == u64::MAX {
             ram.read_bytes(ref_addr + y * stride, MB_SIZE as u32)
         } else {
-            lb_a.row(y as usize)
+            Cow::Borrowed(lb_a.row(y as usize))
         }
     })
 }

@@ -607,7 +607,7 @@ impl Rfu {
                     // Gather: the row's pixels land in Line Buffer A when
                     // the access completes.
                     let mut data = [0u8; MB_SIZE];
-                    data.copy_from_slice(mem.ram.read_bytes(row_addr, MB_SIZE as u32));
+                    data.copy_from_slice(&mem.ram.read_bytes(row_addr, MB_SIZE as u32));
                     if !self.fault.is_inert() {
                         match self.fault.lb_row_fault() {
                             LbRowFault::None => {}
