@@ -545,7 +545,7 @@ mod tests {
         // Permanent: structural program failures, divergences, panics.
         assert!(!sim(SimError::FellOffEnd { pc: 3 }).is_transient());
         assert!(!sim(SimError::UnresolvedTarget { pc: 0 }).is_transient());
-        assert!(!sim(SimError::Undecodable { what: "op" }).is_transient());
+        assert!(!sim(SimError::Undecodable { what: "op".into() }).is_transient());
         assert!(!ScenarioError::SadMismatch {
             label: "x".to_owned(),
             frame: 1,

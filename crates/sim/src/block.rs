@@ -1,28 +1,22 @@
 //! The block-compiled execution backend: micro-trace compilation of
 //! straight-line bundle runs.
 //!
-//! The pre-decoded interpreter ([`Machine::run`](crate::Machine::run))
-//! still pays per-bundle bookkeeping every cycle: per-class statistics
-//! bumps, issue-scratch reinitialization, an instruction-cache lookup per
-//! bundle, and a wide `ExecKind` match per operation. This module compiles
-//! each *basic block* — a maximal straight-line bundle run between control
-//! transfers, discovered by [`rvliw_isa::block_leaders`] — into a flat
-//! **micro-trace**: per-bundle issue templates (scoreboard read set, RFU
-//! interlock flag, pre-resolved instruction-fetch behaviour) plus a
-//! contiguous array of `MicroOp`s with the per-operation decisions
-//! (opcode, operand shape, operand indices, destination, latency) baked
-//! in. Executing a block is then a tight loop parameterized only by
-//! dynamic inputs: register values and memory/RFU response latencies.
+//! The interpreter driver ([`crate::substrate`]) pays per-bundle
+//! bookkeeping every cycle: per-class statistics bumps, an
+//! instruction-cache lookup per bundle, a scoreboard scan and deferred
+//! write-back. This module compiles each *basic block* — a maximal
+//! straight-line bundle run between control transfers, discovered by
+//! [`rvliw_isa::block_leaders`] — into per-bundle issue templates
+//! (scoreboard read set, RFU interlock flag, pre-resolved
+//! instruction-fetch behaviour, in-place commit and stall-free proofs)
+//! over the program's [`DecodedCode`]: the templates index its flat
+//! micro-op and scoreboard-read arrays, they do not copy them. Executing a
+//! block is then a tight loop parameterized only by dynamic inputs:
+//! register values and memory/RFU response latencies.
 //!
-//! Each operation runs through exactly one `match` arm. The opcodes the
-//! paper kernels issue most (ALU, shift, byte-extract and SIMD ops, word
-//! loads, compares into branch registers and every RFU operation) have a
-//! typed variant per operand shape that calls the opcode's one
-//! definition in [`crate::exec`] or [`rvliw_isa::simd`], or the RFU
-//! method of [`Machine`] the interpreter also calls. The long tail of
-//! pure operations goes through a [`PureFn`]; only shapes with neither
-//! re-enter the interpreter's exec phase (`MicroOp::Gen`), and no paper
-//! scenario issues one.
+//! Each operation runs through the executor the interpreter uses,
+//! `exec::exec`, inlined into the loop under a [`NullTracer`], so
+//! both engines execute the same lowering with the same code.
 //!
 //! **Soundness.** The scoreboard outcome of a straight-line bundle
 //! sequence is a pure function of entry state (register-ready times, cache
@@ -48,14 +42,13 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use rvliw_asm::Code;
-use rvliw_isa::simd;
-use rvliw_isa::{block_leaders, Br, Dest, Gpr, Opcode, NUM_BRS, NUM_GPRS};
+use rvliw_isa::{block_leaders, Dest, NUM_BRS, NUM_GPRS};
 use rvliw_mem::MemorySystem;
 use rvliw_trace::NullTracer;
 
-use crate::decode::{DSrc, DecodedCode, DecodedOp, ExecKind, ScoreRead, NUM_OP_CLASSES};
-use crate::exec::{self, PureFn};
-use crate::machine::{Machine, SimError, MAX_ISSUE};
+use crate::decode::{DSrc, DecodedCode, MicroOp, ScoreRead, NUM_OP_CLASSES};
+use crate::exec::{exec_bundle, Pending};
+use crate::machine::{Machine, SimError};
 use crate::BUNDLE_BYTES;
 
 /// Which issue loop a [`Machine`] run uses.
@@ -180,219 +173,6 @@ pub(crate) fn add_to_totals(s: &BackendStats) {
     }
 }
 
-/// One operation of a micro-trace, with the per-operation decisions taken
-/// at compile time so the hot loop dispatches each operation through
-/// exactly one `match` arm.
-///
-/// The opcodes the paper kernels issue most have typed variants: one per
-/// opcode and operand shape (`GG` two registers, `GI` a register and an
-/// immediate, `G` one register), each calling the opcode's one definition
-/// in [`crate::exec`] or [`rvliw_isa::simd`], with its destination
-/// resolved to a non-zero [`Gpr`] (a [`Br`] for compares). The `Pure*`
-/// variants carry a [`PureFn`] for the long tail of pure operations.
-/// Shapes the compiler does not lower fall back to [`MicroOp::Gen`],
-/// which re-enters the interpreter's exec phase for that operation only.
-/// Register sources are array indices: `$r0` is slot 0, which no write
-/// ever touches, so it reads 0.
-#[derive(Debug, Clone)]
-enum MicroOp {
-    AddGG {
-        a: u8,
-        b: u8,
-        d: Gpr,
-        lat: u64,
-    },
-    AddGI {
-        a: u8,
-        imm: u32,
-        d: Gpr,
-        lat: u64,
-    },
-    SubGI {
-        a: u8,
-        imm: u32,
-        d: Gpr,
-        lat: u64,
-    },
-    OrGG {
-        a: u8,
-        b: u8,
-        d: Gpr,
-        lat: u64,
-    },
-    SllGG {
-        a: u8,
-        b: u8,
-        d: Gpr,
-        lat: u64,
-    },
-    SllGI {
-        a: u8,
-        imm: u32,
-        d: Gpr,
-        lat: u64,
-    },
-    SrlGG {
-        a: u8,
-        b: u8,
-        d: Gpr,
-        lat: u64,
-    },
-    SrlGI {
-        a: u8,
-        imm: u32,
-        d: Gpr,
-        lat: u64,
-    },
-    ExtbuGI {
-        a: u8,
-        imm: u32,
-        d: Gpr,
-        lat: u64,
-    },
-    MovG {
-        a: u8,
-        d: Gpr,
-        lat: u64,
-    },
-    Sad4GG {
-        a: u8,
-        b: u8,
-        d: Gpr,
-        lat: u64,
-    },
-    Avg4rGG {
-        a: u8,
-        b: u8,
-        d: Gpr,
-        lat: u64,
-    },
-    Hadd2GGI {
-        a: u8,
-        b: u8,
-        k: u32,
-        d: Gpr,
-        lat: u64,
-    },
-    Rnd2G {
-        a: u8,
-        d: Gpr,
-        lat: u64,
-    },
-    Pack4GG {
-        a: u8,
-        b: u8,
-        d: Gpr,
-        lat: u64,
-    },
-    CmpNeGI {
-        a: u8,
-        imm: u32,
-        d: Br,
-        lat: u64,
-    },
-    /// `ldw` from `gpr[base] + off`.
-    LoadW {
-        base: u8,
-        off: u32,
-        d: Gpr,
-        lat: u64,
-    },
-    /// RFU operations over up to [`RFU_SRCS`] register sources, through
-    /// the same [`Machine`] methods the interpreter calls.
-    RfuInit {
-        cfg: u16,
-    },
-    RfuSend {
-        cfg: u16,
-        srcs: [u8; RFU_SRCS],
-        n: u8,
-    },
-    RfuExec {
-        cfg: u16,
-        srcs: [u8; RFU_SRCS],
-        n: u8,
-        dest: Dest,
-        lat: u64,
-    },
-    RfuPref {
-        cfg: u16,
-        a: u8,
-    },
-    /// Pure op over two register sources.
-    PureGG {
-        f: PureFn,
-        a: u8,
-        b: u8,
-        dest: Dest,
-        lat: u64,
-    },
-    /// Pure op over a register and an immediate, in that order.
-    PureGI {
-        f: PureFn,
-        a: u8,
-        imm: u32,
-        dest: Dest,
-        lat: u64,
-    },
-    /// Pure op over one register source.
-    PureG {
-        f: PureFn,
-        a: u8,
-        dest: Dest,
-        lat: u64,
-    },
-    /// Pure op over one immediate.
-    PureI {
-        f: PureFn,
-        imm: u32,
-        dest: Dest,
-        lat: u64,
-    },
-    /// Load from `gpr[base] + off`.
-    Load {
-        base: u8,
-        off: u32,
-        size: u8,
-        sext_from: u8,
-        dest: Dest,
-        lat: u64,
-    },
-    /// Store `gpr[val]` to `gpr[base] + off`.
-    Store {
-        val: u8,
-        base: u8,
-        off: u32,
-        size: u8,
-    },
-    /// Conditional branch on a branch register, resolved target.
-    BrCondB {
-        breg: u8,
-        on_true: bool,
-        target: u32,
-    },
-    /// Conditional branch on a general register, resolved target.
-    BrCondG {
-        greg: u8,
-        on_true: bool,
-        target: u32,
-    },
-    /// Unconditional jump, resolved target.
-    Goto {
-        target: u32,
-    },
-    /// Stop the run.
-    Halt,
-    /// No operation.
-    Nop,
-    /// Any other shape: executed through the interpreter's exec phase.
-    Gen(Box<DecodedOp>),
-}
-
-/// Most register sources a typed RFU micro-op carries (the ME loop
-/// instruction takes three).
-const RFU_SRCS: usize = 3;
-
 /// Per-bundle issue template of a compiled block.
 #[derive(Debug, Clone, Copy)]
 struct BundleTpl {
@@ -421,21 +201,15 @@ struct BundleTpl {
     no_stall: bool,
 }
 
-/// One compiled basic block: bundle templates plus the flat micro-op and
-/// scoreboard-read arrays they index.
+/// One compiled basic block: bundle templates indexing the program's
+/// [`DecodedCode`] operation and scoreboard-read arrays.
 #[derive(Debug)]
 struct Block {
     first_pc: u32,
     bundles: Vec<BundleTpl>,
-    ops: Vec<MicroOp>,
-    reads: Vec<ScoreRead>,
     /// Operations issued by the whole block, per class (added in one shot
     /// when the block completes).
     total_classes: [u64; NUM_OP_CLASSES],
-    /// Per-bundle per-class issue counts, kept out of the hot
-    /// [`BundleTpl`] array: only the cold exits (cycle limit, errors
-    /// inside a block) reconstruct partial-pass statistics from them.
-    class_counts: Vec<[u8; NUM_OP_CLASSES]>,
     /// Registers read before any in-block write — the only entry state the
     /// scoreboard outcome depends on. When all of them are ready at block
     /// entry, every [`BundleTpl::no_stall`] bundle is issue-exact without
@@ -520,10 +294,7 @@ fn compile_block(
     icache_line_shift: Option<u32>,
 ) -> Block {
     let mut bundles = Vec::with_capacity(end - first_pc);
-    let mut ops = Vec::new();
-    let mut reads = Vec::new();
     let mut total_classes = [0u64; NUM_OP_CLASSES];
-    let mut class_counts = Vec::with_capacity(end - first_pc);
     // Symbolic scoreboard: the latest in-block writer of each register as
     // `(bundle offset, Some(latency))`, or `None` latency for writes whose
     // ready time the compiler cannot see (RFU results, the link register).
@@ -532,13 +303,7 @@ fn compile_block(
     let mut live_ins: Vec<ScoreRead> = Vec::new();
     for pc in first_pc..end {
         let k = pc - first_pc;
-        let ops_start = ops.len() as u32;
-        let reads_start = reads.len() as u32;
-        for op in decoded.ops_of(pc) {
-            ops.push(lower(op));
-        }
-        reads.extend_from_slice(decoded.reads_of(pc));
-        class_counts.push(*decoded.class_counts_of(pc));
+        let meta = decoded.meta(pc);
         for (total, &c) in total_classes.iter_mut().zip(decoded.class_counts_of(pc)) {
             *total += u64::from(c);
         }
@@ -549,7 +314,7 @@ fn compile_block(
         // whenever `lat <= k - p` (issue advances at least one cycle per
         // bundle and whole-machine stalls only push consumers later, never
         // producers). Live-in reads are covered by the entry check.
-        let mut no_stall = !decoded.has_rfu(pc);
+        let mut no_stall = !meta.has_rfu;
         for &r in decoded.reads_of(pc) {
             let writer = match r {
                 ScoreRead::Gpr(i) => gpr_w[i as usize],
@@ -570,27 +335,12 @@ fn compile_block(
             }
         }
         for op in decoded.ops_of(pc) {
-            // Pure and load results complete `lat` after the cycle that
-            // issued them (a load's post-stall cycle only pushes the
-            // ready time *and* every later bundle equally). Everything
-            // else that writes does so on a schedule the compiler cannot
-            // see; record the destination with unknown latency.
-            let lat = match op.kind {
-                ExecKind::Pure(_) | ExecKind::Load { .. } => Some(op.lat),
-                _ => None,
-            };
-            match op.dest {
-                Dest::Gpr(g) => {
-                    if !g.is_zero() {
-                        gpr_w[g.index() as usize] = Some((k, lat));
-                    }
+            match op.write() {
+                Some((Dest::Gpr(g), lat)) if !g.is_zero() => {
+                    gpr_w[g.index() as usize] = Some((k, lat));
                 }
-                Dest::Br(b) => br_w[b.index() as usize] = Some((k, lat)),
-                Dest::None => {}
-            }
-            if matches!(op.kind, ExecKind::Call { .. }) {
-                // `call` writes the link register as a side effect.
-                gpr_w[Gpr::LINK.index() as usize] = Some((k, None));
+                Some((Dest::Br(b), lat)) => br_w[b.index() as usize] = Some((k, lat)),
+                _ => {}
             }
         }
         let addr = pc as u32 * BUNDLE_BYTES;
@@ -601,24 +351,21 @@ fn compile_block(
             None => true,
         };
         bundles.push(BundleTpl {
-            ops_start,
-            reads_start,
-            ops_len: decoded.ops_of(pc).len() as u8,
-            reads_len: decoded.reads_of(pc).len() as u16,
-            has_rfu: decoded.has_rfu(pc),
+            ops_start: meta.ops_start,
+            reads_start: meta.reads_start,
+            ops_len: meta.ops_len,
+            reads_len: meta.reads_len,
+            has_rfu: meta.has_rfu,
             ifetch,
             ifetch_addr: addr,
-            all_direct: bundle_all_direct(&ops[ops_start as usize..]),
+            all_direct: bundle_all_direct(decoded.ops_of(pc)),
             no_stall,
         });
     }
     Block {
         first_pc: first_pc as u32,
         bundles,
-        ops,
-        reads,
         total_classes,
-        class_counts,
         live_ins,
     }
 }
@@ -629,61 +376,98 @@ fn compile_block(
 ///
 /// - no operation reads a register an earlier op of the same bundle
 ///   wrote, so every source still observes pre-bundle state;
-/// - no fallible operation (memory access, interpreter-executed op)
-///   follows a register write — a memory error aborts the bundle with its
-///   pending writes discarded, and in-place commits could not be undone;
-/// - no interpreter-executed ([`MicroOp::Gen`]) op participates (the
-///   interpreter's exec phase expects the scratch).
+/// - no fallible operation (memory access, RFU operation) follows a
+///   register write — an error aborts the bundle with its pending writes
+///   discarded, and in-place commits could not be undone.
 ///
 /// In-place writes then land in issue order — the same order the
-/// write-back loop would apply them.
+/// write-back loop would apply them. Bundles with a `call`, `return`,
+/// prefetch, unresolved-target or undecodable operation always take the
+/// scratch.
 fn bundle_all_direct(mops: &[MicroOp]) -> bool {
     use MicroOp::*;
     let (mut gw, mut bw) = (0u64, 0u64);
     let mut wrote = false;
-    let bits = |regs: &[u8]| regs.iter().fold(0u64, |m, &r| m | 1u64 << r);
     for mop in mops {
-        let (rg, rb, fallible, dest) = match *mop {
-            AddGG { a, b, d, .. }
-            | OrGG { a, b, d, .. }
-            | SllGG { a, b, d, .. }
-            | SrlGG { a, b, d, .. }
-            | Sad4GG { a, b, d, .. }
-            | Avg4rGG { a, b, d, .. }
-            | Hadd2GGI { a, b, d, .. }
-            | Pack4GG { a, b, d, .. } => (bits(&[a, b]), 0, false, Dest::Gpr(d)),
-            AddGI { a, d, .. }
-            | SubGI { a, d, .. }
-            | SllGI { a, d, .. }
-            | SrlGI { a, d, .. }
-            | ExtbuGI { a, d, .. }
-            | MovG { a, d, .. }
-            | Rnd2G { a, d, .. } => (bits(&[a]), 0, false, Dest::Gpr(d)),
-            CmpNeGI { a, d, .. } => (bits(&[a]), 0, false, Dest::Br(d)),
-            LoadW { base, d, .. } => (bits(&[base]), 0, true, Dest::Gpr(d)),
-            RfuInit { .. } => (0, 0, true, Dest::None),
-            RfuSend { srcs, n, .. } => (bits(&srcs[..n as usize]), 0, true, Dest::None),
-            RfuExec { srcs, n, dest, .. } => (bits(&srcs[..n as usize]), 0, true, dest),
-            RfuPref { a, .. } => (bits(&[a]), 0, true, Dest::None),
-            PureGG { a, b, dest, .. } => (bits(&[a, b]), 0, false, dest),
-            PureGI { a, dest, .. } | PureG { a, dest, .. } => (bits(&[a]), 0, false, dest),
-            PureI { dest, .. } => (0, 0, false, dest),
-            Load { base, dest, .. } => (bits(&[base]), 0, true, dest),
-            Store { val, base, .. } => (bits(&[val, base]), 0, true, Dest::None),
-            BrCondB { breg, .. } => (0, 1u64 << breg, false, Dest::None),
-            BrCondG { greg, .. } => (bits(&[greg]), 0, false, Dest::None),
-            Goto { .. } | Halt | Nop => (0, 0, false, Dest::None),
-            Gen(_) => return false,
+        let mut rg = 0u64;
+        let mut rb = 0u64;
+        let mut read = |s: &DSrc| match *s {
+            DSrc::Gpr(i) => rg |= 1u64 << i,
+            DSrc::Br(i) => rb |= 1u64 << i,
+            DSrc::Imm(_) => {}
+        };
+        let g = DSrc::Gpr;
+        let fallible = match mop {
+            AddGG { a, b, .. }
+            | OrGG { a, b, .. }
+            | SllGG { a, b, .. }
+            | SrlGG { a, b, .. }
+            | Sad4GG { a, b, .. }
+            | Avg4rGG { a, b, .. }
+            | Hadd2GGI { a, b, .. }
+            | Pack4GG { a, b, .. } => {
+                read(&g(*a));
+                read(&g(*b));
+                false
+            }
+            AddGI { a, .. }
+            | SubGI { a, .. }
+            | SllGI { a, .. }
+            | SrlGI { a, .. }
+            | ExtbuGI { a, .. }
+            | MovG { a, .. }
+            | Rnd2G { a, .. }
+            | CmpNeGI { a, .. } => {
+                read(&g(*a));
+                false
+            }
+            Pure { srcs, .. } => {
+                srcs.iter().for_each(&mut read);
+                false
+            }
+            LoadW { base, .. } => {
+                read(&g(*base));
+                true
+            }
+            Load { addr, .. } => {
+                addr.iter().for_each(&mut read);
+                true
+            }
+            Store { val, addr, .. } => {
+                read(val);
+                addr.iter().for_each(&mut read);
+                true
+            }
+            BrCond { cond, target, .. } => {
+                if target.is_none() {
+                    return false;
+                }
+                read(cond);
+                false
+            }
+            RfuSend { srcs, .. } | RfuExec { srcs, .. } => {
+                srcs.iter().for_each(&mut read);
+                true
+            }
+            RfuPref { addr, .. } => {
+                read(addr);
+                true
+            }
+            RfuInit { .. } => true,
+            Goto { .. } | Halt | Nop => false,
+            Call { .. } | Ret { .. } | Pft { .. } | Unresolved | Undecodable { .. } => {
+                return false
+            }
         };
         if rg & gw != 0 || rb & bw != 0 || (fallible && wrote) {
             return false;
         }
-        match dest {
-            Dest::Gpr(g) if !g.is_zero() => {
+        match mop.write() {
+            Some((Dest::Gpr(g), _)) if !g.is_zero() => {
                 gw |= 1u64 << g.index();
                 wrote = true;
             }
-            Dest::Br(b) => {
+            Some((Dest::Br(b), _)) => {
                 bw |= 1u64 << b.index();
                 wrote = true;
             }
@@ -691,260 +475,6 @@ fn bundle_all_direct(mops: &[MicroOp]) -> bool {
         }
     }
     true
-}
-
-/// The operand shape of a decoded operation's sources, with register
-/// sources as array indices (`$r0` is slot 0).
-// The variant names are the `MicroOp` shape suffixes, not acronyms.
-#[allow(clippy::upper_case_acronyms)]
-#[derive(Clone, Copy)]
-enum Shape {
-    /// No sources.
-    None,
-    /// One register.
-    G(u8),
-    /// One immediate.
-    I(u32),
-    /// Two registers.
-    GG(u8, u8),
-    /// A register, then an immediate.
-    GI(u8, u32),
-    /// Two registers, then an immediate.
-    GGI(u8, u8, u32),
-    /// Anything else.
-    Other,
-}
-
-impl Shape {
-    fn of(srcs: &[DSrc]) -> Shape {
-        let g = |s: &DSrc| match *s {
-            DSrc::Gpr(i) => Some(i),
-            DSrc::Zero => Some(0),
-            DSrc::Br(_) | DSrc::Imm(_) => None,
-        };
-        match *srcs {
-            [] => Shape::None,
-            [DSrc::Imm(v)] => Shape::I(v),
-            [a] => g(&a).map_or(Shape::Other, Shape::G),
-            [a, DSrc::Imm(v)] => g(&a).map_or(Shape::Other, |a| Shape::GI(a, v)),
-            [a, b] => match (g(&a), g(&b)) {
-                (Some(a), Some(b)) => Shape::GG(a, b),
-                _ => Shape::Other,
-            },
-            [a, b, DSrc::Imm(v)] => match (g(&a), g(&b)) {
-                (Some(a), Some(b)) => Shape::GGI(a, b, v),
-                _ => Shape::Other,
-            },
-            _ => Shape::Other,
-        }
-    }
-}
-
-/// The register indices of an RFU operation's sources, when every source
-/// is a register and there are at most [`RFU_SRCS`] of them.
-fn rfu_srcs(srcs: &[DSrc]) -> Option<([u8; RFU_SRCS], u8)> {
-    if srcs.len() > RFU_SRCS {
-        return None;
-    }
-    let mut regs = [0u8; RFU_SRCS];
-    for (r, s) in regs.iter_mut().zip(srcs) {
-        *r = match *s {
-            DSrc::Gpr(i) => i,
-            DSrc::Zero => 0,
-            DSrc::Br(_) | DSrc::Imm(_) => return None,
-        };
-    }
-    Some((regs, srcs.len() as u8))
-}
-
-/// Lowers a pure or load operation to its typed variant, when its opcode,
-/// operand shape and destination have one.
-fn lower_typed(op: &DecodedOp, shape: Shape) -> Option<MicroOp> {
-    use MicroOp::*;
-    use Opcode as O;
-    use Shape::{G, GG, GGI, GI, I};
-    let lat = op.lat;
-    let gd = match op.dest {
-        Dest::Gpr(d) if !d.is_zero() => Some(d),
-        _ => None,
-    };
-    let bd = match op.dest {
-        Dest::Br(d) => Some(d),
-        _ => None,
-    };
-    if let ExecKind::Load {
-        size: 4,
-        sext_from: 0,
-    } = op.kind
-    {
-        let (base, off) = match shape {
-            G(a) => (a, 0),
-            I(v) => (0, v),
-            GI(a, v) => (a, v),
-            _ => return None,
-        };
-        return Some(LoadW {
-            base,
-            off,
-            d: gd?,
-            lat,
-        });
-    }
-    if !matches!(op.kind, ExecKind::Pure(_)) {
-        return None;
-    }
-    Some(match (op.opcode, shape) {
-        (O::Add, GG(a, b)) => AddGG { a, b, d: gd?, lat },
-        (O::Add, GI(a, imm)) => AddGI {
-            a,
-            imm,
-            d: gd?,
-            lat,
-        },
-        (O::Sub, GI(a, imm)) => SubGI {
-            a,
-            imm,
-            d: gd?,
-            lat,
-        },
-        (O::Or, GG(a, b)) => OrGG { a, b, d: gd?, lat },
-        (O::Sll, GG(a, b)) => SllGG { a, b, d: gd?, lat },
-        (O::Sll, GI(a, imm)) => SllGI {
-            a,
-            imm,
-            d: gd?,
-            lat,
-        },
-        (O::Srl, GG(a, b)) => SrlGG { a, b, d: gd?, lat },
-        (O::Srl, GI(a, imm)) => SrlGI {
-            a,
-            imm,
-            d: gd?,
-            lat,
-        },
-        (O::Extbu, GI(a, imm)) => ExtbuGI {
-            a,
-            imm,
-            d: gd?,
-            lat,
-        },
-        (O::Mov, G(a)) => MovG { a, d: gd?, lat },
-        (O::Sad4, GG(a, b)) => Sad4GG { a, b, d: gd?, lat },
-        (O::Avg4r, GG(a, b)) => Avg4rGG { a, b, d: gd?, lat },
-        (O::Hadd2, GGI(a, b, k)) => Hadd2GGI {
-            a,
-            b,
-            k,
-            d: gd?,
-            lat,
-        },
-        (O::Rnd2, G(a)) => Rnd2G { a, d: gd?, lat },
-        (O::Pack4, GG(a, b)) => Pack4GG { a, b, d: gd?, lat },
-        (O::CmpNe, GI(a, imm)) => CmpNeGI {
-            a,
-            imm,
-            d: bd?,
-            lat,
-        },
-        _ => return None,
-    })
-}
-
-/// Lowers one decoded operation to its micro-trace form.
-fn lower(op: &DecodedOp) -> MicroOp {
-    let shape = Shape::of(op.srcs());
-    if let Some(typed) = lower_typed(op, shape) {
-        return typed;
-    }
-    let gen = || MicroOp::Gen(Box::new(op.clone()));
-    let (dest, lat) = (op.dest, op.lat);
-    match op.kind {
-        ExecKind::Pure(f) => match shape {
-            Shape::GG(a, b) => MicroOp::PureGG { f, a, b, dest, lat },
-            Shape::GI(a, imm) => MicroOp::PureGI {
-                f,
-                a,
-                imm,
-                dest,
-                lat,
-            },
-            Shape::G(a) => MicroOp::PureG { f, a, dest, lat },
-            Shape::I(imm) => MicroOp::PureI { f, imm, dest, lat },
-            _ => gen(),
-        },
-        ExecKind::Load { size, sext_from } => {
-            let (base, off) = match shape {
-                Shape::G(a) => (a, 0),
-                Shape::I(v) => (0, v),
-                Shape::GI(a, v) => (a, v),
-                _ => return gen(),
-            };
-            MicroOp::Load {
-                base,
-                off,
-                size: size as u8,
-                sext_from,
-                dest,
-                lat,
-            }
-        }
-        ExecKind::Store { size } => match shape {
-            Shape::GG(val, base) => MicroOp::Store {
-                val,
-                base,
-                off: 0,
-                size: size as u8,
-            },
-            Shape::GGI(val, base, off) => MicroOp::Store {
-                val,
-                base,
-                off,
-                size: size as u8,
-            },
-            _ => gen(),
-        },
-        ExecKind::BrCond {
-            on_true,
-            target: Some(target),
-        } => match op.srcs() {
-            [DSrc::Br(b)] => MicroOp::BrCondB {
-                breg: *b,
-                on_true,
-                target,
-            },
-            [DSrc::Gpr(g)] => MicroOp::BrCondG {
-                greg: *g,
-                on_true,
-                target,
-            },
-            _ => gen(),
-        },
-        ExecKind::Goto {
-            target: Some(target),
-        } => MicroOp::Goto { target },
-        ExecKind::Halt => MicroOp::Halt,
-        ExecKind::Nop => MicroOp::Nop,
-        ExecKind::RfuInit(cfg) => MicroOp::RfuInit { cfg },
-        ExecKind::RfuSend(cfg) => match rfu_srcs(op.srcs()) {
-            Some((srcs, n)) => MicroOp::RfuSend { cfg, srcs, n },
-            None => gen(),
-        },
-        ExecKind::RfuExec(cfg) => match rfu_srcs(op.srcs()) {
-            Some((srcs, n)) => MicroOp::RfuExec {
-                cfg,
-                srcs,
-                n,
-                dest,
-                lat,
-            },
-            None => gen(),
-        },
-        ExecKind::RfuPref(cfg) => match shape {
-            Shape::G(a) => MicroOp::RfuPref { cfg, a },
-            _ => gen(),
-        },
-        _ => gen(),
-    }
 }
 
 /// Whether `mem`'s instruction cache admits the same-line repeat-fetch
@@ -1001,16 +531,16 @@ impl Agg {
 pub(crate) fn run_blocks(
     m: &mut Machine,
     blocks: &CompiledBlocks,
+    decoded: &DecodedCode,
     limit: u64,
 ) -> Result<BlockExit, SimError> {
+    debug_assert_eq!(blocks.nbundles, decoded.len());
     let mut pc = 0usize;
     let mut cyc = m.cycle;
     let entry_cyc = cyc;
     let penalty = m.branch_taken_penalty;
     let mut agg = Agg::default();
-    // The issue scratch lives outside the loop and is never reinitialized:
-    // only `..nwrites` is ever read back.
-    let mut writes: [(Dest, u32, u64); MAX_ISSUE] = [(Dest::None, 0, 0); MAX_ISSUE];
+    let mut out = Pending::new();
     'blocks: loop {
         if pc >= blocks.nbundles {
             agg.flush(m, cyc, entry_cyc);
@@ -1047,7 +577,7 @@ pub(crate) fn run_blocks(
             if cyc >= limit {
                 // The interpreter charges nothing for the bundle it never
                 // issued: only the issued prefix counts.
-                partial_flush(m, &mut agg, blk, i, cyc, entry_cyc);
+                partial_flush(m, &mut agg, decoded, blk, i, cyc, entry_cyc);
                 return Err(SimError::CycleLimit {
                     limit: m.cycle_limit,
                 });
@@ -1067,7 +597,7 @@ pub(crate) fn run_blocks(
             // does. Bundles statically proven stall-free (given a settled
             // entry) skip the scan.
             if !(settled && bt.no_stall) {
-                let reads = &blk.reads[bt.reads_start as usize..][..bt.reads_len as usize];
+                let reads = &decoded.reads[bt.reads_start as usize..][..bt.reads_len as usize];
                 let mut ready_at = cyc;
                 for &r in reads {
                     ready_at = ready_at.max(match r {
@@ -1087,324 +617,30 @@ pub(crate) fn run_blocks(
                 }
             }
 
-            // Execute phase. Sources observe pre-bundle register state
-            // (write-back is deferred), exactly as the interpreter.
+            // Execute phase, through the executor the interpreter uses.
             // Bundles statically proven free of intra-bundle hazards
             // ([`bundle_all_direct`]) commit their writes in place as they
-            // execute; the rest stage them in the issue scratch and apply
-            // them in the write-back phase below.
-            let ops = &blk.ops[bt.ops_start as usize..][..bt.ops_len as usize];
+            // execute; the rest defer them to the write-back below, so
+            // sources observe pre-bundle register state.
+            let ops = &decoded.ops[bt.ops_start as usize..][..bt.ops_len as usize];
             agg.ops += ops.len() as u64;
-            let mut nwrites = 0usize;
-            let mut next_pc: Option<usize> = None;
-            let mut halted = false;
+            out.reset();
             let pc_abs = blk.first_pc as usize + i;
-            // Stage a write in the issue scratch (applied at write-back).
-            macro_rules! defer_write {
-                ($d:expr, $v:expr, $r:expr) => {{
-                    writes[nwrites] = ($d, $v, $r);
-                    nwrites += 1;
-                }};
-            }
-            // Commit a write in place, exactly as write-back would.
-            macro_rules! direct_write {
-                ($d:expr, $v:expr, $r:expr) => {
-                    match $d {
-                        Dest::None => {}
-                        Dest::Gpr(g) => {
-                            if !g.is_zero() {
-                                m.gpr[g.index() as usize] = $v;
-                                m.gpr_ready[g.index() as usize] = $r;
-                            }
-                        }
-                        Dest::Br(b) => {
-                            m.br[b.index() as usize] = $v != 0;
-                            m.br_ready[b.index() as usize] = $r;
-                        }
-                    }
-                };
-            }
-            // Typed-destination commits: the destination is a non-zero
-            // GPR or a branch register, resolved at lowering.
-            macro_rules! defer_gpr {
-                ($d:expr, $v:expr, $r:expr) => {
-                    defer_write!(Dest::Gpr($d), $v, $r)
-                };
-            }
-            macro_rules! direct_gpr {
-                ($d:expr, $v:expr, $r:expr) => {{
-                    m.gpr[$d.index() as usize] = $v;
-                    m.gpr_ready[$d.index() as usize] = $r;
-                }};
-            }
-            macro_rules! defer_br {
-                ($d:expr, $v:expr, $r:expr) => {
-                    defer_write!(Dest::Br($d), u32::from($v), $r)
-                };
-            }
-            macro_rules! direct_br {
-                ($d:expr, $v:expr, $r:expr) => {{
-                    m.br[$d.index() as usize] = $v;
-                    m.br_ready[$d.index() as usize] = $r;
-                }};
-            }
-            // Source register read.
-            macro_rules! r {
-                ($i:expr) => {
-                    m.gpr[$i as usize]
-                };
-            }
-            // Runs a fallible machine call at the current cycle, taking
-            // its stalls; an error leaves every counter as the interpreter
-            // would.
-            macro_rules! at_cycle {
-                ($call:expr) => {{
-                    m.cycle = cyc;
-                    let r = $call;
-                    cyc = m.cycle;
-                    match r {
-                        Ok(v) => v,
-                        Err(e) => {
-                            partial_flush(m, &mut agg, blk, i + 1, cyc, entry_cyc);
-                            return Err(e);
-                        }
-                    }
-                }};
-            }
-            // The exec loop, parameterized by the write-commit policy:
-            // one `match` arm per operation.
-            macro_rules! exec_ops {
-                ($commit:ident, $gw:ident, $bw:ident) => {
-                    for op in ops {
-                        match *op {
-                            MicroOp::AddGG { a, b, d, lat } => {
-                                $gw!(d, exec::add(r!(a), r!(b)), cyc + lat)
-                            }
-                            MicroOp::AddGI { a, imm, d, lat } => {
-                                $gw!(d, exec::add(r!(a), imm), cyc + lat)
-                            }
-                            MicroOp::SubGI { a, imm, d, lat } => {
-                                $gw!(d, exec::sub(r!(a), imm), cyc + lat)
-                            }
-                            MicroOp::OrGG { a, b, d, lat } => {
-                                $gw!(d, exec::or(r!(a), r!(b)), cyc + lat)
-                            }
-                            MicroOp::SllGG { a, b, d, lat } => {
-                                $gw!(d, simd::sll(r!(a), r!(b)), cyc + lat)
-                            }
-                            MicroOp::SllGI { a, imm, d, lat } => {
-                                $gw!(d, simd::sll(r!(a), imm), cyc + lat)
-                            }
-                            MicroOp::SrlGG { a, b, d, lat } => {
-                                $gw!(d, simd::srl(r!(a), r!(b)), cyc + lat)
-                            }
-                            MicroOp::SrlGI { a, imm, d, lat } => {
-                                $gw!(d, simd::srl(r!(a), imm), cyc + lat)
-                            }
-                            MicroOp::ExtbuGI { a, imm, d, lat } => {
-                                $gw!(d, exec::extbu(r!(a), imm), cyc + lat)
-                            }
-                            MicroOp::MovG { a, d, lat } => $gw!(d, exec::mov(r!(a)), cyc + lat),
-                            MicroOp::Sad4GG { a, b, d, lat } => {
-                                $gw!(d, simd::sad4(r!(a), r!(b)), cyc + lat)
-                            }
-                            MicroOp::Avg4rGG { a, b, d, lat } => {
-                                $gw!(d, simd::avg4r(r!(a), r!(b)), cyc + lat)
-                            }
-                            MicroOp::Hadd2GGI { a, b, k, d, lat } => {
-                                $gw!(d, simd::hadd2(r!(a), r!(b), k), cyc + lat)
-                            }
-                            MicroOp::Rnd2G { a, d, lat } => $gw!(d, simd::rnd2(r!(a)), cyc + lat),
-                            MicroOp::Pack4GG { a, b, d, lat } => {
-                                $gw!(d, simd::pack4(r!(a), r!(b)), cyc + lat)
-                            }
-                            MicroOp::CmpNeGI { a, imm, d, lat } => {
-                                $bw!(d, exec::cmpne(r!(a), imm), cyc + lat)
-                            }
-                            MicroOp::LoadW { base, off, d, lat } => {
-                                let addr = r!(base).wrapping_add(off);
-                                let acc = match m.mem.read(addr, 4, cyc) {
-                                    Ok(acc) => acc,
-                                    Err(e) => {
-                                        partial_flush(m, &mut agg, blk, i + 1, cyc, entry_cyc);
-                                        return Err(SimError::Mem(e));
-                                    }
-                                };
-                                // Whole-machine stall on a miss.
-                                cyc += acc.stall;
-                                $gw!(d, acc.value, cyc + lat);
-                            }
-                            MicroOp::RfuInit { cfg } => {
-                                at_cycle!(m.rfu_init(cfg, pc_abs, &mut NullTracer));
-                            }
-                            MicroOp::RfuSend { cfg, srcs, n } => {
-                                let v = srcs.map(|s| r!(s));
-                                at_cycle!(m.rfu_send(cfg, &v[..n as usize], &mut NullTracer));
-                            }
-                            MicroOp::RfuExec {
-                                cfg,
-                                srcs,
-                                n,
-                                dest,
-                                lat,
-                            } => {
-                                let v = srcs.map(|s| r!(s));
-                                let (value, ready) = at_cycle!(m.rfu_exec(
-                                    cfg,
-                                    &v[..n as usize],
-                                    lat,
-                                    pc_abs,
-                                    &mut NullTracer
-                                ));
-                                $commit!(dest, value, ready);
-                            }
-                            MicroOp::RfuPref { cfg, a } => {
-                                at_cycle!(m.rfu_pref(cfg, r!(a), &mut NullTracer));
-                            }
-                            MicroOp::PureGG { f, a, b, dest, lat } => {
-                                let v = f(&[r!(a), r!(b)]);
-                                $commit!(dest, v, cyc + lat);
-                            }
-                            MicroOp::PureGI {
-                                f,
-                                a,
-                                imm,
-                                dest,
-                                lat,
-                            } => {
-                                let v = f(&[r!(a), imm]);
-                                $commit!(dest, v, cyc + lat);
-                            }
-                            MicroOp::PureG { f, a, dest, lat } => {
-                                let v = f(&[r!(a)]);
-                                $commit!(dest, v, cyc + lat);
-                            }
-                            MicroOp::PureI { f, imm, dest, lat } => {
-                                let v = f(&[imm]);
-                                $commit!(dest, v, cyc + lat);
-                            }
-                            MicroOp::Load {
-                                base,
-                                off,
-                                size,
-                                sext_from,
-                                dest,
-                                lat,
-                            } => {
-                                let addr = r!(base).wrapping_add(off);
-                                let acc = match m.mem.read(addr, u32::from(size), cyc) {
-                                    Ok(acc) => acc,
-                                    Err(e) => {
-                                        partial_flush(m, &mut agg, blk, i + 1, cyc, entry_cyc);
-                                        return Err(SimError::Mem(e));
-                                    }
-                                };
-                                // Whole-machine stall on a miss.
-                                cyc += acc.stall;
-                                let v = match sext_from {
-                                    16 => acc.value as u16 as i16 as i32 as u32,
-                                    8 => acc.value as u8 as i8 as i32 as u32,
-                                    _ => acc.value,
-                                };
-                                $commit!(dest, v, cyc + lat);
-                            }
-                            MicroOp::Store {
-                                val,
-                                base,
-                                off,
-                                size,
-                            } => {
-                                let addr = r!(base).wrapping_add(off);
-                                let value = r!(val);
-                                let acc = match m.mem.write(addr, u32::from(size), value, cyc) {
-                                    Ok(acc) => acc,
-                                    Err(e) => {
-                                        partial_flush(m, &mut agg, blk, i + 1, cyc, entry_cyc);
-                                        return Err(SimError::Mem(e));
-                                    }
-                                };
-                                cyc += acc.stall;
-                            }
-                            MicroOp::BrCondB {
-                                breg,
-                                on_true,
-                                target,
-                            } => {
-                                if m.br[breg as usize] == on_true {
-                                    next_pc = Some(target as usize);
-                                }
-                            }
-                            MicroOp::BrCondG {
-                                greg,
-                                on_true,
-                                target,
-                            } => {
-                                if (r!(greg) != 0) == on_true {
-                                    next_pc = Some(target as usize);
-                                }
-                            }
-                            MicroOp::Goto { target } => next_pc = Some(target as usize),
-                            MicroOp::Halt => halted = true,
-                            MicroOp::Nop => {}
-                            MicroOp::Gen(ref dop) => {
-                                // The interpreter's exec phase for this
-                                // operation: gather sources, sync the cycle
-                                // counter across the call (it may stall),
-                                // restore it after. Its writes always go
-                                // through the scratch (`bundle_all_direct`
-                                // is false for bundles containing one).
-                                let mut slot = [0u32; rvliw_isa::MAX_SRCS];
-                                let nsrcs = dop.srcs().len();
-                                for (s, v) in dop.srcs().iter().zip(slot.iter_mut()) {
-                                    *v = match *s {
-                                        DSrc::Gpr(idx) => r!(idx),
-                                        DSrc::Zero => 0,
-                                        DSrc::Br(idx) => u32::from(m.br[idx as usize]),
-                                        DSrc::Imm(imm) => imm,
-                                    };
-                                }
-                                at_cycle!(m.exec_op(
-                                    dop,
-                                    &slot[..nsrcs],
-                                    &mut writes,
-                                    &mut nwrites,
-                                    &mut next_pc,
-                                    &mut halted,
-                                    pc_abs,
-                                    &mut NullTracer,
-                                ));
-                            }
-                        }
-                    }
-                };
-            }
-            if bt.all_direct {
-                exec_ops!(direct_write, direct_gpr, direct_br);
+            let r = if bt.all_direct {
+                exec_bundle::<true, _>(m, ops, pc_abs, &mut cyc, &mut out, &mut NullTracer)
             } else {
-                exec_ops!(defer_write, defer_gpr, defer_br);
+                exec_bundle::<false, _>(m, ops, pc_abs, &mut cyc, &mut out, &mut NullTracer)
+            };
+            if let Err(e) = r {
+                partial_flush(m, &mut agg, decoded, blk, i + 1, cyc, entry_cyc);
+                return Err(e);
             }
-
-            // Write-back phase (no-op for all-direct bundles).
-            for &(dest, value, ready) in &writes[..nwrites] {
-                match dest {
-                    Dest::None => {}
-                    Dest::Gpr(r) => {
-                        if !r.is_zero() {
-                            m.gpr[r.index() as usize] = value;
-                            m.gpr_ready[r.index() as usize] = ready;
-                        }
-                    }
-                    Dest::Br(b) => {
-                        m.br[b.index() as usize] = value != 0;
-                        m.br_ready[b.index() as usize] = ready;
-                    }
-                }
-            }
+            out.write_back(m);
 
             agg.bundles += 1;
             cyc += 1;
 
-            if halted {
+            if out.halted {
                 for (total, &c) in agg.classes.iter_mut().zip(&blk.total_classes) {
                     *total += c;
                 }
@@ -1412,7 +648,7 @@ pub(crate) fn run_blocks(
                 agg.flush(m, cyc, entry_cyc);
                 return Ok(BlockExit::Halted);
             }
-            if let Some(t) = next_pc {
+            if let Some(t) = out.next_pc {
                 agg.branches_taken += 1;
                 cyc += penalty;
                 agg.branch_stalls += penalty;
@@ -1463,13 +699,15 @@ fn note_resident(
 fn partial_flush(
     m: &mut Machine,
     agg: &mut Agg,
+    decoded: &DecodedCode,
     blk: &Block,
     issued: usize,
     cyc: u64,
     entry_cyc: u64,
 ) {
-    for cc in &blk.class_counts[..issued] {
-        for (total, &c) in agg.classes.iter_mut().zip(cc) {
+    let first = blk.first_pc as usize;
+    for pc in first..first + issued {
+        for (total, &c) in agg.classes.iter_mut().zip(decoded.class_counts_of(pc)) {
             *total += u64::from(c);
         }
     }

@@ -1,41 +1,49 @@
-//! Pre-decoded programs: the simulator's fast path.
+//! Pre-decoded programs: the one lowering both engines execute.
 //!
 //! [`Machine::run`](crate::Machine::run) executes a program tens of
 //! thousands of times per case study (once per motion-estimation
-//! candidate). The original issue loop re-matched `Opcode`/`Src` enums and
-//! re-derived latencies and functional-unit classes for every operation on
-//! every cycle. [`DecodedCode`] lowers a scheduled [`Code`] **once** into
-//! dense per-bundle metadata:
+//! candidate). [`DecodedCode`] lowers a scheduled [`Code`] **once**, for
+//! one [`MachineConfig`], into dense per-bundle arrays:
 //!
-//! * an [`ExecKind`] discriminant with the per-opcode decisions already
-//!   taken (load width and sign extension, branch sense, RFU configuration
-//!   id, and — for pure operations — a direct `fn(&[u32]) -> u32`);
-//! * the compiler-visible result latency and statistics class index;
+//! * one `MicroOp` per operation with every per-opcode decision taken:
+//!   a typed variant per opcode and operand shape for the operations the
+//!   paper kernels issue most, one long-tail variant for every other pure
+//!   operation, and one variant each for sub-word loads, stores,
+//!   prefetches, branches, calls, returns and the RFU protocol, with the
+//!   destination, the compiler-visible latency, the load width, the branch
+//!   sense and target and the RFU configuration id baked in;
 //! * a flattened scoreboard read list per bundle (immediates and `$r0`,
 //!   which can never raise the ready time, are dropped at decode time);
-//! * a per-bundle `has_rfu` flag replacing the per-cycle `is_rfu` scan.
+//! * a per-bundle `has_rfu` flag and per-class issue counts.
 //!
-//! The lowering is purely a change of representation: the machine's
-//! decoded issue loop performs the same state transitions in the same
-//! order as the original interpretive loop, so cycle counts and all
-//! statistics are bit-identical.
+//! The lowering is total. An operation no engine could run (a pure opcode
+//! with the wrong number of sources, a `hadd2` byte offset outside the
+//! `0..=5` window, a load, store or branch missing an operand, an RFU
+//! opcode without its configuration id) lowers to
+//! `MicroOp::Undecodable`, which fails with
+//! [`SimError::Undecodable`](crate::SimError::Undecodable) naming the
+//! opcode and the operand when it issues, on every engine alike.
+//!
+//! Both engines run these micro-ops through the one executor,
+//! `exec::exec`: the interpreter driver of [`crate::substrate`]
+//! bundle by bundle, the block engine of [`crate::block`] over the same
+//! arrays.
 
 use rvliw_asm::Code;
-use rvliw_isa::{Dest, MachineConfig, Opcode, Src, MAX_SRCS};
+use rvliw_isa::{Br, Dest, Gpr, MachineConfig, Op, Opcode, Src, MAX_SRCS};
 
-use crate::exec::{pure_fn, PureFn};
+use crate::exec::arity;
 use crate::machine::MAX_ISSUE;
 use crate::stats::class_index;
 
 /// A source operand lowered for the simulator: register indices are bare
-/// `usize`s and immediates are pre-cast to `u32`.
-#[derive(Debug, Clone, Copy)]
+/// `u8`s (`$r0` is index 0, which no write ever touches) and immediates
+/// are pre-cast to `u32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DSrc {
-    /// General-purpose register read (never `$r0`).
+    /// General-purpose register read.
     Gpr(u8),
-    /// The always-zero register `$r0`.
-    Zero,
-    /// Branch register read.
+    /// Branch register read (`0` or `1`).
     Br(u8),
     /// Immediate, already cast to the datapath width.
     Imm(u32),
@@ -50,93 +58,241 @@ pub enum ScoreRead {
     Br(u8),
 }
 
-/// The pre-matched execution discriminant of one operation.
-#[derive(Debug, Clone, Copy)]
-pub enum ExecKind {
-    /// Memory load: access width in bytes plus the value adjustment.
-    Load {
-        /// Access size in bytes (1, 2 or 4).
-        size: u32,
-        /// Sign-extend the loaded value from this many bits (8 or 16);
-        /// `0` keeps the raw value (word and unsigned loads).
-        sext_from: u8,
-    },
-    /// Memory store: access width in bytes.
-    Store {
-        /// Access size in bytes (1, 2 or 4).
-        size: u32,
-    },
-    /// Software prefetch.
-    Pft,
-    /// Conditional branch.
-    BrCond {
-        /// Branch when the condition is non-zero (`brt`) or zero (`brf`).
-        on_true: bool,
-        /// Resolved target bundle index (`None` only for unscheduled
-        /// hand-built programs; taking such a branch panics exactly like
-        /// the interpretive loop did).
-        target: Option<u32>,
-    },
-    /// Unconditional jump.
-    Goto {
-        /// Resolved target bundle index.
-        target: Option<u32>,
-    },
-    /// Call: link register write plus jump.
-    Call {
-        /// Resolved target bundle index.
-        target: Option<u32>,
-    },
-    /// Return through the link register (or an explicit source).
-    Ret,
-    /// Stop the run.
-    Halt,
-    /// No operation.
-    Nop,
-    /// RFU configuration load.
-    RfuInit(u16),
-    /// RFU operand send.
-    RfuSend(u16),
-    /// RFU execute (short custom instruction or kernel loop).
-    RfuExec(u16),
-    /// RFU macroblock prefetch.
-    RfuPref(u16),
-    /// Side-effect-free operation, lowered to a direct evaluator.
-    Pure(PureFn),
-    /// An operation the decoder could not lower (an RFU opcode built
-    /// without its configuration id, or an opcode with no evaluator).
-    /// Executing it fails with
-    /// [`SimError::Undecodable`](crate::SimError::Undecodable) instead
-    /// of panicking; scheduled programs never contain one.
-    Undecodable {
-        /// What was missing.
-        what: &'static str,
-    },
-}
-
-/// One lowered operation.
+/// One lowered operation, executed through exactly one `match` arm of
+/// [`crate::exec::exec`].
+///
+/// The typed variants are named after their opcode and operand shape
+/// (`GG` two registers, `GI` a register and an immediate, `G` one
+/// register), carry register sources as indices and a destination
+/// resolved to a non-zero [`Gpr`] (a [`Br`] for `cmpne`), and call the
+/// opcode's one definition in [`crate::exec`] or [`rvliw_isa::simd`]. A
+/// write to `$r0` or any other shape takes the generic variant of its
+/// kind.
 #[derive(Debug, Clone)]
-pub struct DecodedOp {
-    /// The source opcode, which the block engine lowers to a typed
-    /// micro-op.
-    pub opcode: Opcode,
-    /// Pre-matched execution discriminant.
-    pub kind: ExecKind,
-    /// Destination (or [`Dest::None`]).
-    pub dest: Dest,
-    srcs: [DSrc; MAX_SRCS],
-    nsrcs: u8,
-    /// Compiler-visible result latency on this machine configuration.
-    pub lat: u64,
-    /// Index into `SimStats::ops_by_class`.
-    pub class_idx: u8,
+pub(crate) enum MicroOp {
+    AddGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    AddGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    SubGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    OrGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    SllGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    SllGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    SrlGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    SrlGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    ExtbuGI {
+        a: u8,
+        imm: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    MovG {
+        a: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    Sad4GG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    Avg4rGG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    /// `hadd2` with its byte offset `k` already checked to be in `0..=5`.
+    Hadd2GGI {
+        a: u8,
+        b: u8,
+        k: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    Rnd2G {
+        a: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    Pack4GG {
+        a: u8,
+        b: u8,
+        d: Gpr,
+        lat: u64,
+    },
+    CmpNeGI {
+        a: u8,
+        imm: u32,
+        d: Br,
+        lat: u64,
+    },
+    /// `ldw` from `gpr[base] + off`.
+    LoadW {
+        base: u8,
+        off: u32,
+        d: Gpr,
+        lat: u64,
+    },
+    /// Any other pure operation over its sources (unused ones are
+    /// `Imm(0)`), evaluated by [`crate::exec::eval`].
+    Pure {
+        opcode: Opcode,
+        srcs: [DSrc; 3],
+        dest: Dest,
+        lat: u64,
+    },
+    /// Load of `size` bytes from `addr[0] + addr[1]`, sign-extended from
+    /// `sext_from` bits (`0` keeps the raw value).
+    Load {
+        addr: [DSrc; 2],
+        size: u8,
+        sext_from: u8,
+        dest: Dest,
+        lat: u64,
+    },
+    /// Store of the low `size` bytes of `val` to `addr[0] + addr[1]`.
+    Store {
+        val: DSrc,
+        addr: [DSrc; 2],
+        size: u8,
+    },
+    /// Software prefetch of the line holding `addr[0] + addr[1]`.
+    Pft {
+        addr: [DSrc; 2],
+    },
+    /// Branch when `cond` is non-zero (`on_true`) or zero; a taken branch
+    /// without a resolved target fails.
+    BrCond {
+        cond: DSrc,
+        on_true: bool,
+        target: Option<u32>,
+    },
+    Goto {
+        target: u32,
+    },
+    /// Writes the return bundle index to the link register and jumps.
+    Call {
+        target: u32,
+    },
+    /// Jumps to the bundle index in `target` (the link register unless
+    /// the op names a source).
+    Ret {
+        target: DSrc,
+    },
+    Halt,
+    Nop,
+    RfuInit {
+        cfg: u16,
+    },
+    RfuSend {
+        cfg: u16,
+        srcs: Box<[DSrc]>,
+    },
+    /// `rfuexec` and `rfuloop`.
+    RfuExec {
+        cfg: u16,
+        srcs: Box<[DSrc]>,
+        dest: Dest,
+        lat: u64,
+    },
+    RfuPref {
+        cfg: u16,
+        addr: DSrc,
+    },
+    /// A `goto` or `call` without a resolved target (hand-built,
+    /// unscheduled code): fails with
+    /// [`SimError::UnresolvedTarget`](crate::SimError::UnresolvedTarget).
+    Unresolved,
+    /// An operation no engine can run; fails with
+    /// [`SimError::Undecodable`](crate::SimError::Undecodable).
+    Undecodable {
+        what: String,
+    },
 }
 
-impl DecodedOp {
-    /// The lowered source operands.
-    #[must_use]
-    pub fn srcs(&self) -> &[DSrc] {
-        &self.srcs[..self.nsrcs as usize]
+impl MicroOp {
+    /// The register this operation writes and, when the block compiler
+    /// can see it, the latency after issue at which the value is ready:
+    /// pure results and loads complete `lat` after the cycle that issued
+    /// them (a load's miss stall pushes the ready time and every later
+    /// bundle equally). RFU results and the call's link register are
+    /// ready on a schedule only the run knows.
+    pub(crate) fn write(&self) -> Option<(Dest, Option<u64>)> {
+        use MicroOp::*;
+        match *self {
+            AddGG { d, lat, .. }
+            | AddGI { d, lat, .. }
+            | SubGI { d, lat, .. }
+            | OrGG { d, lat, .. }
+            | SllGG { d, lat, .. }
+            | SllGI { d, lat, .. }
+            | SrlGG { d, lat, .. }
+            | SrlGI { d, lat, .. }
+            | ExtbuGI { d, lat, .. }
+            | MovG { d, lat, .. }
+            | Sad4GG { d, lat, .. }
+            | Avg4rGG { d, lat, .. }
+            | Hadd2GGI { d, lat, .. }
+            | Rnd2G { d, lat, .. }
+            | Pack4GG { d, lat, .. }
+            | LoadW { d, lat, .. } => Some((Dest::Gpr(d), Some(lat))),
+            CmpNeGI { d, lat, .. } => Some((Dest::Br(d), Some(lat))),
+            Pure { dest, lat, .. } | Load { dest, lat, .. } => Some((dest, Some(lat))),
+            RfuExec { dest, .. } => Some((dest, None)),
+            Call { .. } => Some((Dest::Gpr(Gpr::LINK), None)),
+            Store { .. }
+            | Pft { .. }
+            | BrCond { .. }
+            | Goto { .. }
+            | Ret { .. }
+            | Halt
+            | Nop
+            | RfuInit { .. }
+            | RfuSend { .. }
+            | RfuPref { .. }
+            | Unresolved
+            | Undecodable { .. } => None,
+        }
     }
 }
 
@@ -146,12 +302,12 @@ pub const NUM_OP_CLASSES: usize = 5;
 
 /// Per-bundle slices into the flat operation and read arrays.
 #[derive(Debug, Clone, Copy)]
-struct BundleMeta {
-    ops_start: u32,
-    ops_len: u8,
-    reads_start: u32,
-    reads_len: u16,
-    has_rfu: bool,
+pub(crate) struct BundleMeta {
+    pub(crate) ops_start: u32,
+    pub(crate) ops_len: u8,
+    pub(crate) reads_start: u32,
+    pub(crate) reads_len: u16,
+    pub(crate) has_rfu: bool,
     /// Issued operations per functional-unit class, pre-counted so the
     /// issue loop bumps five fixed counters instead of one indexed
     /// counter per op.
@@ -166,8 +322,8 @@ struct BundleMeta {
 pub struct DecodedCode {
     code_id: u64,
     meta: Vec<BundleMeta>,
-    ops: Vec<DecodedOp>,
-    reads: Vec<ScoreRead>,
+    pub(crate) ops: Vec<MicroOp>,
+    pub(crate) reads: Vec<ScoreRead>,
 }
 
 impl DecodedCode {
@@ -202,7 +358,9 @@ impl DecodedCode {
                         Src::Br(b) => reads.push(ScoreRead::Br(b.index())),
                     }
                 }
-                ops.push(decode_op(op, cfg));
+                ops.push(
+                    lower(op, cfg.latency(op)).unwrap_or_else(|what| MicroOp::Undecodable { what }),
+                );
             }
             meta.push(BundleMeta {
                 ops_start,
@@ -239,131 +397,228 @@ impl DecodedCode {
         self.meta.is_empty()
     }
 
+    /// The slices of bundle `pc` into the flat arrays.
+    #[inline]
+    pub(crate) fn meta(&self, pc: usize) -> &BundleMeta {
+        &self.meta[pc]
+    }
+
     /// The lowered operations of bundle `pc`.
     #[inline]
-    #[must_use]
-    pub fn ops_of(&self, pc: usize) -> &[DecodedOp] {
+    pub(crate) fn ops_of(&self, pc: usize) -> &[MicroOp] {
         let m = &self.meta[pc];
-        &self.ops[m.ops_start as usize..m.ops_start as usize + m.ops_len as usize]
+        &self.ops[m.ops_start as usize..][..m.ops_len as usize]
     }
 
     /// The scoreboard reads of bundle `pc`.
     #[inline]
-    #[must_use]
-    pub fn reads_of(&self, pc: usize) -> &[ScoreRead] {
+    pub(crate) fn reads_of(&self, pc: usize) -> &[ScoreRead] {
         let m = &self.meta[pc];
-        &self.reads[m.reads_start as usize..m.reads_start as usize + m.reads_len as usize]
-    }
-
-    /// Whether bundle `pc` contains an RFU operation (and must interlock on
-    /// the unit being free).
-    #[inline]
-    #[must_use]
-    pub fn has_rfu(&self, pc: usize) -> bool {
-        self.meta[pc].has_rfu
+        &self.reads[m.reads_start as usize..][..m.reads_len as usize]
     }
 
     /// Issued operations of bundle `pc` per functional-unit class.
     #[inline]
-    #[must_use]
-    pub fn class_counts_of(&self, pc: usize) -> &[u8; NUM_OP_CLASSES] {
+    pub(crate) fn class_counts_of(&self, pc: usize) -> &[u8; NUM_OP_CLASSES] {
         &self.meta[pc].class_counts
     }
 }
 
-/// Lowers an RFU opcode, degrading to [`ExecKind::Undecodable`] when the
-/// configuration id is absent (possible only in hand-built code).
-fn rfu_kind(cfg: Option<u16>, make: fn(u16) -> ExecKind, what: &'static str) -> ExecKind {
-    match cfg {
-        Some(c) => make(c),
-        None => ExecKind::Undecodable { what },
+/// Checks that `op` has between `min` and `max` sources, naming the first
+/// missing or unexpected one.
+fn check_count(op: &Op, min: usize, max: usize) -> Result<(), String> {
+    let srcs = op.srcs();
+    if srcs.len() < min {
+        return Err(format!(
+            "{}: source operand {} is missing",
+            op.opcode,
+            srcs.len() + 1
+        ));
+    }
+    if srcs.len() > max {
+        return Err(format!(
+            "{}: unexpected source operand {} `{}`",
+            op.opcode,
+            max + 1,
+            srcs[max]
+        ));
+    }
+    Ok(())
+}
+
+fn dsrc(s: Src) -> DSrc {
+    match s {
+        Src::Gpr(r) => DSrc::Gpr(r.index()),
+        Src::Br(b) => DSrc::Br(b.index()),
+        Src::Imm(v) => DSrc::Imm(v as u32),
     }
 }
 
-fn decode_op(op: &rvliw_isa::Op, cfg: &MachineConfig) -> DecodedOp {
+/// Lowers one scheduled operation, or says why no engine can run it.
+fn lower(op: &Op, lat: u64) -> Result<MicroOp, String> {
+    use MicroOp as M;
     use Opcode::*;
-    let kind = match op.opcode {
-        Ldw => ExecKind::Load {
-            size: 4,
-            sext_from: 0,
+    // Every source, then `Imm(0)` for the absent ones: an absent address
+    // offset adds nothing.
+    let mut s = [DSrc::Imm(0); MAX_SRCS];
+    for (d, &src) in s.iter_mut().zip(op.srcs()) {
+        *d = dsrc(src);
+    }
+    let dest = op.dest;
+    let gd = match dest {
+        Dest::Gpr(d) if !d.is_zero() => Some(d),
+        _ => None,
+    };
+    let target = op.target;
+    let cfg = || {
+        op.cfg
+            .ok_or_else(|| format!("{} without a configuration id", op.opcode))
+    };
+    let srcs = || op.srcs().iter().map(|&x| dsrc(x)).collect::<Box<[DSrc]>>();
+    Ok(match op.opcode {
+        Ldw | Ldh | Ldhu | Ldb | Ldbu => {
+            check_count(op, 1, 2)?;
+            let (size, sext_from) = match op.opcode {
+                Ldw => (4, 0),
+                Ldh => (2, 16),
+                Ldhu => (2, 0),
+                Ldb => (1, 8),
+                _ => (1, 0),
+            };
+            match (op.opcode, gd, s[0], s[1]) {
+                (Ldw, Some(d), DSrc::Gpr(base), DSrc::Imm(off)) => M::LoadW { base, off, d, lat },
+                (Ldw, Some(d), DSrc::Imm(off), DSrc::Imm(0)) => M::LoadW {
+                    base: 0,
+                    off,
+                    d,
+                    lat,
+                },
+                _ => M::Load {
+                    addr: [s[0], s[1]],
+                    size,
+                    sext_from,
+                    dest,
+                    lat,
+                },
+            }
+        }
+        Stw | Sth | Stb => {
+            check_count(op, 2, 3)?;
+            let size = match op.opcode {
+                Stw => 4,
+                Sth => 2,
+                _ => 1,
+            };
+            M::Store {
+                val: s[0],
+                addr: [s[1], s[2]],
+                size,
+            }
+        }
+        Pft => {
+            check_count(op, 1, 2)?;
+            M::Pft { addr: [s[0], s[1]] }
+        }
+        BrT | BrF => {
+            check_count(op, 1, 1)?;
+            M::BrCond {
+                cond: s[0],
+                on_true: op.opcode == BrT,
+                target,
+            }
+        }
+        Goto | Call => {
+            check_count(op, 0, 0)?;
+            match (op.opcode, target) {
+                (_, None) => M::Unresolved,
+                (Goto, Some(target)) => M::Goto { target },
+                (_, Some(target)) => M::Call { target },
+            }
+        }
+        Ret => {
+            check_count(op, 0, 1)?;
+            M::Ret {
+                target: if op.srcs().is_empty() {
+                    DSrc::Gpr(Gpr::LINK.index())
+                } else {
+                    s[0]
+                },
+            }
+        }
+        Halt => {
+            check_count(op, 0, 0)?;
+            M::Halt
+        }
+        RfuInit => M::RfuInit { cfg: cfg()? },
+        RfuSend => M::RfuSend {
+            cfg: cfg()?,
+            srcs: srcs(),
         },
-        Ldh => ExecKind::Load {
-            size: 2,
-            sext_from: 16,
+        RfuExec | RfuLoop => M::RfuExec {
+            cfg: cfg()?,
+            srcs: srcs(),
+            dest,
+            lat,
         },
-        Ldhu => ExecKind::Load {
-            size: 2,
-            sext_from: 0,
-        },
-        Ldb => ExecKind::Load {
-            size: 1,
-            sext_from: 8,
-        },
-        Ldbu => ExecKind::Load {
-            size: 1,
-            sext_from: 0,
-        },
-        Stw => ExecKind::Store { size: 4 },
-        Sth => ExecKind::Store { size: 2 },
-        Stb => ExecKind::Store { size: 1 },
-        Pft => ExecKind::Pft,
-        BrT => ExecKind::BrCond {
-            on_true: true,
-            target: op.target,
-        },
-        BrF => ExecKind::BrCond {
-            on_true: false,
-            target: op.target,
-        },
-        Goto => ExecKind::Goto { target: op.target },
-        Call => ExecKind::Call { target: op.target },
-        Ret => ExecKind::Ret,
-        Halt => ExecKind::Halt,
-        Nop => ExecKind::Nop,
-        RfuInit => rfu_kind(
-            op.cfg,
-            ExecKind::RfuInit,
-            "rfuinit without a configuration id",
-        ),
-        RfuSend => rfu_kind(
-            op.cfg,
-            ExecKind::RfuSend,
-            "rfusend without a configuration id",
-        ),
-        RfuExec | RfuLoop => rfu_kind(
-            op.cfg,
-            ExecKind::RfuExec,
-            "rfuexec without a configuration id",
-        ),
-        RfuPref => rfu_kind(
-            op.cfg,
-            ExecKind::RfuPref,
-            "rfupref without a configuration id",
-        ),
-        opcode => match pure_fn(opcode) {
-            Some(f) => ExecKind::Pure(f),
-            None => ExecKind::Undecodable {
-                what: "opcode has no evaluator",
+        RfuPref => {
+            let cfg = cfg()?;
+            check_count(op, 1, 1)?;
+            M::RfuPref { cfg, addr: s[0] }
+        }
+        opcode => {
+            let n = arity(opcode).ok_or_else(|| format!("{opcode} has no evaluator"))?;
+            check_count(op, n, n)?;
+            if opcode == Nop {
+                return Ok(M::Nop);
+            }
+            if opcode == Hadd2 && !matches!(s[2], DSrc::Imm(0..=5)) {
+                return Err(format!(
+                    "hadd2: byte offset operand 3 must be an immediate in 0..=5, got `{}`",
+                    op.srcs()[2]
+                ));
+            }
+            lower_pure(opcode, [s[0], s[1], s[2]], dest, lat)
+        }
+    })
+}
+
+/// Lowers a checked pure operation to its typed variant when its opcode,
+/// operand shape and destination have one, else to [`MicroOp::Pure`].
+fn lower_pure(opcode: Opcode, srcs: [DSrc; 3], dest: Dest, lat: u64) -> MicroOp {
+    use DSrc::{Gpr as G, Imm as I};
+    use MicroOp::*;
+    use Opcode as O;
+    match (opcode, srcs, dest) {
+        (O::CmpNe, [G(a), I(imm), _], Dest::Br(d)) => CmpNeGI { a, imm, d, lat },
+        (_, _, Dest::Gpr(d)) if !d.is_zero() => match (opcode, srcs) {
+            (O::Add, [G(a), G(b), _]) => AddGG { a, b, d, lat },
+            (O::Add, [G(a), I(imm), _]) => AddGI { a, imm, d, lat },
+            (O::Sub, [G(a), I(imm), _]) => SubGI { a, imm, d, lat },
+            (O::Or, [G(a), G(b), _]) => OrGG { a, b, d, lat },
+            (O::Sll, [G(a), G(b), _]) => SllGG { a, b, d, lat },
+            (O::Sll, [G(a), I(imm), _]) => SllGI { a, imm, d, lat },
+            (O::Srl, [G(a), G(b), _]) => SrlGG { a, b, d, lat },
+            (O::Srl, [G(a), I(imm), _]) => SrlGI { a, imm, d, lat },
+            (O::Extbu, [G(a), I(imm), _]) => ExtbuGI { a, imm, d, lat },
+            (O::Mov, [G(a), ..]) => MovG { a, d, lat },
+            (O::Sad4, [G(a), G(b), _]) => Sad4GG { a, b, d, lat },
+            (O::Avg4r, [G(a), G(b), _]) => Avg4rGG { a, b, d, lat },
+            (O::Hadd2, [G(a), G(b), I(k)]) => Hadd2GGI { a, b, k, d, lat },
+            (O::Rnd2, [G(a), ..]) => Rnd2G { a, d, lat },
+            (O::Pack4, [G(a), G(b), _]) => Pack4GG { a, b, d, lat },
+            _ => Pure {
+                opcode,
+                srcs,
+                dest,
+                lat,
             },
         },
-    };
-    let mut srcs = [DSrc::Imm(0); MAX_SRCS];
-    for (d, &s) in srcs.iter_mut().zip(op.srcs()) {
-        *d = match s {
-            Src::Gpr(r) if r.is_zero() => DSrc::Zero,
-            Src::Gpr(r) => DSrc::Gpr(r.index()),
-            Src::Br(b) => DSrc::Br(b.index()),
-            Src::Imm(v) => DSrc::Imm(v as u32),
-        };
-    }
-    DecodedOp {
-        opcode: op.opcode,
-        kind,
-        dest: op.dest,
-        srcs,
-        nsrcs: op.srcs().len() as u8,
-        lat: cfg.latency(op),
-        class_idx: class_index(op.opcode.class()) as u8,
+        _ => Pure {
+            opcode,
+            srcs,
+            dest,
+            lat,
+        },
     }
 }
 
@@ -371,7 +626,6 @@ fn decode_op(op: &rvliw_isa::Op, cfg: &MachineConfig) -> DecodedOp {
 mod tests {
     use super::*;
     use rvliw_asm::Builder;
-    use rvliw_isa::Gpr;
 
     #[test]
     fn decode_flattens_bundles_and_drops_non_register_reads() {
@@ -387,7 +641,7 @@ mod tests {
         assert_eq!(total_ops, code.num_ops());
         let total_reads: usize = (0..d.len()).map(|pc| d.reads_of(pc).len()).sum();
         assert_eq!(total_reads, 1, "only the add's register source interlocks");
-        assert!((0..d.len()).all(|pc| !d.has_rfu(pc)));
+        assert!((0..d.len()).all(|pc| !d.meta(pc).has_rfu));
     }
 
     #[test]
@@ -399,13 +653,56 @@ mod tests {
         let code = rvliw_asm::schedule_st200(&b.build()).unwrap();
         let cfg = MachineConfig::st200();
         let d = DecodedCode::new(&code, &cfg);
-        let mut lats = Vec::new();
-        for pc in 0..d.len() {
-            for op in d.ops_of(pc) {
-                lats.push(op.lat);
-            }
-        }
+        let lats: Vec<u64> = d.ops.iter().filter_map(|op| op.write()?.1).collect();
         assert!(lats.contains(&cfg.lat_mul), "mul latency baked in");
         assert!(lats.contains(&cfg.lat_alu), "alu latency baked in");
+    }
+
+    fn lowered(op: Op) -> Result<MicroOp, String> {
+        lower(&op, 1)
+    }
+
+    #[test]
+    fn malformed_operations_name_the_opcode_and_the_operand() {
+        let (r1, r2, r4) = (Gpr::new(1), Gpr::new(2), Gpr::new(4));
+        let hadd2 = |k: Src| Op::new(Opcode::Hadd2, r1.into(), &[r1.into(), r2.into(), k]);
+        for (op, want) in [
+            (hadd2(Src::Imm(6)), "hadd2: byte offset operand 3"),
+            (hadd2(Src::Imm(-1)), "hadd2: byte offset operand 3"),
+            (hadd2(r4.into()), "got `$r4`"),
+            (
+                Op::new(Opcode::Add, r1.into(), &[r2.into()]),
+                "add: source operand 2 is missing",
+            ),
+            (
+                Op::new(Opcode::Ldw, r1.into(), &[]),
+                "ldw: source operand 1 is missing",
+            ),
+            (
+                Op::new(Opcode::Mov, r1.into(), &[r2.into(), r4.into()]),
+                "mov: unexpected source operand 2 `$r4`",
+            ),
+            (
+                Op::new(Opcode::BrT, Dest::None, &[]),
+                "br: source operand 1 is missing",
+            ),
+            (
+                Op::new(Opcode::RfuPref, Dest::None, &[]).with_cfg(3),
+                "rfupref: source operand 1",
+            ),
+            (
+                Op::new(Opcode::RfuInit, Dest::None, &[]),
+                "rfuinit without a configuration id",
+            ),
+        ] {
+            let err = lowered(op).expect_err(want);
+            assert!(err.contains(want), "{err:?} should contain {want:?}");
+        }
+        for k in 0..=5 {
+            assert!(matches!(
+                lowered(hadd2(Src::Imm(k))),
+                Ok(MicroOp::Hadd2GGI { .. })
+            ));
+        }
     }
 }

@@ -9,10 +9,10 @@ use rvliw_fault::FaultPlan;
 use rvliw_isa::{Dest, Gpr, MachineConfig, Substrate, NUM_BRS, NUM_GPRS};
 use rvliw_mem::{MemConfig, MemError, MemStats, MemorySystem};
 use rvliw_rfu::{Rfu, RfuStats};
-use rvliw_trace::{NullTracer, StallCause, Tracer};
+use rvliw_trace::{NullTracer, Tracer};
 
 use crate::block::{self, BackendStats, BlockExit, CompiledBlocks, ExecBackend};
-use crate::decode::{DecodedCode, DecodedOp, ExecKind};
+use crate::decode::DecodedCode;
 use crate::stats::SimStats;
 use crate::substrate::{self, ScalarCore, VliwCore};
 
@@ -46,11 +46,13 @@ pub enum SimError {
         /// Bundle index of the faulting control-flow operation.
         pc: usize,
     },
-    /// An operation could not be lowered at decode time (hand-built
-    /// code; see [`ExecKind::Undecodable`](crate::decode::ExecKind)).
+    /// An operation no engine can run: malformed operands (a wrong source
+    /// count, a `hadd2` offset outside its window) or an RFU opcode without
+    /// a configuration id. The lowering finds these once, before either
+    /// engine runs; the error surfaces when the operation issues.
     Undecodable {
-        /// What was missing.
-        what: &'static str,
+        /// The opcode and the operand at fault.
+        what: String,
     },
 }
 
@@ -449,7 +451,7 @@ impl Machine {
             && self.fault_inert
         {
             let blocks = self.compiled_blocks(code, decoded);
-            match block::run_blocks(self, &blocks, limit)? {
+            match block::run_blocks(self, &blocks, decoded, limit)? {
                 BlockExit::Halted => {
                     self.stats.cycles = self.cycle;
                     return Ok(self.snapshot().since(&before));
@@ -480,167 +482,23 @@ impl Machine {
         Ok(self.snapshot().since(&before))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_op<T: Tracer + ?Sized>(
-        &mut self,
-        op: &DecodedOp,
-        srcs: &[u32],
-        writes: &mut [(Dest, u32, u64); MAX_ISSUE],
-        nwrites: &mut usize,
-        next_pc: &mut Option<usize>,
-        halted: &mut bool,
-        pc: usize,
-        tracer: &mut T,
-    ) -> Result<(), SimError> {
-        let push = |writes: &mut [(Dest, u32, u64); MAX_ISSUE],
-                    nwrites: &mut usize,
-                    w: (Dest, u32, u64)| {
-            writes[*nwrites] = w;
-            *nwrites += 1;
-        };
-        let lat = op.lat;
-        match op.kind {
-            ExecKind::Pure(f) => {
-                let value = f(srcs);
-                push(writes, nwrites, (op.dest, value, self.cycle + lat));
-            }
-            ExecKind::Load { size, sext_from } => {
-                let addr = srcs[0].wrapping_add(srcs.get(1).copied().unwrap_or(0));
-                let acc = self.mem.read_traced(addr, size, self.cycle, tracer)?;
-                if acc.stall > 0 {
-                    tracer.stall(self.cycle, pc, StallCause::DCache, acc.stall);
-                }
-                // Whole-machine stall on a miss.
-                self.cycle += acc.stall;
-                let value = match sext_from {
-                    16 => acc.value as u16 as i16 as i32 as u32,
-                    8 => acc.value as u8 as i8 as i32 as u32,
-                    _ => acc.value,
-                };
-                push(writes, nwrites, (op.dest, value, self.cycle + lat));
-            }
-            ExecKind::Store { size } => {
-                let value = srcs[0];
-                let addr = srcs[1].wrapping_add(srcs.get(2).copied().unwrap_or(0));
-                let acc = self
-                    .mem
-                    .write_traced(addr, size, value, self.cycle, tracer)?;
-                if acc.stall > 0 {
-                    tracer.stall(self.cycle, pc, StallCause::DCache, acc.stall);
-                }
-                self.cycle += acc.stall;
-            }
-            ExecKind::Pft => {
-                let addr = srcs[0].wrapping_add(srcs.get(1).copied().unwrap_or(0));
-                let _ = self.mem.prefetch_traced(addr, self.cycle, tracer);
-            }
-            ExecKind::BrCond { on_true, target } => {
-                let cond = srcs[0] != 0;
-                if cond == on_true {
-                    let t = target.ok_or(SimError::UnresolvedTarget { pc })?;
-                    *next_pc = Some(t as usize);
+    /// Commits a register write: `$r0` discards it, a branch register
+    /// keeps its truth value.
+    #[inline(always)]
+    pub(crate) fn commit(&mut self, dest: Dest, value: u32, ready: u64) {
+        match dest {
+            Dest::None => {}
+            Dest::Gpr(r) => {
+                if !r.is_zero() {
+                    self.gpr[r.index() as usize] = value;
+                    self.gpr_ready[r.index() as usize] = ready;
                 }
             }
-            ExecKind::Goto { target } => {
-                let t = target.ok_or(SimError::UnresolvedTarget { pc })?;
-                *next_pc = Some(t as usize);
+            Dest::Br(b) => {
+                self.br[b.index() as usize] = value != 0;
+                self.br_ready[b.index() as usize] = ready;
             }
-            ExecKind::Call { target } => {
-                push(
-                    writes,
-                    nwrites,
-                    (Dest::Gpr(Gpr::LINK), (pc + 1) as u32, self.cycle + 1),
-                );
-                let t = target.ok_or(SimError::UnresolvedTarget { pc })?;
-                *next_pc = Some(t as usize);
-            }
-            ExecKind::Ret => {
-                let target = srcs.first().copied().unwrap_or_else(|| self.gpr(Gpr::LINK));
-                *next_pc = Some(target as usize);
-            }
-            ExecKind::Halt => *halted = true,
-            ExecKind::Nop => {}
-            ExecKind::RfuInit(cfg) => self.rfu_init(cfg, pc, tracer)?,
-            ExecKind::RfuSend(cfg) => self.rfu_send(cfg, srcs, tracer)?,
-            ExecKind::RfuExec(cfg) => {
-                let (value, ready) = self.rfu_exec(cfg, srcs, lat, pc, tracer)?;
-                push(writes, nwrites, (op.dest, value, ready));
-            }
-            ExecKind::RfuPref(cfg) => self.rfu_pref(cfg, srcs[0], tracer)?,
-            ExecKind::Undecodable { what } => return Err(SimError::Undecodable { what }),
         }
-        Ok(())
-    }
-
-    // The RFU operations at the current cycle, shared by both engines so
-    // each has one definition.
-
-    /// `rfuinit`: activates configuration `cfg`, stalling the machine for
-    /// any reconfiguration penalty.
-    pub(crate) fn rfu_init<T: Tracer + ?Sized>(
-        &mut self,
-        cfg: u16,
-        pc: usize,
-        tracer: &mut T,
-    ) -> Result<(), SimError> {
-        let penalty = self
-            .rfu
-            .init_traced(cfg, self.cycle, tracer)
-            .map_err(|e| SimError::Rfu(e.to_string()))?;
-        if penalty > 0 {
-            tracer.stall(self.cycle, pc, StallCause::Reconfig, penalty);
-        }
-        self.cycle += penalty;
-        Ok(())
-    }
-
-    /// `rfusend`: queues `srcs` as operands of configuration `cfg`.
-    pub(crate) fn rfu_send<T: Tracer + ?Sized>(
-        &mut self,
-        cfg: u16,
-        srcs: &[u32],
-        tracer: &mut T,
-    ) -> Result<(), SimError> {
-        self.rfu
-            .send_traced(cfg, srcs, self.cycle, tracer)
-            .map_err(|e| SimError::Rfu(e.to_string()))
-    }
-
-    /// `rfuexec`: runs configuration `cfg` over `srcs`. Returns the result
-    /// and the cycle it is ready, which also holds the RFU busy.
-    pub(crate) fn rfu_exec<T: Tracer + ?Sized>(
-        &mut self,
-        cfg: u16,
-        srcs: &[u32],
-        lat: u64,
-        pc: usize,
-        tracer: &mut T,
-    ) -> Result<(u32, u64), SimError> {
-        let out = self
-            .rfu
-            .exec_traced(cfg, srcs, &mut self.mem, self.cycle, tracer)
-            .map_err(|e| SimError::Rfu(e.to_string()))?;
-        if out.stall > 0 {
-            tracer.stall(self.cycle, pc, StallCause::RfuLoop, out.stall);
-        }
-        // Memory stalls freeze the whole machine, as usual.
-        self.cycle += out.stall;
-        let ready = self.cycle + out.busy.max(lat);
-        self.rfu_busy_until = ready;
-        Ok((out.value, ready))
-    }
-
-    /// `rfupref`: starts configuration `cfg`'s macroblock prefetch at
-    /// `addr`.
-    pub(crate) fn rfu_pref<T: Tracer + ?Sized>(
-        &mut self,
-        cfg: u16,
-        addr: u32,
-        tracer: &mut T,
-    ) -> Result<(), SimError> {
-        self.rfu
-            .pref_traced(cfg, addr, &mut self.mem, self.cycle, tracer)
-            .map_err(|e| SimError::Rfu(e.to_string()))
     }
 }
 

@@ -3,9 +3,9 @@
 //! The paper's results are measured on a single 4-issue VLIW host; the
 //! cross-substrate study asks how much of the RFU win survives on a
 //! 1-issue host. Both engines share everything architectural — register
-//! file, memory hierarchy, fault plans, RFU datapath, and the
-//! [`exec_op`](Machine) operation semantics — and differ only in *when*
-//! operations issue:
+//! file, memory hierarchy, fault plans, RFU datapath, and the lowered
+//! micro-ops of [`crate::decode`] run through the one executor,
+//! `exec::exec` — and differ only in *when* operations issue:
 //!
 //! * [`VliwCore`] issues a whole bundle per cycle (parallel-read VLIW
 //!   semantics, the paper's machine);
@@ -18,11 +18,11 @@
 //! RFU outputs) on both substrates — only cycle and stall counts differ.
 
 use rvliw_asm::Code;
-use rvliw_isa::Dest;
 use rvliw_trace::{StallCause, Tracer};
 
-use crate::decode::{DSrc, DecodedCode, ScoreRead};
-use crate::machine::{Machine, SimError, TraceHook, MAX_ISSUE};
+use crate::decode::{DecodedCode, ScoreRead};
+use crate::exec::{exec, exec_bundle, Pending};
+use crate::machine::{Machine, SimError, TraceHook};
 use crate::stats::SimStats;
 use crate::BUNDLE_BYTES;
 
@@ -47,20 +47,17 @@ pub trait Core {
 
     /// Issues and executes the bundle at `pc` under this substrate's
     /// issue policy, reading operands against pre-bundle register state
-    /// and pushing deferred writes for [`Core::retire`].
+    /// and leaving deferred writes and control flow in `out` for
+    /// [`Core::retire`].
     ///
     /// # Errors
     ///
     /// As for [`Machine::run`].
-    #[allow(clippy::too_many_arguments)]
     fn issue<T: Tracer + ?Sized>(
         m: &mut Machine,
         decoded: &DecodedCode,
         pc: usize,
-        writes: &mut [(Dest, u32, u64); MAX_ISSUE],
-        nwrites: &mut usize,
-        next_pc: &mut Option<usize>,
-        halted: &mut bool,
+        out: &mut Pending,
         tracer: &mut T,
     ) -> Result<(), SimError>;
 
@@ -94,7 +91,7 @@ pub trait Core {
                 ScoreRead::Br(i) => m.br_ready[i as usize],
             });
         }
-        if decoded.has_rfu(pc) {
+        if decoded.meta(pc).has_rfu {
             ready_at = ready_at.max(m.rfu_busy_until);
         }
         let wait = ready_at - m.cycle;
@@ -118,31 +115,11 @@ pub trait Core {
     /// Retires the bundle (shared): applies deferred write-backs, counts
     /// the bundle, spends its final issue cycle and resolves control flow
     /// with this substrate's branch bubble.
-    fn retire<T: Tracer + ?Sized>(
-        m: &mut Machine,
-        writes: &[(Dest, u32, u64)],
-        next_pc: Option<usize>,
-        pc: &mut usize,
-        tracer: &mut T,
-    ) {
-        for &(dest, value, ready) in writes {
-            match dest {
-                Dest::None => {}
-                Dest::Gpr(r) => {
-                    if !r.is_zero() {
-                        m.gpr[r.index() as usize] = value;
-                        m.gpr_ready[r.index() as usize] = ready;
-                    }
-                }
-                Dest::Br(b) => {
-                    m.br[b.index() as usize] = value != 0;
-                    m.br_ready[b.index() as usize] = ready;
-                }
-            }
-        }
+    fn retire<T: Tracer + ?Sized>(m: &mut Machine, out: &Pending, pc: &mut usize, tracer: &mut T) {
+        out.write_back(m);
         m.stats.bundles += 1;
         m.cycle += 1;
-        match next_pc {
+        match out.next_pc {
             Some(t) => {
                 m.stats.branches_taken += 1;
                 let bubble = Self::branch_bubble(m);
@@ -162,18 +139,6 @@ pub trait Core {
     #[must_use]
     fn stats(m: &Machine) -> &SimStats {
         &m.stats
-    }
-}
-
-/// Resolves one operation's sources against pre-bundle register state.
-fn resolve_srcs(m: &Machine, srcs: &[DSrc], slot: &mut [u32; rvliw_isa::MAX_SRCS]) {
-    for (s, v) in srcs.iter().zip(slot.iter_mut()) {
-        *v = match *s {
-            DSrc::Gpr(i) => m.gpr[i as usize],
-            DSrc::Zero => 0,
-            DSrc::Br(i) => u32::from(m.br[i as usize]),
-            DSrc::Imm(imm) => imm,
-        };
     }
 }
 
@@ -205,31 +170,16 @@ impl Core for VliwCore {
         m: &mut Machine,
         decoded: &DecodedCode,
         pc: usize,
-        writes: &mut [(Dest, u32, u64); MAX_ISSUE],
-        nwrites: &mut usize,
-        next_pc: &mut Option<usize>,
-        halted: &mut bool,
+        out: &mut Pending,
         tracer: &mut T,
     ) -> Result<(), SimError> {
         let ops = decoded.ops_of(pc);
         tracer.bundle(m.cycle, pc, ops.len());
         count_ops(m, decoded, pc);
-        for op in ops {
-            let mut slot = [0u32; rvliw_isa::MAX_SRCS];
-            let nsrcs = op.srcs().len();
-            resolve_srcs(m, op.srcs(), &mut slot);
-            m.exec_op(
-                op,
-                &slot[..nsrcs],
-                writes,
-                nwrites,
-                next_pc,
-                halted,
-                pc,
-                tracer,
-            )?;
-        }
-        Ok(())
+        let mut cyc = m.cycle;
+        let r = exec_bundle::<false, T>(m, ops, pc, &mut cyc, out, tracer);
+        m.cycle = cyc;
+        r
     }
 }
 
@@ -254,36 +204,23 @@ impl Core for ScalarCore {
         m: &mut Machine,
         decoded: &DecodedCode,
         pc: usize,
-        writes: &mut [(Dest, u32, u64); MAX_ISSUE],
-        nwrites: &mut usize,
-        next_pc: &mut Option<usize>,
-        halted: &mut bool,
+        out: &mut Pending,
         tracer: &mut T,
     ) -> Result<(), SimError> {
         let ops = decoded.ops_of(pc);
         tracer.bundle(m.cycle, pc, ops.len());
         count_ops(m, decoded, pc);
-        for (i, op) in ops.iter().enumerate() {
-            let mut slot = [0u32; rvliw_isa::MAX_SRCS];
-            let nsrcs = op.srcs().len();
-            resolve_srcs(m, op.srcs(), &mut slot);
-            m.exec_op(
-                op,
-                &slot[..nsrcs],
-                writes,
-                nwrites,
-                next_pc,
-                halted,
-                pc,
-                tracer,
-            )?;
+        let mut cyc = m.cycle;
+        let r = ops.iter().enumerate().try_for_each(|(i, op)| {
             // One issue slot per operation; the last op's slot is spent
             // by the shared retirement step.
-            if i + 1 < ops.len() {
-                m.cycle += 1;
+            if i > 0 {
+                cyc += 1;
             }
-        }
-        Ok(())
+            exec::<false, T>(m, op, pc, &mut cyc, out, tracer)
+        });
+        m.cycle = cyc;
+        r
     }
 }
 
@@ -299,10 +236,10 @@ pub(crate) fn run_decoded<C: Core, T: Tracer + ?Sized>(
     limit: u64,
     mut pc: usize,
 ) -> Result<(), SimError> {
-    let mut halted = false;
+    let mut out = Pending::new();
     // Call stack is implicit: `call` writes the return bundle index to
     // `$r63`, `return` jumps to it.
-    while !halted {
+    loop {
         if pc >= decoded.len() {
             return Err(SimError::FellOffEnd { pc });
         }
@@ -316,20 +253,11 @@ pub(crate) fn run_decoded<C: Core, T: Tracer + ?Sized>(
         }
         C::fetch(m, pc, tracer);
         C::scoreboard(m, decoded, pc, tracer);
-        let mut writes: [(Dest, u32, u64); MAX_ISSUE] = [(Dest::None, 0, 0); MAX_ISSUE];
-        let mut nwrites = 0usize;
-        let mut next_pc: Option<usize> = None;
-        C::issue(
-            m,
-            decoded,
-            pc,
-            &mut writes,
-            &mut nwrites,
-            &mut next_pc,
-            &mut halted,
-            tracer,
-        )?;
-        C::retire(m, &writes[..nwrites], next_pc, &mut pc, tracer);
+        out.reset();
+        C::issue(m, decoded, pc, &mut out, tracer)?;
+        C::retire(m, &out, &mut pc, tracer);
+        if out.halted {
+            return Ok(());
+        }
     }
-    Ok(())
 }

@@ -19,13 +19,14 @@ use std::cell::Cell;
 
 use rvliw_asm::{schedule_st200, Builder};
 use rvliw_core::SimSession;
-use rvliw_isa::{Br, Gpr, MachineConfig};
+use rvliw_isa::{Br, Gpr, MachineConfig, Substrate};
 use rvliw_kernels::regs::{
     ARG_BASE, ARG_BEST, ARG_CX, ARG_CY, ARG_INTERP, ARG_NCX, ARG_NCY, ARG_REF, ARG_STRIDE,
 };
 use rvliw_kernels::{build_mb_prep, build_me_loop_call, DriverKind};
+use rvliw_mem::MemConfig;
 use rvliw_rfu::{MeLoopCfg, RfuBandwidth};
-use rvliw_sim::Machine;
+use rvliw_sim::{ExecBackend, Machine};
 use rvliw_trace::NullTracer;
 
 struct CountingAlloc;
@@ -92,10 +93,10 @@ fn hot_loop() -> rvliw_asm::Code {
     schedule_st200(&b.build()).unwrap()
 }
 
-#[test]
-fn warm_issue_loop_does_not_allocate() {
+/// Runs the hot loop once to pay the one-time decode, then asserts a
+/// warm run, plain and under a `NullTracer`, makes no heap allocation.
+fn assert_warm_runs_do_not_allocate(mut m: Machine, engine: &str) {
     let code = hot_loop();
-    let mut m = Machine::st200();
 
     // First run pays the one-time decode (and may allocate for it).
     m.run(&code).expect("warm-up run");
@@ -107,7 +108,7 @@ fn warm_issue_loop_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state issue loop allocated {} time(s)",
+        "{engine}: steady-state issue loop allocated {} time(s)",
         after - before
     );
 
@@ -122,9 +123,29 @@ fn warm_issue_loop_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "NullTracer issue loop allocated {} time(s)",
+        "{engine}: NullTracer issue loop allocated {} time(s)",
         after - before
     );
+}
+
+#[test]
+fn warm_issue_loop_does_not_allocate() {
+    assert_warm_runs_do_not_allocate(Machine::st200(), "block engine");
+}
+
+/// The interpreter driver runs the same executor as the block engine: a
+/// VLIW machine pinned to it and a scalar-substrate machine (which always
+/// runs on it) hold the same contract.
+#[test]
+fn warm_interpreter_loops_do_not_allocate() {
+    let mut pinned = Machine::st200();
+    pinned.backend = ExecBackend::Interpreter;
+    assert_warm_runs_do_not_allocate(pinned, "pinned interpreter");
+    let scalar = Machine::new(
+        MachineConfig::st200().with_substrate(Substrate::ScalarInOrder),
+        MemConfig::st200(),
+    );
+    assert_warm_runs_do_not_allocate(scalar, "scalar substrate");
 }
 
 const STRIDE: u32 = 176;

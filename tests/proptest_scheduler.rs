@@ -5,11 +5,14 @@
 //! exactly the architectural state of a plain sequential interpretation —
 //! whatever reordering and bundling the scheduler chose.
 
+mod reference_ops;
+
 use proptest::prelude::*;
 
+use reference_ops::eval_pure;
 use rvliw::asm::{schedule_st200, Builder};
 use rvliw::isa::{Br, Dest, Gpr, Op, Opcode, Src};
-use rvliw::sim::{exec::eval_pure, Machine};
+use rvliw::sim::Machine;
 
 /// Opcodes safe for random generation (pure, any operand values legal).
 const PURE_OPS: &[Opcode] = &[
@@ -66,8 +69,20 @@ fn gen_op() -> impl Strategy<Value = GenOp> {
     prop_oneof![4 => pure, 2 => imm, 1 => cmp, 1 => slct]
 }
 
+/// The members of `PURE_OPS` that take one source: their register form
+/// reads only `rs1` and their immediate form only the immediate (the
+/// simulator refuses an operation with a source its opcode does not
+/// take).
+const ONE_SOURCE: &[Opcode] = &[Opcode::Sxtb, Opcode::Zxth, Opcode::Rnd2];
+
 fn to_op(g: &GenOp) -> Op {
     match *g {
+        GenOp::Rrr(opc, d, a, _) if ONE_SOURCE.contains(&opc) => {
+            Op::new(opc, Gpr::new(d).into(), &[Gpr::new(a).into()])
+        }
+        GenOp::Rri(opc, d, _, v) if ONE_SOURCE.contains(&opc) => {
+            Op::new(opc, Gpr::new(d).into(), &[Src::Imm(v)])
+        }
         GenOp::Rrr(opc, d, a, b) => Op::rrr(opc, Gpr::new(d), Gpr::new(a), Gpr::new(b)),
         GenOp::Rri(opc, d, a, v) => Op::rri(opc, Gpr::new(d), Gpr::new(a), v),
         GenOp::CmpBr(b, x, y) => Op::new(

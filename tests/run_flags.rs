@@ -188,6 +188,55 @@ fn run_rejects_register_overrides_wider_than_32_bits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs the asm program `text` through `rvliw run` and asserts it fails
+/// as a run (exit 1, not a panic's 101) with a message naming `operand`.
+fn run_refuses(name: &str, text: &str, operand: &str) {
+    let dir = tmpdir(name);
+    let program = dir.join(format!("{name}.s"));
+    std::fs::write(&program, text).unwrap();
+    let out = rvliw(&["run", program.to_str().unwrap()]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+    assert!(err.contains(operand), "{name}: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_refuses_a_hadd2_offset_past_the_window() {
+    run_refuses(
+        "hadd2_offset_6",
+        "    mov $r1 = 5\n    mov $r2 = 7\n    hadd2 $r3 = $r1, $r2, 6\n    halt\n",
+        "hadd2: byte offset operand 3 must be an immediate in 0..=5, got `6`",
+    );
+}
+
+#[test]
+fn run_refuses_a_hadd2_offset_in_a_register() {
+    run_refuses(
+        "hadd2_offset_reg",
+        "    mov $r1 = 5\n    mov $r2 = 7\n    mov $r4 = 1\n    hadd2 $r3 = $r1, $r2, $r4\n    halt\n",
+        "hadd2: byte offset operand 3 must be an immediate in 0..=5, got `$r4`",
+    );
+}
+
+#[test]
+fn run_refuses_an_add_missing_its_second_source() {
+    run_refuses(
+        "add_one_source",
+        "    mov $r2 = 5\n    add $r1 = $r2\n    halt\n",
+        "add: source operand 2 is missing",
+    );
+}
+
+#[test]
+fn run_refuses_a_load_without_an_address() {
+    run_refuses(
+        "ldw_no_address",
+        "    ldw $r1 =\n    halt\n",
+        "ldw: source operand 1 is missing",
+    );
+}
+
 /// Argument errors of `rvliw sweep` are usage errors (exit 2, the code of
 /// `rvliw` without a command); a failed run exits 1.
 #[test]
