@@ -74,72 +74,72 @@ pub(crate) enum MicroOp {
         a: u8,
         b: u8,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     AddGI {
         a: u8,
         imm: u32,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     SubGI {
         a: u8,
         imm: u32,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     OrGG {
         a: u8,
         b: u8,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     SllGG {
         a: u8,
         b: u8,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     SllGI {
         a: u8,
         imm: u32,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     SrlGG {
         a: u8,
         b: u8,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     SrlGI {
         a: u8,
         imm: u32,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     ExtbuGI {
         a: u8,
         imm: u32,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     MovG {
         a: u8,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     Sad4GG {
         a: u8,
         b: u8,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     Avg4rGG {
         a: u8,
         b: u8,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     /// `hadd2` with its byte offset `k` already checked to be in `0..=5`.
     Hadd2GGI {
@@ -147,31 +147,31 @@ pub(crate) enum MicroOp {
         b: u8,
         k: u32,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     Rnd2G {
         a: u8,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     Pack4GG {
         a: u8,
         b: u8,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     CmpNeGI {
         a: u8,
         imm: u32,
         d: Br,
-        lat: u64,
+        lat: u32,
     },
     /// `ldw` from `gpr[base] + off`.
     LoadW {
         base: u8,
         off: u32,
         d: Gpr,
-        lat: u64,
+        lat: u32,
     },
     /// Any other pure operation over its sources (unused ones are
     /// `Imm(0)`), evaluated by [`crate::exec::eval`].
@@ -179,7 +179,7 @@ pub(crate) enum MicroOp {
         opcode: Opcode,
         srcs: [DSrc; 3],
         dest: Dest,
-        lat: u64,
+        lat: u32,
     },
     /// Load of `size` bytes from `addr[0] + addr[1]`, sign-extended from
     /// `sext_from` bits (`0` keeps the raw value).
@@ -188,7 +188,7 @@ pub(crate) enum MicroOp {
         size: u8,
         sext_from: u8,
         dest: Dest,
-        lat: u64,
+        lat: u32,
     },
     /// Store of the low `size` bytes of `val` to `addr[0] + addr[1]`.
     Store {
@@ -233,7 +233,7 @@ pub(crate) enum MicroOp {
         cfg: u16,
         srcs: Box<[DSrc]>,
         dest: Dest,
-        lat: u64,
+        lat: u32,
     },
     RfuPref {
         cfg: u16,
@@ -249,6 +249,9 @@ pub(crate) enum MicroOp {
         what: String,
     },
 }
+
+// The engines walk `DecodedCode::ops` at this stride.
+const _: () = assert!(std::mem::size_of::<MicroOp>() <= 32);
 
 impl MicroOp {
     /// The register this operation writes and, when the block compiler
@@ -275,9 +278,9 @@ impl MicroOp {
             | Hadd2GGI { d, lat, .. }
             | Rnd2G { d, lat, .. }
             | Pack4GG { d, lat, .. }
-            | LoadW { d, lat, .. } => Some((Dest::Gpr(d), Some(lat))),
-            CmpNeGI { d, lat, .. } => Some((Dest::Br(d), Some(lat))),
-            Pure { dest, lat, .. } | Load { dest, lat, .. } => Some((dest, Some(lat))),
+            | LoadW { d, lat, .. } => Some((Dest::Gpr(d), Some(u64::from(lat)))),
+            CmpNeGI { d, lat, .. } => Some((Dest::Br(d), Some(u64::from(lat)))),
+            Pure { dest, lat, .. } | Load { dest, lat, .. } => Some((dest, Some(u64::from(lat)))),
             RfuExec { dest, .. } => Some((dest, None)),
             Call { .. } => Some((Dest::Gpr(Gpr::LINK), None)),
             Store { .. }
@@ -458,6 +461,8 @@ fn dsrc(s: Src) -> DSrc {
 fn lower(op: &Op, lat: u64) -> Result<MicroOp, String> {
     use MicroOp as M;
     use Opcode::*;
+    let lat = u32::try_from(lat)
+        .map_err(|_| format!("{}: latency {lat} does not fit in 32 bits", op.opcode))?;
     // Every source, then `Imm(0)` for the absent ones: an absent address
     // offset adds nothing.
     let mut s = [DSrc::Imm(0); MAX_SRCS];
@@ -584,7 +589,7 @@ fn lower(op: &Op, lat: u64) -> Result<MicroOp, String> {
 
 /// Lowers a checked pure operation to its typed variant when its opcode,
 /// operand shape and destination have one, else to [`MicroOp::Pure`].
-fn lower_pure(opcode: Opcode, srcs: [DSrc; 3], dest: Dest, lat: u64) -> MicroOp {
+fn lower_pure(opcode: Opcode, srcs: [DSrc; 3], dest: Dest, lat: u32) -> MicroOp {
     use DSrc::{Gpr as G, Imm as I};
     use MicroOp::*;
     use Opcode as O;

@@ -310,9 +310,19 @@ impl Machine {
     /// ([`Code::content_key`]) rather than the process-unique [`Code::id`]
     /// so identical programs scheduled separately share one lowering.
     pub fn decoded(&mut self, code: &Code) -> Arc<DecodedCode> {
+        let d = self.take_decoded(code);
+        self.memo_decoded = Some(Arc::clone(&d));
+        d
+    }
+
+    /// [`Machine::decoded`], moved out of the identity memo so that a
+    /// memo hit costs no reference-count traffic. The memo then names
+    /// `code` with no lowering attached; the caller puts the lowering
+    /// back into `memo_decoded` when it is done.
+    fn take_decoded(&mut self, code: &Code) -> Arc<DecodedCode> {
         if self.memo_code_id == code.id() {
-            if let Some(d) = &self.memo_decoded {
-                return Arc::clone(d);
+            if let Some(d) = self.memo_decoded.take() {
+                return d;
             }
         }
         let key = code.content_key();
@@ -325,24 +335,25 @@ impl Machine {
             }
         };
         self.memo_code_id = code.id();
-        self.memo_decoded = Some(Arc::clone(&d));
         self.memo_blocks = None;
         d
     }
 
     /// The block-compiled form of `code` (same content-address keying as
     /// [`Machine::decoded`]), compiling on first sight and bumping the
-    /// backend telemetry.
-    fn compiled_blocks(&mut self, code: &Code, decoded: &DecodedCode) -> Arc<CompiledBlocks> {
+    /// backend telemetry. Moved out of the identity memo like
+    /// [`Machine::take_decoded`], which ran first; the caller puts it
+    /// back into `memo_blocks`.
+    fn take_blocks(&mut self, code: &Code, decoded: &DecodedCode) -> Arc<CompiledBlocks> {
         self.backend_stats.block_runs += 1;
         self.backend_stats.compile_lookups += 1;
         if self.memo_code_id == code.id() {
-            if let Some(b) = &self.memo_blocks {
-                return Arc::clone(b);
+            if let Some(b) = self.memo_blocks.take() {
+                return b;
             }
         }
         let key = code.content_key();
-        let b = match self.blocks.get(&key) {
+        match self.blocks.get(&key) {
             Some(b) => Arc::clone(b),
             None => {
                 self.backend_stats.compile_misses += 1;
@@ -351,13 +362,7 @@ impl Machine {
                 self.blocks.insert(key, Arc::clone(&b));
                 b
             }
-        };
-        // `decoded` ran first in every run path, so the memo already names
-        // this code object; attach the blocks to it.
-        if self.memo_code_id == code.id() {
-            self.memo_blocks = Some(Arc::clone(&b));
         }
-        b
     }
 
     /// Runs `code` like [`Machine::run`], invoking `trace` before each
@@ -372,8 +377,7 @@ impl Machine {
         code: &Code,
         mut trace: impl FnMut(u64, usize, &rvliw_isa::Bundle),
     ) -> Result<RunSummary, SimError> {
-        let decoded = self.decoded(code);
-        self.run_inner(code, &decoded, Some(&mut trace), &mut NullTracer)
+        self.run_inner(code, Some(&mut trace), &mut NullTracer)
     }
 
     /// Runs `code` from its first bundle until `halt`.
@@ -384,8 +388,7 @@ impl Machine {
     /// the program counter leaves the program, [`SimError::Rfu`] on an RFU
     /// protocol violation.
     pub fn run(&mut self, code: &Code) -> Result<RunSummary, SimError> {
-        let decoded = self.decoded(code);
-        self.run_inner(code, &decoded, None, &mut NullTracer)
+        self.run_inner(code, None, &mut NullTracer)
     }
 
     /// Runs `code` like [`Machine::run`], emitting structured trace events
@@ -404,8 +407,7 @@ impl Machine {
         code: &Code,
         tracer: &mut T,
     ) -> Result<RunSummary, SimError> {
-        let decoded = self.decoded(code);
-        self.run_inner(code, &decoded, None, tracer)
+        self.run_inner(code, None, tracer)
     }
 
     /// Runs `code` with both a per-bundle hook (as in
@@ -421,11 +423,24 @@ impl Machine {
         mut trace: impl FnMut(u64, usize, &rvliw_isa::Bundle),
         tracer: &mut T,
     ) -> Result<RunSummary, SimError> {
-        let decoded = self.decoded(code);
-        self.run_inner(code, &decoded, Some(&mut trace), tracer)
+        self.run_inner(code, Some(&mut trace), tracer)
     }
 
+    /// Runs `code` with its lowering held outside the identity memo for
+    /// the run, and puts it back on every exit.
     fn run_inner<T: Tracer + ?Sized>(
+        &mut self,
+        code: &Code,
+        trace: Option<TraceHook<'_>>,
+        tracer: &mut T,
+    ) -> Result<RunSummary, SimError> {
+        let decoded = self.take_decoded(code);
+        let out = self.run_lowered(code, &decoded, trace, tracer);
+        self.memo_decoded = Some(decoded);
+        out
+    }
+
+    fn run_lowered<T: Tracer + ?Sized>(
         &mut self,
         code: &Code,
         decoded: &DecodedCode,
@@ -450,8 +465,10 @@ impl Machine {
             && tracer.is_null()
             && self.fault_inert
         {
-            let blocks = self.compiled_blocks(code, decoded);
-            match block::run_blocks(self, &blocks, decoded, limit)? {
+            let blocks = self.take_blocks(code, decoded);
+            let exit = block::run_blocks(self, &blocks, decoded, limit);
+            self.memo_blocks = Some(blocks);
+            match exit? {
                 BlockExit::Halted => {
                     self.stats.cycles = self.cycle;
                     return Ok(self.snapshot().since(&before));

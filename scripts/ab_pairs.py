@@ -4,18 +4,25 @@
 Run from anywhere inside the repository:
 
     python3 scripts/ab_pairs.py PARENT_REF WORKLOAD N [--change REF]
-        [--seconds S]
+        [--seconds S] [--pinned]
 
 Each side (PARENT_REF and the change, HEAD by default) is extracted with
 `git archive <ref> | tar -x` into its own directory under a temporary
-work directory and builds perfbench into its own CARGO_TARGET_DIR (each
-perfbench run builds before it starts its timed executable, so only a
-side's first run compiles). N pairs of
+work directory and builds perfbench into its own CARGO_TARGET_DIR before
+the first pair. N pairs of
 `python3 perfbench/run.py --workload WORKLOAD --seed 1 --seconds S
 --trace 0` run, alternating which side goes first. For every end-to-end
 metric named in BENCHMARK.json the script prints each side's median and
 q1-q3, how many pairs the change won (by the metric's "better"
 direction), and every run's "correct"/"failed" state.
+
+With `--pinned`, the two sides of a pair run at the same time instead,
+each pinned (`os.sched_setaffinity`) to its own CPU, and the CPUs swap
+every pair. Both sides then see the same host load at the same moment,
+which makes the ratio far steadier on a noisy host — but a workload's
+worker threads share their side's one CPU, so this compares CPU
+efficiency (work per CPU-second), not throughput. Sequential pairs stay
+the throughput gate. `--pinned` needs two CPUs.
 
 It uses python3, git and cargo only, works offline, and never edits
 perfbench/ or BENCHMARK.json. Running a ref against itself measures the
@@ -54,17 +61,33 @@ def side_env(target):
     return env
 
 
-def run_once(tree, target, args):
-    """One perfbench run; returns its JSON result (the last stdout line)."""
-    out = subprocess.run(
+def build(tree, target):
+    """Builds a side's perfbench, so that no timed run compiles."""
+    subprocess.run(
+        ["cargo", "build", "--release", "--offline", "--quiet",
+         "--manifest-path", os.path.join(tree, "perfbench", "Cargo.toml")],
+        env=side_env(target), check=True,
+    )
+
+
+def start(tree, target, args, cpu=None):
+    """Starts one perfbench run, pinned to `cpu` when one is given."""
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    return subprocess.Popen(
         ["python3", "perfbench/run.py", "--workload", args.workload,
          "--seed", "1", "--seconds", str(args.seconds), "--trace", "0"],
-        cwd=tree, env=side_env(target), capture_output=True, text=True,
+        cwd=tree, env=side_env(target), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, preexec_fn=pin,
     )
-    lines = out.stdout.strip().splitlines()
-    if out.returncode != 0 or not lines:
-        sys.stderr.write(out.stderr)
-        return {"correct": False, "failed": None, "metrics": {}, "exit": out.returncode}
+
+
+def result(proc):
+    """A finished run's JSON result (the last stdout line)."""
+    stdout, stderr = proc.communicate()
+    lines = stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(stderr)
+        return {"correct": False, "failed": None, "metrics": {}, "exit": proc.returncode}
     return json.loads(lines[-1])
 
 
@@ -83,7 +106,12 @@ def main():
     ap.add_argument("n", type=int, help="number of interleaved pairs")
     ap.add_argument("--change", default="HEAD", help="the change ref (default HEAD)")
     ap.add_argument("--seconds", type=float, default=25, help="perfbench --seconds per run")
+    ap.add_argument("--pinned", action="store_true",
+                    help="run each pair's sides at once, one CPU each (CPU efficiency)")
     args = ap.parse_args()
+    cpus = sorted(os.sched_getaffinity(0))
+    if args.pinned and len(cpus) < 2:
+        sys.exit("ab_pairs: --pinned needs two CPUs")
 
     repo = git("rev-parse", "--show-toplevel", cwd=os.getcwd())
     with open(os.path.join(repo, "BENCHMARK.json")) as f:
@@ -95,19 +123,25 @@ def main():
         tree = os.path.join(work, f"{name}-{sha}")
         target = os.path.join(work, f"target-{name}")
         extract(repo, ref, tree)
+        build(tree, target)
         sides[name] = (sha, tree, target)
 
     runs = {"parent": [], "change": []}
     for i in range(args.n):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        if args.pinned:
+            procs = {name: start(*sides[name][1:], args, cpu) for name, cpu in zip(order, cpus)}
+            done = {name: result(p) for name, p in procs.items()}
+        else:
+            done = {name: result(start(*sides[name][1:], args)) for name in order}
         for name in order:
-            _, tree, target = sides[name]
-            res = run_once(tree, target, args)
+            res = done[name]
             runs[name].append(res)
             print(f"pair {i + 1}/{args.n} {name}: correct={res.get('correct')} "
                   f"failed={res.get('failed')}", file=sys.stderr)
 
-    print(f"workload {args.workload}, {args.n} interleaved pairs, --seconds {args.seconds} "
+    mode = "pinned simultaneous" if args.pinned else "interleaved"
+    print(f"workload {args.workload}, {args.n} {mode} pairs, --seconds {args.seconds} "
           f"--seed 1; parent {sides['parent'][0]}, change {sides['change'][0]}")
     for m in metrics:
         name, better = m["name"], m["better"]
