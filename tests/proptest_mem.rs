@@ -7,6 +7,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use rvliw::mem::{Cache, CacheGeometry, MemConfig, MemorySystem, PrefetchQueue, ReplacementPolicy};
+use rvliw::trace::{MemEvent, Tracer};
 
 fn small_geometry() -> impl Strategy<Value = CacheGeometry> {
     (
@@ -225,17 +226,23 @@ fn queue_counters(q: &PrefetchQueue) -> [u64; 5] {
 }
 
 /// Drives a [`PrefetchQueue`] and the map model through `ops` and checks
-/// every return value and counter. `(op, line, t)`: `t` advances the
-/// clock; a fill requested at the clock arrives `t + 1` cycles after it,
-/// or after the previous fill when `bus_serialized` (the memory bus
-/// schedules fills one after another). A drain must return the completed
-/// lines in arrival order, ties in issue order.
-fn check_prefetch_queue(capacity: usize, ops: &[(u8, u32, u64)], bus_serialized: bool) {
+/// every return value and counter. `(op, line, t)`: `line` picks an entry
+/// of `lines`; `t` advances the clock; a fill requested at the clock
+/// arrives `t + 1` cycles after it, or after the previous fill when
+/// `bus_serialized` (the memory bus schedules fills one after another). A
+/// drain must return the completed lines in arrival order, ties in issue
+/// order.
+fn check_prefetch_queue(
+    capacity: usize,
+    ops: &[(u8, u32, u64)],
+    bus_serialized: bool,
+    lines: &[u32],
+) {
     let mut q = PrefetchQueue::new(capacity);
     let mut model = MapPrefetchModel::new(capacity);
     let (mut now, mut last_ready) = (0u64, 0u64);
     for &(op, line, t) in ops {
-        let line = line * 32;
+        let line = lines[line as usize % lines.len()];
         now += t % 8;
         match op {
             0 | 1 => {
@@ -282,13 +289,59 @@ fn prefetch_ops() -> impl Strategy<Value = Vec<(u8, u32, u64)>> {
     proptest::collection::vec((0u8..6, 0u32..24, 0u64..40), 1..160)
 }
 
+/// Lines 0, 32, 64, ... (24 of them).
+fn spread_lines() -> Vec<u32> {
+    (0..24).map(|l| l * 32).collect()
+}
+
+/// 24 line addresses that fall into only `buckets` buckets of the
+/// prefetch queue's membership filter, starting the search at line
+/// `from`: every lookup of one of them passes the filter's first test.
+fn colliding_lines(buckets: usize, from: u32) -> Vec<u32> {
+    let mut chosen: Vec<usize> = Vec::new();
+    let mut lines = Vec::new();
+    let mut l = from;
+    while lines.len() < 24 {
+        let line = l.wrapping_mul(32);
+        let b = PrefetchQueue::filter_bucket(line);
+        if chosen.contains(&b) || chosen.len() < buckets {
+            if !chosen.contains(&b) {
+                chosen.push(b);
+            }
+            lines.push(line);
+        }
+        l = l.wrapping_add(1);
+    }
+    lines
+}
+
+/// Queue depths up to the loop-level 64 entries, and deeper ones.
+fn queue_depth() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..=64, 65usize..=300]
+}
+
 proptest! {
     /// The fixed-capacity prefetch queue is a drop-in for the map model:
     /// same return values and counters under bus-serialized fills, with
     /// drains in issue order.
     #[test]
     fn prefetch_queue_matches_map_model(capacity in 1usize..=64, ops in prefetch_ops()) {
-        check_prefetch_queue(capacity, &ops, true);
+        check_prefetch_queue(capacity, &ops, true, &spread_lines());
+    }
+
+    /// The same, over lines that share one to three buckets of the
+    /// queue's membership filter, so that its counts must stay exact for
+    /// a lookup of an absent line to end right.
+    #[test]
+    fn prefetch_queue_matches_map_model_on_colliding_lines(
+        capacity in queue_depth(),
+        ops in prefetch_ops(),
+        buckets in 1usize..=3,
+        from in any::<u32>(),
+        bus_serialized in any::<bool>(),
+    ) {
+        let lines = colliding_lines(buckets, from);
+        check_prefetch_queue(capacity, &ops, bus_serialized, &lines);
     }
 
     /// Fills inserted out of arrival order (outside what the bus can
@@ -299,7 +352,7 @@ proptest! {
         capacity in 1usize..=64,
         ops in prefetch_ops(),
     ) {
-        check_prefetch_queue(capacity, &ops, false);
+        check_prefetch_queue(capacity, &ops, false, &spread_lines());
     }
 }
 
@@ -348,8 +401,8 @@ fn cache_ops() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
     proptest::collection::vec((0u8..16, 0u32..1024, any::<u32>()), 1..300)
 }
 
-fn check_cache_against_reference(geom: CacheGeometry, raw: &[(u8, u32, u32)]) {
-    let mut new = Cache::new(geom);
+fn check_cache_against_reference(mut new: Cache, raw: &[(u8, u32, u32)]) {
+    let geom = *new.geometry();
     let mut old = reference::RefCache::new(geom);
     let probe_span = geom.num_sets() * geom.ways * 4;
     let mut prev = None;
@@ -410,7 +463,239 @@ proptest! {
     /// and `contents_gen` step equals the pre-memo cache's.
     #[test]
     fn cache_matches_the_pre_memo_model(geom in memo_geometry(), ops in cache_ops()) {
-        check_cache_against_reference(geom, &ops);
+        check_cache_against_reference(Cache::new(geom), &ops);
+    }
+
+    /// The reverse way index of `Cache::indexed` changes only how a line
+    /// is found: with the index covering none, part or all of the lines
+    /// touched, every outcome, counter, eviction and `contents_gen` step
+    /// equals the pre-memo cache's.
+    #[test]
+    fn indexed_cache_matches_the_pre_memo_model(
+        geom in memo_geometry(),
+        ops in cache_ops(),
+        span_lines in 0u32..5000,
+    ) {
+        let span = span_lines.saturating_mul(geom.line_size);
+        check_cache_against_reference(Cache::indexed(geom, span), &ops);
+    }
+}
+
+/// Records every memory event, in order.
+#[derive(Default)]
+struct Events(Vec<(u64, MemEvent)>);
+
+impl Tracer for Events {
+    fn mem(&mut self, cycle: u64, event: MemEvent) {
+        self.0.push((cycle, event));
+    }
+}
+
+/// The per-line sequence the RFU's candidate prefetch ran before the
+/// batched `MemorySystem::prefetch_lines_traced`, kept verbatim: a
+/// prefetch request, then — when it issued nothing — a cache probe and a
+/// look into the prefetch buffer for the line's ready cycle.
+fn line_ready_reference<T: Tracer + ?Sized>(
+    mem: &mut MemorySystem,
+    addr: u32,
+    now: u64,
+    tracer: &mut T,
+) -> u64 {
+    if let Some(ready) = mem.prefetch_traced(addr, now, tracer) {
+        return ready;
+    }
+    let line = mem.dcache.line_of(addr);
+    if mem.dcache.probe(line) {
+        now
+    } else {
+        // In flight from an earlier request, or dropped (buffer full).
+        mem.pfq.pending_ready_at(line).unwrap_or(u64::MAX)
+    }
+}
+
+/// A memory system with a small data cache, `depth` prefetch entries and
+/// the given fill timing (a zero fill latency included).
+fn small_system(geom: CacheGeometry, depth: usize, fill: u64, bus: u64) -> MemorySystem {
+    MemorySystem::new(MemConfig {
+        dcache: geom,
+        ram_size: 1 << 16,
+        fill_latency: fill,
+        bus_occupancy: bus,
+        writeback_occupancy: bus,
+        prefetch_entries: depth,
+        ..MemConfig::default()
+    })
+}
+
+/// Everything a test can observe of a memory system: every counter, the
+/// bus, the prefetch buffer, and which of the first `span` bytes' lines
+/// are cached or in flight (and until when).
+fn observe(m: &MemorySystem, span: u32) -> String {
+    let line_size = m.dcache.geometry().line_size;
+    let lines: Vec<(bool, Option<u64>)> = (0..span / line_size)
+        .map(|l| {
+            let a = l * line_size;
+            (m.dcache.probe(a), m.pfq.pending_ready_at(a))
+        })
+        .collect();
+    format!(
+        "{:?} bus {} pfq {} cache {} {} {} gen {} {lines:?}",
+        m.stats(),
+        m.bus_free_at(),
+        m.pfq.len(),
+        m.dcache.hits,
+        m.dcache.misses,
+        m.dcache.writebacks,
+        m.dcache.contents_gen(),
+    )
+}
+
+/// A step of the memory-system scenarios below.
+#[derive(Debug, Clone)]
+enum MemStep {
+    /// Advance the clock.
+    Wait(u64),
+    /// A demand load or store (makes lines resident, dirty, evicted).
+    Access { addr: u32, write: bool },
+    /// A candidate prefetch of these addresses at the current cycle.
+    Prefetch(Vec<u32>),
+}
+
+fn mem_steps() -> impl Strategy<Value = Vec<MemStep>> {
+    let addr = 0u32..4096;
+    let step = prop_oneof![
+        (0u64..60).prop_map(MemStep::Wait),
+        (addr.clone(), any::<bool>()).prop_map(|(addr, write)| MemStep::Access { addr, write }),
+        proptest::collection::vec(addr, 0..40).prop_map(MemStep::Prefetch),
+    ];
+    proptest::collection::vec(step, 1..40)
+}
+
+fn mem_geometry() -> impl Strategy<Value = CacheGeometry> {
+    (
+        prop_oneof![Just(1u32), Just(3), Just(4), Just(8)],
+        prop_oneof![Just(16u32), Just(32), Just(64)],
+        prop_oneof![Just(1u32), Just(2), Just(4)],
+        prop_oneof![
+            Just(ReplacementPolicy::Lru),
+            Just(ReplacementPolicy::Fifo),
+            Just(ReplacementPolicy::Random)
+        ],
+    )
+        .prop_map(|(sets, line_size, ways, policy)| CacheGeometry {
+            capacity: sets * line_size * ways,
+            line_size,
+            ways,
+            policy,
+        })
+}
+
+proptest! {
+    /// One batched prefetch pass over a candidate's lines equals the
+    /// per-line prefetch, probe and buffer lookup it replaced: the same
+    /// ready cycles, counters, cache and buffer state, and events in the
+    /// same order, over random geometries, buffer depths, fill timings,
+    /// clocks and line lists (repeated lines included).
+    #[test]
+    fn batched_prefetch_equals_the_per_line_sequence(
+        geom in mem_geometry(),
+        depth in prop_oneof![1usize..=8, 60usize..=70],
+        fill in 0u64..30,
+        bus in 0u64..6,
+        steps in mem_steps(),
+    ) {
+        let mut batch = small_system(geom, depth, fill, bus);
+        let mut per_line = small_system(geom, depth, fill, bus);
+        let (mut ev_batch, mut ev_line) = (Events::default(), Events::default());
+        let mut now = 0;
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                MemStep::Wait(t) => now += t,
+                &MemStep::Access { addr, write } => {
+                    let a = if write {
+                        batch.write_traced(addr, 4, 0, now, &mut ev_batch).unwrap().stall
+                    } else {
+                        batch.read_traced(addr, 4, now, &mut ev_batch).unwrap().stall
+                    };
+                    let b = if write {
+                        per_line.write_traced(addr, 4, 0, now, &mut ev_line).unwrap().stall
+                    } else {
+                        per_line.read_traced(addr, 4, now, &mut ev_line).unwrap().stall
+                    };
+                    prop_assert_eq!(a, b);
+                }
+                MemStep::Prefetch(addrs) => {
+                    let mut got = [0u64; 40];
+                    batch.prefetch_lines_traced(addrs, now, &mut got, &mut ev_batch);
+                    let want: Vec<u64> = addrs
+                        .iter()
+                        .map(|&a| line_ready_reference(&mut per_line, a, now, &mut ev_line))
+                        .collect();
+                    prop_assert_eq!(&got[..addrs.len()], &want[..], "step {}", i);
+                }
+            }
+            prop_assert_eq!(observe(&batch, 4096), observe(&per_line, 4096), "step {}", i);
+            prop_assert_eq!(&ev_batch.0, &ev_line.0, "step {}", i);
+        }
+    }
+
+    /// The RFU walk's timing-only loads equal `read_traced` of four bytes
+    /// in every stall, counter, cache and buffer state and event, and
+    /// `touch_lines_traced` equals its loop of them: the first line at the
+    /// address, each later one at its base, each issued after the stalls
+    /// before it. Out-of-range loads fail alike and change nothing.
+    #[test]
+    fn timing_only_loads_equal_read_traced(
+        geom in mem_geometry(),
+        depth in 1usize..=8,
+        fill in 0u64..30,
+        steps in mem_steps(),
+        runs in proptest::collection::vec((0u32..(1 << 16), 1u32..100), 1..10),
+    ) {
+        let mut touch = small_system(geom, depth, fill, 2);
+        let mut read = small_system(geom, depth, fill, 2);
+        let (mut ev_touch, mut ev_read) = (Events::default(), Events::default());
+        let line_size = geom.line_size;
+        let mut now = 0;
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                MemStep::Wait(t) => now += t,
+                &MemStep::Access { addr, .. } => {
+                    let a = touch.touch_traced(addr, now, &mut ev_touch).unwrap();
+                    let b = read.read_traced(addr, 4, now, &mut ev_read).unwrap().stall;
+                    prop_assert_eq!(a, b);
+                }
+                MemStep::Prefetch(addrs) => {
+                    for &a in addrs {
+                        touch.prefetch_traced(a, now, &mut ev_touch);
+                        read.prefetch_traced(a, now, &mut ev_read);
+                    }
+                }
+            }
+            prop_assert_eq!(observe(&touch, 4096), observe(&read, 4096), "step {}", i);
+            prop_assert_eq!(&ev_touch.0, &ev_read.0, "step {}", i);
+        }
+        for &(addr, len) in &runs {
+            let got = touch.touch_lines_traced(addr, len, now, &mut ev_touch);
+            // The loop it replaces.
+            let last = (addr + len - 1) & !(line_size - 1);
+            let mut line = addr & !(line_size - 1);
+            let mut stall = 0;
+            let want = loop {
+                match read.read_traced(line.max(addr), 4, now + stall, &mut ev_read) {
+                    Ok(acc) => stall += acc.stall,
+                    Err(e) => break Err(e),
+                }
+                if line == last {
+                    break Ok(stall);
+                }
+                line += line_size;
+            };
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(observe(&touch, 4096), observe(&read, 4096));
+            prop_assert_eq!(&ev_touch.0, &ev_read.0);
+            now += 7;
+        }
     }
 }
 
