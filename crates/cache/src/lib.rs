@@ -148,12 +148,25 @@ impl KeyBuilder {
     /// Adds a tagged `u32`-word-sequence field (e.g. encoded program
     /// words).
     pub fn field_words(&mut self, tag: &str, words: &[u32]) -> &mut Self {
+        self.field_words_iter(tag, words.iter().copied())
+    }
+
+    /// [`KeyBuilder::field_words`] over words produced one at a time, so
+    /// a large field is hashed without being collected first. The same
+    /// words give the same key either way.
+    pub fn field_words_iter(
+        &mut self,
+        tag: &str,
+        words: impl IntoIterator<Item = u32>,
+    ) -> &mut Self {
         self.absorb(tag.as_bytes());
         self.absorb(&(tag.len() as u64).to_le_bytes());
+        let mut count = 0u64;
         for w in words {
             self.absorb(&w.to_le_bytes());
+            count += 1;
         }
-        self.absorb(&(words.len() as u64).to_le_bytes());
+        self.absorb(&count.to_le_bytes());
         self
     }
 

@@ -55,12 +55,8 @@ pub fn default_cache_dir() -> Option<PathBuf> {
 }
 
 fn hash_plane(kb: &mut KeyBuilder, tag: &str, p: &Plane) {
-    let mut bytes = Vec::with_capacity(p.width() * p.height());
-    for y in 0..p.height() {
-        bytes.extend_from_slice(p.row(y));
-    }
     kb.field_u64(tag, p.width() as u64);
-    kb.field_bytes(tag, &bytes);
+    kb.field_bytes(tag, p.data());
 }
 
 /// Digest of everything the replay reads from a workload: the stride, the
@@ -77,22 +73,20 @@ pub fn workload_digest(w: &Workload) -> CacheKey {
     for (i, frame) in w.report.recon.iter().enumerate() {
         hash_plane(&mut kb, &format!("recon.{i}.y"), &frame.y);
     }
-    let mut motion: Vec<u32> = Vec::new();
-    for fr in &w.report.frames {
-        motion.push(fr.motion.len() as u32);
-        for mb in &fr.motion {
-            motion.push(mb.mbx as u32);
-            motion.push(mb.mby as u32);
-            motion.push(mb.calls.len() as u32);
-            for c in &mb.calls {
-                motion.push(c.cx as u32);
-                motion.push(c.cy as u32);
-                motion.push(c.kind.code());
-                motion.push(c.sad);
-            }
-        }
-    }
-    kb.field_words("motion", &motion);
+    // Per frame: its macroblock count, then per macroblock its indices,
+    // its call count and each call's four words.
+    let motion = w.report.frames.iter().flat_map(|fr| {
+        std::iter::once(fr.motion.len() as u32).chain(fr.motion.iter().flat_map(|mb| {
+            [mb.mbx as u32, mb.mby as u32, mb.calls.len() as u32]
+                .into_iter()
+                .chain(
+                    mb.calls
+                        .iter()
+                        .flat_map(|c| [u32::from(c.cx), u32::from(c.cy), c.kind.code(), c.sad]),
+                )
+        }))
+    });
+    kb.field_words_iter("motion", motion);
     kb.finish()
 }
 

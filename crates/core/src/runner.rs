@@ -414,7 +414,7 @@ pub fn run_me_with_tracer<T: Tracer + ?Sized>(
                             .cand(addr_of(c))
                             .interp(c.kind)
                             .apply(&mut m);
-                        m.run_with_tracer(code, tracer).map_err(sim_err)?;
+                        m.run_in_region(code, tracer).map_err(sim_err)?;
                         check_sad(&m, c.sad)?;
                         calls += 1;
                     }
@@ -429,7 +429,7 @@ pub fn run_me_with_tracer<T: Tracer + ?Sized>(
                         .base(prev_buf)
                         .next(fx, fy)
                         .apply(&mut m);
-                    m.run_with_tracer(prep, tracer).map_err(sim_err)?;
+                    m.run_in_region(prep, tracer).map_err(sim_err)?;
                     let mut best = u32::MAX;
                     for (i, c) in trace.calls.iter().enumerate() {
                         let (ncx, ncy) = trace
@@ -445,7 +445,7 @@ pub fn run_me_with_tracer<T: Tracer + ?Sized>(
                             .next(ncx, ncy)
                             .best(best)
                             .apply(&mut m);
-                        m.run_with_tracer(call, tracer).map_err(sim_err)?;
+                        m.run_in_region(call, tracer).map_err(sim_err)?;
                         check_sad(&m, c.sad)?;
                         best = best.min(c.sad);
                         calls += 1;

@@ -3,11 +3,12 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use mpeg4_enc::me::{MotionSearch, SearchAlgorithm};
 use mpeg4_enc::{
-    ApproxSad, EncodeReport, Encoder, EncoderConfig, Frame, QualityMetrics, SyntheticSequence,
+    ApproxSad, EncodeReport, EncodeScore, Encoder, EncoderConfig, Frame, QualityMetrics,
+    SyntheticSequence,
 };
 
 /// An encoded sequence plus everything the simulator needs to replay its
@@ -40,10 +41,8 @@ fn frames_fingerprint(frames: &[Frame]) -> u64 {
         for &b in &(f.y.height() as u64).to_le_bytes() {
             eat(b);
         }
-        for y in 0..f.y.height() {
-            for &b in f.y.row(y) {
-                eat(b);
-            }
+        for &b in f.y.data() {
+            eat(b);
         }
     }
     h
@@ -81,18 +80,86 @@ fn memoized<K: Eq + Hash, V>(memo: &Memo<K, V>, key: K, compute: impl FnOnce() -
     Arc::clone(cell.get_or_init(|| Arc::new(compute())))
 }
 
-/// Golden full-search exact encode of `frames` (whose
+/// The score of the golden full-search exact encode of `frames` (whose
 /// [`frames_fingerprint`] is `fingerprint`), memoized per frame set so
 /// every approximate scenario over the same frames shares one reference
-/// (about 0.1 s for the paper sequence in a release build). It is encoded
-/// untraced: [`QualityMetrics::compare`] reads its vectors,
-/// reconstructions and PSNRs, never its `GetSad` calls, which for the
-/// paper sequence number over half a million.
-fn golden_report(fingerprint: u64, frames: &[Frame]) -> Arc<EncodeReport> {
-    static GOLDEN: OnceLock<Memo<u64, EncodeReport>> = OnceLock::new();
+/// (about 0.1 s for the paper sequence in a release build). The encode
+/// records no `GetSad` trace (see [`Encoder::encode_untraced`]) and is
+/// dropped once scored: [`QualityMetrics::from_scores`] reads two numbers
+/// of it, not its reconstructed frames.
+fn golden_score(fingerprint: u64, frames: &[Frame]) -> Arc<EncodeScore> {
+    static GOLDEN: OnceLock<Memo<u64, EncodeScore>> = OnceLock::new();
     memoized(GOLDEN.get_or_init(Memo::default), fingerprint, || {
-        Encoder::new(golden_config()).encode_untraced(frames)
+        EncodeScore::of(
+            frames,
+            &Encoder::new(golden_config()).encode_untraced(frames),
+        )
     })
+}
+
+/// How many finished derived workloads [`Workload::derived`] keeps, in
+/// least-recently-used order. Above the distinct approximation points of
+/// every checked-in spec (at most five), so a sweep that revisits a point
+/// from several machine configurations derives it once.
+pub const DERIVED_MEMO_BOUND: usize = 8;
+
+/// What identifies a derived workload: the source frames' fingerprint and
+/// the approximation knobs.
+type DeriveKey = (u64, ApproxSad, Option<SearchAlgorithm>);
+
+/// A write-once cell that every caller deriving one key waits on.
+type DeriveCell = Arc<OnceLock<Arc<Workload>>>;
+
+/// The process-wide derive memo.
+#[derive(Default)]
+struct DeriveMemo {
+    /// Finished derives, least recently used first; at most
+    /// [`DERIVED_MEMO_BOUND`]. Strong handles: a point stays memoized
+    /// between two uses even when no caller holds it.
+    done: Vec<(DeriveKey, Arc<Workload>)>,
+    /// Derives in flight.
+    pending: Vec<(DeriveKey, DeriveCell)>,
+}
+
+impl DeriveMemo {
+    fn lock() -> MutexGuard<'static, DeriveMemo> {
+        static DERIVED: OnceLock<Mutex<DeriveMemo>> = OnceLock::new();
+        DERIVED
+            .get_or_init(Mutex::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The finished workload of `key`, now the most recently used, or
+    /// else the cell its derive fills.
+    fn lookup(&mut self, key: DeriveKey) -> Result<Arc<Workload>, DeriveCell> {
+        if let Some(i) = self.done.iter().position(|(k, _)| *k == key) {
+            let entry = self.done.remove(i);
+            let found = Arc::clone(&entry.1);
+            self.done.push(entry);
+            return Ok(found);
+        }
+        if let Some((_, cell)) = self.pending.iter().find(|(k, _)| *k == key) {
+            return Err(Arc::clone(cell));
+        }
+        let cell = DeriveCell::default();
+        self.pending.push((key, Arc::clone(&cell)));
+        Err(cell)
+    }
+
+    /// Moves the finished derive of `key` from in flight to most recently
+    /// used, evicting the least recently used beyond the bound. Of the
+    /// callers that waited on one cell, only the first to get here finds
+    /// it in flight.
+    fn finish(&mut self, key: DeriveKey, derived: &Arc<Workload>) {
+        if let Some(i) = self.pending.iter().position(|(k, _)| *k == key) {
+            self.pending.swap_remove(i);
+            self.done.push((key, Arc::clone(derived)));
+            if self.done.len() > DERIVED_MEMO_BOUND {
+                self.done.remove(0);
+            }
+        }
+    }
 }
 
 impl Workload {
@@ -149,42 +216,67 @@ impl Workload {
     /// Re-encodes this workload's source frames with an approximate SAD
     /// and/or a different search algorithm, attaching speed-vs-quality
     /// metrics measured against the golden full-search encode of the same
-    /// frames.
+    /// frames. The derived workload shares the source planes of the
+    /// workload that first derived it (see [`mpeg4_enc::Plane`]).
     ///
     /// Derived workloads are memoized process-wide (keyed by the source
     /// frames and the approximation knobs): a sweep visiting the same
     /// approximate point from several bandwidth scenarios encodes it once,
-    /// even when its workers ask for it at the same time.
+    /// even when its workers ask for it at the same time. The memo keeps
+    /// the [`DERIVED_MEMO_BOUND`] most recently used points.
     #[must_use]
     pub fn derived(&self, approx: ApproxSad, search: Option<SearchAlgorithm>) -> Arc<Workload> {
-        type Key = (u64, ApproxSad, Option<SearchAlgorithm>);
-        static DERIVED: OnceLock<Memo<Key, Workload>> = OnceLock::new();
         let fingerprint = frames_fingerprint(&self.frames);
         let key = (fingerprint, approx, search);
-        memoized(DERIVED.get_or_init(Memo::default), key, || {
-            let mut config = EncoderConfig::default();
-            config.search.approx = approx;
-            if let Some(algorithm) = search {
-                config.search.algorithm = algorithm;
-            }
-            let report = Encoder::new(config).encode(&self.frames);
-            let golden = golden_report(fingerprint, &self.frames);
-            let quality = QualityMetrics::compare(&self.frames, &report, &golden);
-            Workload {
-                frames: self.frames.clone(),
-                report,
-                stride: self.stride,
-                quality: Some(quality),
-            }
-        })
+        let found = DeriveMemo::lock().lookup(key);
+        let cell = match found {
+            Ok(derived) => return derived,
+            Err(cell) => cell,
+        };
+        let derived =
+            Arc::clone(cell.get_or_init(|| Arc::new(self.derive(fingerprint, approx, search))));
+        DeriveMemo::lock().finish(key, &derived);
+        derived
     }
 
-    /// The golden full-search encode of this workload's source frames that
-    /// [`Workload::derived`] scores against, memoized per frame set. It
-    /// carries no `GetSad` trace (see [`Encoder::encode_untraced`]).
+    /// The unmemoized body of [`Workload::derived`]. The golden score
+    /// comes first, so its encode is gone before the approximate one
+    /// starts.
+    fn derive(
+        &self,
+        fingerprint: u64,
+        approx: ApproxSad,
+        search: Option<SearchAlgorithm>,
+    ) -> Workload {
+        let golden = golden_score(fingerprint, &self.frames);
+        let mut config = EncoderConfig::default();
+        config.search.approx = approx;
+        if let Some(algorithm) = search {
+            config.search.algorithm = algorithm;
+        }
+        let report = Encoder::new(config).encode(&self.frames);
+        let score = EncodeScore::of(&self.frames, &report);
+        Workload {
+            frames: self.frames.clone(),
+            report,
+            stride: self.stride,
+            quality: Some(QualityMetrics::from_scores(score, *golden)),
+        }
+    }
+
+    /// How many finished derived workloads the process-wide memo holds
+    /// (at most [`DERIVED_MEMO_BOUND`]).
     #[must_use]
-    pub fn golden(&self) -> Arc<EncodeReport> {
-        golden_report(frames_fingerprint(&self.frames), &self.frames)
+    pub fn derived_memo_len() -> usize {
+        DeriveMemo::lock().done.len()
+    }
+
+    /// The score of the golden full-search encode of this workload's
+    /// source frames that [`Workload::derived`] measures against,
+    /// memoized per frame set.
+    #[must_use]
+    pub fn golden_score(&self) -> Arc<EncodeScore> {
+        golden_score(frames_fingerprint(&self.frames), &self.frames)
     }
 
     /// Total `GetSad` calls in the trace.

@@ -120,9 +120,12 @@ fn decode_intra(
                     context: "intra block",
                 })?;
                 let rec = idct(&dequant_intra(&unscan(&zz), config.q));
-                for y in 0..8 {
-                    for x in 0..8 {
-                        plane.set(bx * 8 + x, by * 8 + y, rec[y * 8 + x].clamp(0, 255) as u8);
+                for (out, src) in plane
+                    .block_rows_mut(bx * 8, by * 8, 8, 8)
+                    .zip(rec.chunks_exact(8))
+                {
+                    for (px, &v) in out.iter_mut().zip(src) {
+                        *px = v.clamp(0, 255) as u8;
                     }
                 }
             }
@@ -213,10 +216,10 @@ fn decode_chroma_block(
         .clamp(0, (prev.height() - kind.rows().min(prev.height())) as isize) as usize;
     let zz = read_block(r)?;
     let rec = idct(&dequant_inter(&unscan(&zz), q));
-    for y in 0..8 {
-        for x in 0..8 {
+    for (y, out) in dst.block_rows_mut(bx, by, 8, 8).enumerate() {
+        for (x, px) in out.iter_mut().enumerate() {
             let p = i32::from(crate::sad::pred_pixel(prev, cx + x, cy + y, kind));
-            dst.set(bx + x, by + y, (p + rec[y * 8 + x]).clamp(0, 255) as u8);
+            *px = (p + rec[y * 8 + x]).clamp(0, 255) as u8;
         }
     }
     Some(())

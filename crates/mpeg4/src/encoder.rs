@@ -8,7 +8,7 @@
 use crate::bitstream::BitWriter;
 use crate::dct::{fdct, idct};
 use crate::mc::{chroma_mv, predict_mb, reconstruct_mb};
-use crate::me::{MotionSearch, SadCall, SearchScratch};
+use crate::me::{assert_traceable, MotionSearch, SadCall, SearchScratch};
 use crate::psnr::psnr;
 use crate::quant::{dequant_inter, dequant_intra, quant_inter, quant_intra};
 use crate::rlc::write_block;
@@ -156,7 +156,8 @@ impl Encoder {
     ///
     /// # Panics
     ///
-    /// Panics on an empty input.
+    /// Panics on an empty input, or on a frame over 65,535 px per side
+    /// (a `GetSad` trace records `u16` coordinates).
     #[must_use]
     pub fn encode(&self, frames: &[Frame]) -> EncodeReport {
         self.encode_all(frames, true).0
@@ -169,7 +170,7 @@ impl Encoder {
     ///
     /// # Panics
     ///
-    /// Panics on an empty input.
+    /// As for [`Encoder::encode`].
     #[must_use]
     pub fn encode_untraced(&self, frames: &[Frame]) -> EncodeReport {
         self.encode_all(frames, false).0
@@ -180,7 +181,7 @@ impl Encoder {
     ///
     /// # Panics
     ///
-    /// Panics on an empty input.
+    /// As for [`Encoder::encode`].
     #[must_use]
     pub fn encode_with_streams(&self, frames: &[Frame]) -> (EncodeReport, Vec<Vec<u8>>) {
         self.encode_all(frames, true)
@@ -190,6 +191,9 @@ impl Encoder {
     /// trace iff `record`.
     fn encode_all(&self, frames: &[Frame], record: bool) -> (EncodeReport, Vec<Vec<u8>>) {
         assert!(!frames.is_empty(), "cannot encode an empty sequence");
+        for frame in frames {
+            assert_traceable(&frame.y);
+        }
         let mut scratch = SearchScratch::new(record);
         let mut reports = Vec::with_capacity(frames.len());
         let mut recon: Vec<Frame> = Vec::with_capacity(frames.len());
@@ -372,9 +376,9 @@ fn get_block8(p: &Plane, x: usize, y: usize) -> [i32; 64] {
 
 /// Writes an 8×8 reconstruction (clamped) into a plane.
 fn put_block8(p: &mut Plane, x: usize, y: usize, b: &[i32; 64]) {
-    for j in 0..8 {
-        for i in 0..8 {
-            p.set(x + i, y + j, b[j * 8 + i].clamp(0, 255) as u8);
+    for (out, src) in p.block_rows_mut(x, y, 8, 8).zip(b.chunks_exact(8)) {
+        for (px, &v) in out.iter_mut().zip(src) {
+            *px = v.clamp(0, 255) as u8;
         }
     }
 }
@@ -416,10 +420,10 @@ fn code_chroma_block(
     let levels = quant_inter(&fdct(&residual), q);
     write_block(w, &scan(&levels));
     let rec_block = idct(&dequant_inter(&levels, q));
-    for y in 0..8 {
-        for x in 0..8 {
-            let v = i32::from(pred[y * 8 + x]) + rec_block[y * 8 + x];
-            dst.set(bx + x, by + y, v.clamp(0, 255) as u8);
+    for (j, out) in dst.block_rows_mut(bx, by, 8, 8).enumerate() {
+        for (i, px) in out.iter_mut().enumerate() {
+            let v = i32::from(pred[j * 8 + i]) + rec_block[j * 8 + i];
+            *px = v.clamp(0, 255) as u8;
         }
     }
 }
@@ -468,6 +472,12 @@ mod tests {
         let (n, h, v, d) = rep.interp_shares();
         assert!((n + h + v + d - 1.0).abs() < 1e-9);
         assert!(n > 0.5, "integer candidates dominate: {n}");
+    }
+
+    #[test]
+    #[should_panic(expected = "too large to trace")]
+    fn planes_a_trace_cannot_address_are_rejected_at_entry() {
+        let _ = Encoder::default().encode(&[Frame::new(65_536, 16)]);
     }
 
     #[test]

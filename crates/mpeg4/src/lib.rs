@@ -53,7 +53,7 @@ pub mod zigzag;
 pub use decoder::{decode, DecoderConfig};
 pub use encoder::{EncodeReport, Encoder, EncoderConfig, FrameReport};
 pub use me::{MotionSearch, SadCall, SearchAlgorithm};
-pub use quality::QualityMetrics;
+pub use quality::{EncodeScore, QualityMetrics};
 pub use sad::{get_sad_approx, interp_mode_of, ApproxSad, InterpKind};
 pub use synth::SyntheticSequence;
 pub use types::{Frame, Mv, Plane};

@@ -55,6 +55,10 @@ pub fn chroma_mv(luma: Mv) -> Mv {
 
 /// Adds a residual to a prediction, clamping to 0..=255, and writes the
 /// result into `plane` at macroblock `(mbx, mby)`.
+///
+/// # Panics
+///
+/// Panics when the macroblock leaves the plane.
 pub fn reconstruct_mb(
     plane: &mut Plane,
     mbx: usize,
@@ -62,10 +66,10 @@ pub fn reconstruct_mb(
     pred: &[u8; MB * MB],
     residual: &[i32; MB * MB],
 ) {
-    for y in 0..MB {
-        for x in 0..MB {
+    for (y, out) in plane.block_rows_mut(mbx * MB, mby * MB, MB, MB).enumerate() {
+        for (x, px) in out.iter_mut().enumerate() {
             let v = i32::from(pred[y * MB + x]) + residual[y * MB + x];
-            plane.set(mbx * MB + x, mby * MB + y, v.clamp(0, 255) as u8);
+            *px = v.clamp(0, 255) as u8;
         }
     }
 }

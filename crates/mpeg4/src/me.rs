@@ -18,17 +18,36 @@ use crate::sad::{candidate_fits, get_sad_approx, interp_mode_of, ApproxSad, Inte
 use crate::types::{Mv, Plane};
 use crate::MB;
 
-/// One recorded `GetSad` invocation.
+/// One recorded `GetSad` invocation: 12 bytes, since a workload holds one
+/// per call the encoder made. The coordinates are `u16` because a traced
+/// search rejects planes over 65,535 px per side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SadCall {
     /// Candidate top-left x (integer samples, in the reference frame).
-    pub cx: usize,
+    pub cx: u16,
     /// Candidate top-left y.
-    pub cy: usize,
+    pub cy: u16,
     /// Interpolation kind.
     pub kind: InterpKind,
     /// The SAD this call returned.
     pub sad: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<SadCall>() == 12);
+
+/// Rejects a plane a [`SadCall`] cannot address.
+///
+/// # Panics
+///
+/// Panics when either side of `p` is over 65,535 px.
+pub(crate) fn assert_traceable(p: &Plane) {
+    let max = usize::from(u16::MAX);
+    assert!(
+        p.width() <= max && p.height() <= max,
+        "a {}x{} plane is too large to trace (at most {max} px per side)",
+        p.width(),
+        p.height()
+    );
 }
 
 /// Result of searching one macroblock.
@@ -267,6 +286,9 @@ impl<'a> SearchCtx<'a> {
             self.approx,
         );
         if self.scratch.record {
+            // The candidate lies inside `prev`, which the search's entry
+            // point held to 65,535 px per side: the casts are exact.
+            let (cx, cy) = (cx as u16, cy as u16);
             self.scratch.calls.push(SadCall { cx, cy, kind, sad });
         }
         if sad < self.best.1 {
@@ -283,7 +305,8 @@ impl MotionSearch {
     ///
     /// # Panics
     ///
-    /// Panics if the macroblock coordinates leave the plane.
+    /// Panics if the macroblock coordinates leave the plane, or when
+    /// `prev` is over 65,535 px per side.
     #[must_use]
     pub fn search_mb(
         &self,
@@ -293,6 +316,7 @@ impl MotionSearch {
         mby: usize,
         pred: Mv,
     ) -> MbMotion {
+        assert_traceable(prev);
         let mut scratch = SearchScratch::new(true);
         let (mv, best_sad) = self.search_mb_in(&mut scratch, cur, prev, mbx, mby, pred);
         MbMotion {
@@ -562,7 +586,16 @@ mod tests {
         for c in &m.calls {
             assert_eq!(
                 c.sad,
-                crate::sad::get_sad_approx(&cur, 16, 16, &prev, c.cx, c.cy, c.kind, approx),
+                crate::sad::get_sad_approx(
+                    &cur,
+                    16,
+                    16,
+                    &prev,
+                    usize::from(c.cx),
+                    usize::from(c.cy),
+                    c.kind,
+                    approx
+                ),
                 "{c:?}"
             );
         }
@@ -619,7 +652,15 @@ mod tests {
         for c in &m.calls {
             assert_eq!(
                 c.sad,
-                crate::sad::get_sad(&cur, 16, 16, &prev, c.cx, c.cy, c.kind),
+                crate::sad::get_sad(
+                    &cur,
+                    16,
+                    16,
+                    &prev,
+                    usize::from(c.cx),
+                    usize::from(c.cy),
+                    c.kind
+                ),
                 "{c:?}"
             );
         }
@@ -659,8 +700,8 @@ mod tests {
         // Corner macroblock: large range would leave the plane.
         let m = ms.search_mb(&cur, &prev, 0, 0, Mv::default());
         for c in &m.calls {
-            assert!(c.cx + c.kind.cols() <= prev.width());
-            assert!(c.cy + c.kind.rows() <= prev.height());
+            assert!(usize::from(c.cx) + c.kind.cols() <= prev.width());
+            assert!(usize::from(c.cy) + c.kind.rows() <= prev.height());
         }
     }
 }

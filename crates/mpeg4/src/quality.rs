@@ -36,21 +36,52 @@ pub struct QualityMetrics {
 
 impl QualityMetrics {
     /// Compares an (possibly approximate) encode of `frames` against the
-    /// golden full-search encode of the same frames.
+    /// golden full-search encode of the same frames:
+    /// [`QualityMetrics::from_scores`] of both encodes' [`EncodeScore`]s.
     #[must_use]
     pub fn compare(frames: &[Frame], approx: &EncodeReport, golden: &EncodeReport) -> Self {
-        let cost = motion_field_cost(frames, approx);
-        let golden_cost = motion_field_cost(frames, golden);
-        let sad_inflation = if cost == golden_cost {
+        QualityMetrics::from_scores(
+            EncodeScore::of(frames, approx),
+            EncodeScore::of(frames, golden),
+        )
+    }
+
+    /// The metrics of an encode scored `approx` against a golden encode
+    /// of the same frames scored `golden`.
+    #[must_use]
+    pub fn from_scores(approx: EncodeScore, golden: EncodeScore) -> Self {
+        let sad_inflation = if approx.cost == golden.cost {
             0.0 // identical cost is exactly zero inflation, no float noise
-        } else if golden_cost == 0 {
+        } else if golden.cost == 0 {
             f64::INFINITY
         } else {
-            cost as f64 / golden_cost as f64 - 1.0
+            approx.cost as f64 / golden.cost as f64 - 1.0
         };
         QualityMetrics {
             sad_inflation,
-            psnr_delta_db: golden.mean_psnr_y() - approx.mean_psnr_y(),
+            psnr_delta_db: golden.mean_psnr_y - approx.mean_psnr_y,
+        }
+    }
+}
+
+/// The two numbers of one encode that [`QualityMetrics`] are computed
+/// from. A golden reference kept as its score, not as its report, holds
+/// two numbers instead of every reconstructed frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EncodeScore {
+    /// [`motion_field_cost`] of the encode.
+    pub cost: u64,
+    /// [`EncodeReport::mean_psnr_y`] of the encode.
+    pub mean_psnr_y: f64,
+}
+
+impl EncodeScore {
+    /// Scores `report`, an encode of `frames`.
+    #[must_use]
+    pub fn of(frames: &[Frame], report: &EncodeReport) -> Self {
+        EncodeScore {
+            cost: motion_field_cost(frames, report),
+            mean_psnr_y: report.mean_psnr_y(),
         }
     }
 }

@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::types::{Frame, Plane};
+use crate::types::Frame;
 use crate::{QCIF_H, QCIF_W};
 
 /// A deterministic synthetic video source.
@@ -127,14 +127,14 @@ impl SyntheticSequence {
         seed: u64,
     ) -> Frame {
         let mut frame = Frame::new(self.width, self.height);
-        let mut luma = Plane::new(self.width, self.height);
         // The background's separable factors, once per column and per row.
         let cols: Vec<Column> = (0..self.width)
             .map(|x| Column::new(x as f64 + pan_x))
             .collect();
-        for y in 0..self.height {
+        let luma = frame.y.block_rows_mut(0, 0, self.width, self.height);
+        for (y, out) in luma.enumerate() {
             let row = Row::new(y as f64 + pan_y);
-            for (x, col) in cols.iter().enumerate() {
+            for ((x, col), px) in cols.iter().enumerate().zip(out) {
                 let (wx, wy) = (col.wx, row.wy);
                 let mut v = background(col, &row);
                 for o in objects {
@@ -149,28 +149,29 @@ impl SyntheticSequence {
                 }
                 // Deterministic grain: a cheap hash of (x, y, t, seed).
                 let g = grain(x as u64, y as u64, t as u64, seed);
-                let v = (v + g).clamp(0.0, 255.0);
-                luma.set(x, y, v as u8);
+                *px = (v + g).clamp(0.0, 255.0) as u8;
             }
         }
-        frame.y = luma;
         // Chroma: smooth gradients that follow the pan (little detail, as
         // in natural video). Both are separable: per-column and per-row
         // terms.
-        let ccols: Vec<(f64, f64)> = (0..self.width / 2)
+        let (cw, ch) = (self.width / 2, self.height / 2);
+        let ccols: Vec<(f64, f64)> = (0..cw)
             .map(|x| {
                 let wx = x as f64 * 2.0 + pan_x;
                 ((wx * 0.011).sin(), (wx * 0.013).cos())
             })
             .collect();
-        for y in 0..self.height / 2 {
+        let u_rows = frame.u.block_rows_mut(0, 0, cw, ch);
+        let v_rows = frame.v.block_rows_mut(0, 0, cw, ch);
+        for (y, (u_out, v_out)) in u_rows.zip(v_rows).enumerate() {
             let wy = y as f64 * 2.0 + pan_y;
             let (u_row, v_row) = ((wy * 0.017).cos(), (wy * 0.009).sin());
-            for (x, &(u_col, v_col)) in ccols.iter().enumerate() {
+            for ((&(u_col, v_col), u_px), v_px) in ccols.iter().zip(u_out).zip(v_out) {
                 let u = 128.0 + 24.0 * (u_col + u_row);
                 let v = 128.0 + 24.0 * (v_col - v_row);
-                frame.u.set(x, y, u.clamp(0.0, 255.0) as u8);
-                frame.v.set(x, y, v.clamp(0.0, 255.0) as u8);
+                *u_px = u.clamp(0.0, 255.0) as u8;
+                *v_px = v.clamp(0.0, 255.0) as u8;
             }
         }
         frame

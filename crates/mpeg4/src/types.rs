@@ -1,15 +1,21 @@
 //! Image planes, frames and motion vectors.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::MB;
 
 /// One 8-bit image plane.
+///
+/// The samples are reference-counted and copy-on-write: cloning a plane
+/// (or a [`Frame`]) shares its storage, and the first write to a shared
+/// clone copies it. A derived workload therefore holds the base
+/// workload's source pixels, not a copy of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plane {
     width: usize,
     height: usize,
-    data: Vec<u8>,
+    data: Arc<[u8]>,
 }
 
 impl Plane {
@@ -24,7 +30,7 @@ impl Plane {
         Plane {
             width,
             height,
-            data: vec![0; width * height],
+            data: std::iter::repeat_n(0, width * height).collect(),
         }
     }
 
@@ -39,7 +45,7 @@ impl Plane {
         Plane {
             width,
             height,
-            data,
+            data: data.into(),
         }
     }
 
@@ -61,6 +67,38 @@ impl Plane {
         &self.data
     }
 
+    /// The raw samples for writing, row major, copied first when another
+    /// clone shares them. That check is an atomic operation, so writers
+    /// borrow once per block or plane ([`Plane::block_rows_mut`]), not
+    /// once per pixel.
+    fn data_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.data)
+    }
+
+    /// The rows of the `w`×`h` block at `(x, y)` for writing, `w` samples
+    /// each, top to bottom, with one copy-on-write check for the whole
+    /// block.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the block leaves the plane.
+    pub fn block_rows_mut(
+        &mut self,
+        x: usize,
+        y: usize,
+        w: usize,
+        h: usize,
+    ) -> impl Iterator<Item = &mut [u8]> {
+        assert!(
+            x + w <= self.width && y + h <= self.height,
+            "{w}x{h} block at ({x},{y}) leaves the plane"
+        );
+        let width = self.width;
+        self.data_mut()[y * width..(y + h) * width]
+            .chunks_exact_mut(width)
+            .map(move |row| &mut row[x..x + w])
+    }
+
     /// Sample at `(x, y)`.
     ///
     /// # Panics
@@ -80,14 +118,17 @@ impl Plane {
         self.data[y * self.width + x]
     }
 
-    /// Writes sample `(x, y)`.
+    /// Writes sample `(x, y)`. Each call checks whether the samples are
+    /// shared (see [`Plane`]); a loop over many pixels borrows them once
+    /// with [`Plane::block_rows_mut`] instead.
     ///
     /// # Panics
     ///
     /// Panics when out of bounds.
     pub fn set(&mut self, x: usize, y: usize, v: u8) {
         assert!(x < self.width && y < self.height, "({x},{y}) out of plane");
-        self.data[y * self.width + x] = v;
+        let width = self.width;
+        self.data_mut()[y * width + x] = v;
     }
 
     /// One pixel row.
@@ -216,6 +257,41 @@ mod tests {
         p.set(3, 5, 200);
         assert_eq!(p.at(3, 5), 200);
         assert_eq!(p.row(5)[3], 200);
+    }
+
+    #[test]
+    fn clones_share_samples_until_written() {
+        let mut p = Plane::new(16, 16);
+        p.set(1, 2, 7);
+        let mut q = p.clone();
+        assert!(
+            std::ptr::eq(p.data(), q.data()),
+            "a clone copied its samples"
+        );
+        q.set(1, 2, 9);
+        assert!(!std::ptr::eq(p.data(), q.data()), "a write did not copy");
+        assert_eq!((p.at(1, 2), q.at(1, 2)), (7, 9));
+    }
+
+    #[test]
+    fn block_rows_cover_exactly_the_block() {
+        let mut p = Plane::new(16, 8);
+        for row in p.block_rows_mut(3, 2, 4, 2) {
+            row.fill(1);
+        }
+        let written: Vec<(usize, usize)> = (0..8)
+            .flat_map(|y| (0..16).map(move |x| (x, y)))
+            .filter(|&(x, y)| p.at(x, y) == 1)
+            .collect();
+        let block: Vec<(usize, usize)> = (2..4).flat_map(|y| (3..7).map(move |x| (x, y))).collect();
+        assert_eq!(written, block);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the plane")]
+    fn block_rows_reject_a_block_past_the_edge() {
+        let mut p = Plane::new(16, 16);
+        let _ = p.block_rows_mut(12, 0, 8, 8).count();
     }
 
     #[test]

@@ -426,14 +426,42 @@ impl Machine {
         self.run_inner(code, Some(&mut trace), tracer)
     }
 
-    /// Runs `code` with its lowering held outside the identity memo for
-    /// the run, and puts it back on every exit.
+    /// Runs `code` like [`Machine::run_with_tracer`] without summarizing
+    /// the run: no [`Snapshot`] is taken and no [`RunSummary`] built. For
+    /// a driver that calls a kernel many times and measures the whole
+    /// region with one [`Machine::snapshot`] before and after it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Machine::run`].
+    pub fn run_in_region<T: Tracer + ?Sized>(
+        &mut self,
+        code: &Code,
+        tracer: &mut T,
+    ) -> Result<(), SimError> {
+        self.run_bare(code, None, tracer)
+    }
+
+    /// A run summarized as the counters' change across it.
     fn run_inner<T: Tracer + ?Sized>(
         &mut self,
         code: &Code,
         trace: Option<TraceHook<'_>>,
         tracer: &mut T,
     ) -> Result<RunSummary, SimError> {
+        let before = self.snapshot();
+        self.run_bare(code, trace, tracer)?;
+        Ok(self.snapshot().since(&before))
+    }
+
+    /// Runs `code` with its lowering held outside the identity memo for
+    /// the run, and puts it back on every exit.
+    fn run_bare<T: Tracer + ?Sized>(
+        &mut self,
+        code: &Code,
+        trace: Option<TraceHook<'_>>,
+        tracer: &mut T,
+    ) -> Result<(), SimError> {
         let decoded = self.take_decoded(code);
         let out = self.run_lowered(code, &decoded, trace, tracer);
         self.memo_decoded = Some(decoded);
@@ -446,8 +474,7 @@ impl Machine {
         decoded: &DecodedCode,
         trace: Option<TraceHook<'_>>,
         tracer: &mut T,
-    ) -> Result<RunSummary, SimError> {
-        let before = self.snapshot();
+    ) -> Result<(), SimError> {
         let limit = self.cycle + self.cycle_limit;
         let mut pc = 0usize;
         // Backend dispatch: block-compiled execution requires an
@@ -471,7 +498,7 @@ impl Machine {
             match exit? {
                 BlockExit::Halted => {
                     self.stats.cycles = self.cycle;
-                    return Ok(self.snapshot().since(&before));
+                    return Ok(());
                 }
                 BlockExit::Fallback(p) => {
                     pc = p;
@@ -496,7 +523,7 @@ impl Machine {
             }
         }
         self.stats.cycles = self.cycle;
-        Ok(self.snapshot().since(&before))
+        Ok(())
     }
 
     /// Commits a register write: `$r0` discards it, a branch register

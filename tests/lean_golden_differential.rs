@@ -1,9 +1,10 @@
 //! The golden full-search encode behind `Workload::derived` is encoded
 //! without its `GetSad` trace (`Encoder::encode_untraced`) and memoized
-//! that way. These tests pin the lean path to the traced encode it
-//! stands for: the same vectors, reconstructions, PSNRs and bits, and
-//! bit-equal `QualityMetrics` for every kind of approximation the sweeps
-//! and the explorer derive.
+//! as its score: the two numbers `QualityMetrics` reads. These tests pin
+//! the lean path to the traced encode it stands for: the same vectors,
+//! reconstructions, PSNRs and bits, the same score, and bit-equal
+//! `QualityMetrics` for every kind of approximation the sweeps and the
+//! explorer derive.
 //!
 //! This file rides in the no-panic clippy gate: no `unwrap`/`expect`.
 
@@ -11,6 +12,7 @@ use std::sync::Arc;
 
 use rvliw::exp::workload::{golden_config, Workload};
 use rvliw::mpeg4::me::SearchAlgorithm;
+use rvliw::mpeg4::quality::motion_field_cost;
 use rvliw::mpeg4::types::{Frame, Mv};
 use rvliw::mpeg4::SyntheticSequence;
 use rvliw::mpeg4::{ApproxSad, EncodeReport, Encoder, EncoderConfig, QualityMetrics};
@@ -66,13 +68,27 @@ fn untraced_encode_equals_the_traced_encode_but_the_trace() {
 }
 
 #[test]
-fn memoized_golden_holds_no_sad_call() {
-    let w = workload(7);
-    let golden = w.golden();
-    assert_eq!(golden.num_sad_calls(), 0, "the golden memo keeps a trace");
-    let traced = Encoder::new(golden_config()).encode(&w.frames);
-    assert!(view(&golden) == view(&traced), "memoized golden diverges");
-    assert!(Arc::ptr_eq(&golden, &w.golden()), "golden not memoized");
+fn memoized_golden_score_equals_a_traced_golden() {
+    for seed in SEEDS {
+        let w = workload(seed);
+        let score = w.golden_score();
+        let traced = Encoder::new(golden_config()).encode(&w.frames);
+        assert!(traced.num_sad_calls() > 0, "seed {seed}: empty trace");
+        assert_eq!(
+            score.cost,
+            motion_field_cost(&w.frames, &traced),
+            "seed {seed}: golden motion-field cost"
+        );
+        assert_eq!(
+            score.mean_psnr_y.to_bits(),
+            traced.mean_psnr_y().to_bits(),
+            "seed {seed}: golden mean PSNR"
+        );
+        assert!(
+            Arc::ptr_eq(&score, &w.golden_score()),
+            "seed {seed}: golden score not memoized"
+        );
+    }
 }
 
 #[test]

@@ -8,13 +8,15 @@
 //!    fault-plan knob and the fetch/issue substrate — changes the key.
 //! 3. Robustness: corrupted or truncated cache files are treated as
 //!    misses with a warning, never a panic and never a wrong result.
+//! 4. A word field hashed from an iterator (as the workload digest hashes
+//!    its motion trace) keys exactly like the same words from a slice.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use rvliw::cache::CacheKey;
+use rvliw::cache::{CacheKey, KeyBuilder};
 use rvliw::exp::{
     run_me, scenario_key, workload_digest, MeResult, Scenario, ScenarioCache, Substrate, Workload,
 };
@@ -283,6 +285,29 @@ proptest! {
         // A different workload digest also yields a different key.
         let other = CacheKey::from_hex(&format!("{:032x}", 0xdead_beefu128)).expect("valid hex");
         prop_assert_ne!(scenario_key(&base, other), key);
+    }
+}
+
+proptest! {
+    /// `field_words_iter` absorbs the same bytes in the same order as
+    /// `field_words`: tag, tag length, each word, then the word count,
+    /// whether the words come from a slice or are produced lazily in
+    /// pieces.
+    #[test]
+    fn iterated_word_fields_key_like_sliced_ones(
+        tag in proptest::collection::vec(b'a'..=b'z', 0..12),
+        words in proptest::collection::vec(any::<u32>(), 0..300),
+        piece in 1usize..9,
+        after in any::<u64>(),
+    ) {
+        let tag = String::from_utf8(tag).unwrap();
+        let mut sliced = KeyBuilder::new("words", 1);
+        sliced.field_words(&tag, &words).field_u64("after", after);
+        let mut iterated = KeyBuilder::new("words", 1);
+        iterated
+            .field_words_iter(&tag, words.chunks(piece).flat_map(|c| c.iter().copied()))
+            .field_u64("after", after);
+        prop_assert_eq!(iterated.finish(), sliced.finish());
     }
 }
 

@@ -120,7 +120,7 @@ proptest! {
         let m = ms.search_mb(&cur, &prev, 1, 1, Mv::default());
         for c in &m.calls {
             let reference = sad_reference::get_sad_approx(
-                &cur, 16, 16, &prev, c.cx, c.cy, c.kind, ms.approx,
+                &cur, 16, 16, &prev, usize::from(c.cx), usize::from(c.cy), c.kind, ms.approx,
             );
             prop_assert_eq!(c.sad, reference);
         }

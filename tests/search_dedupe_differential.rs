@@ -59,6 +59,8 @@ impl RefCtx<'_> {
             kind,
             self.approx,
         );
+        // The candidate lies inside `prev`, far below 65,536 px per side.
+        let (cx, cy) = (cx as u16, cy as u16);
         self.calls.push(SadCall { cx, cy, kind, sad });
         if sad < self.best.1 {
             self.best = (mv, sad);
