@@ -10,7 +10,7 @@ use std::fmt;
 
 use crate::bitstream::BitReader;
 use crate::dct::idct;
-use crate::mc::{chroma_mv, predict_mb, reconstruct_mb};
+use crate::mc::{chroma_mv, predict_chroma, predict_mb, reconstruct_mb};
 use crate::quant::{dequant_inter, dequant_intra};
 use crate::rlc::read_block;
 use crate::types::{Frame, Mv, Plane};
@@ -206,20 +206,13 @@ fn decode_chroma_block(
     cmv: Mv,
     q: i32,
 ) -> Option<()> {
-    let bx = mbx * 8;
-    let by = mby * 8;
-    let kind = crate::sad::interp_mode_of(cmv);
-    let (ix, iy) = cmv.int_part();
-    let cx = (bx as isize + isize::from(ix))
-        .clamp(0, (prev.width() - kind.cols().min(prev.width())) as isize) as usize;
-    let cy = (by as isize + isize::from(iy))
-        .clamp(0, (prev.height() - kind.rows().min(prev.height())) as isize) as usize;
+    let pred = predict_chroma(prev, mbx, mby, cmv);
     let zz = read_block(r)?;
     let rec = idct(&dequant_inter(&unscan(&zz), q));
-    for (y, out) in dst.block_rows_mut(bx, by, 8, 8).enumerate() {
+    for (y, out) in dst.block_rows_mut(mbx * 8, mby * 8, 8, 8).enumerate() {
         for (x, px) in out.iter_mut().enumerate() {
-            let p = i32::from(crate::sad::pred_pixel(prev, cx + x, cy + y, kind));
-            *px = (p + rec[y * 8 + x]).clamp(0, 255) as u8;
+            let v = i32::from(pred[y * 8 + x]) + rec[y * 8 + x];
+            *px = v.clamp(0, 255) as u8;
         }
     }
     Some(())

@@ -262,29 +262,35 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// Evaluates the candidate at motion vector `mv` (half-sample units);
-    /// returns its SAD, or `None` when out of frame or already visited.
-    fn try_mv(&mut self, mv: Mv) -> Option<u32> {
+    /// returns whether it was evaluated (`false` when out of frame or
+    /// already visited).
+    ///
+    /// Only a strictly smaller SAD replaces the best. So when no trace is
+    /// recorded, an exact search stops summing a candidate as soon as its
+    /// running SAD reaches the best so far (the [`ApproxSad::EarlyExit`]
+    /// row check at threshold `best − 1`). Such a candidate could not have
+    /// won, and one that wins is summed in full, so the chosen vector and
+    /// its SAD are unchanged. A traced search sums every candidate in
+    /// full: the simulator replays and checks each recorded SAD.
+    fn try_mv(&mut self, mv: Mv) -> bool {
         if !self.scratch.visited.insert(mv) {
-            return None;
+            return false;
         }
         let kind = interp_mode_of(mv);
         let (ix, iy) = mv.int_part();
         let cx = self.rx as isize + isize::from(ix);
         let cy = self.ry as isize + isize::from(iy);
         if !candidate_fits(self.prev, cx, cy, kind) {
-            return None;
+            return false;
         }
         let (cx, cy) = (cx as usize, cy as usize);
-        let sad = get_sad_approx(
-            self.cur,
-            self.rx,
-            self.ry,
-            self.prev,
-            cx,
-            cy,
-            kind,
-            self.approx,
-        );
+        let approx = match (self.approx, self.best.1) {
+            (ApproxSad::Exact, best) if !self.scratch.record && best > 0 => ApproxSad::EarlyExit {
+                threshold: best - 1,
+            },
+            (approx, _) => approx,
+        };
+        let sad = get_sad_approx(self.cur, self.rx, self.ry, self.prev, cx, cy, kind, approx);
         if self.scratch.record {
             // The candidate lies inside `prev`, which the search's entry
             // point held to 65,535 px per side: the casts are exact.
@@ -294,7 +300,7 @@ impl<'a> SearchCtx<'a> {
         if sad < self.best.1 {
             self.best = (mv, sad);
         }
-        Some(sad)
+        true
     }
 }
 
@@ -341,10 +347,10 @@ impl MotionSearch {
         assert!(mbx < cur.mbs_x() && mby < cur.mbs_y(), "MB out of frame");
         let mut ctx = SearchCtx::new(scratch, cur, prev, mbx, mby, self.approx);
         // Every strategy evaluates the zero vector and the prediction.
-        let _ = ctx.try_mv(Mv::default());
+        ctx.try_mv(Mv::default());
         let (px, py) = pred.int_part();
         let start = Mv::from_int(px, py);
-        let _ = ctx.try_mv(start);
+        ctx.try_mv(start);
         let center = if ctx.best.0 == start {
             start
         } else {
@@ -367,7 +373,7 @@ impl MotionSearch {
     fn full(&self, ctx: &mut SearchCtx<'_>, range: i16) {
         for dy in -range..=range {
             for dx in -range..=range {
-                let _ = ctx.try_mv(Mv::from_int(dx, dy));
+                ctx.try_mv(Mv::from_int(dx, dy));
             }
         }
     }
@@ -379,7 +385,7 @@ impl MotionSearch {
             for dy in [-step, 0, step] {
                 for dx in [-step, 0, step] {
                     let mv = Mv::new(center.x + dx * 2, center.y + dy * 2);
-                    if ctx.try_mv(mv).is_some() && ctx.best.0 == mv {
+                    if ctx.try_mv(mv) && ctx.best.0 == mv {
                         best = mv;
                     }
                 }
@@ -403,10 +409,10 @@ impl MotionSearch {
         ];
         const SDSP: [(i16, i16); 4] = [(0, -1), (1, 0), (0, 1), (-1, 0)];
         let mut center = start;
-        let _ = ctx.try_mv(center);
+        ctx.try_mv(center);
         for _round in 0..32 {
             for (dx, dy) in LDSP {
-                let _ = ctx.try_mv(Mv::new(center.x + dx * 2, center.y + dy * 2));
+                ctx.try_mv(Mv::new(center.x + dx * 2, center.y + dy * 2));
             }
             let best = ctx.best.0;
             // Only integer positions participate; best is integer here.
@@ -416,7 +422,7 @@ impl MotionSearch {
             center = best;
         }
         for (dx, dy) in SDSP {
-            let _ = ctx.try_mv(Mv::new(center.x + dx * 2, center.y + dy * 2));
+            ctx.try_mv(Mv::new(center.x + dx * 2, center.y + dy * 2));
         }
     }
 
@@ -427,7 +433,7 @@ impl MotionSearch {
                     if dx.abs() != radius && dy.abs() != radius {
                         continue; // only the ring at this radius
                     }
-                    let _ = ctx.try_mv(Mv::new(start.x + dx * 2, start.y + dy * 2));
+                    ctx.try_mv(Mv::new(start.x + dx * 2, start.y + dy * 2));
                     if ctx.best.1 <= threshold {
                         break 'outer;
                     }
@@ -443,7 +449,7 @@ impl MotionSearch {
                 if dx == 0 && dy == 0 {
                     continue;
                 }
-                let _ = ctx.try_mv(Mv::new(center.x + dx, center.y + dy));
+                ctx.try_mv(Mv::new(center.x + dx, center.y + dy));
             }
         }
     }

@@ -52,7 +52,14 @@ pub fn quant_inter(coefs: &[i32; 64], q: i32) -> [i32; 64] {
     let mut out = [0i32; 64];
     for i in 0..64 {
         let c = coefs[i];
-        out[i] = ((c.abs() - q / 2) / (2 * q)) * c.signum();
+        let m = c.abs() - q / 2;
+        // `m` is at least `−q/2`, so below `2q` the quotient truncates to
+        // 0: most residual coefficients skip the division.
+        out[i] = if m < 2 * q {
+            0
+        } else {
+            m / (2 * q) * c.signum()
+        };
     }
     out
 }
@@ -82,6 +89,22 @@ pub fn dequant_inter(levels: &[i32; 64], q: i32) -> [i32; 64] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quant_inter_equals_the_dead_zone_formula() {
+        for q in 1..=31 {
+            for start in (-4096..4096).step_by(64) {
+                let mut coefs = [0i32; 64];
+                for (i, c) in coefs.iter_mut().enumerate() {
+                    *c = start + i as i32;
+                }
+                let levels = quant_inter(&coefs, q);
+                for (&c, &l) in coefs.iter().zip(&levels) {
+                    assert_eq!(l, ((c.abs() - q / 2) / (2 * q)) * c.signum(), "q {q} c {c}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn zero_stays_zero() {

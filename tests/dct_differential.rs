@@ -1,10 +1,18 @@
 //! Differential suite for the host DCT: `mpeg4::dct::{fdct, idct}`
 //! against verbatim copies of the O(N⁴) per-output loops they replaced.
 //!
-//! The fast bodies interchange the loops so eight outputs accumulate side
-//! by side, and `idct` skips zero coefficients. Neither may change a
-//! single rounded output, so every family below requires bit-equal
-//! results from both transforms:
+//! The fast bodies change how the sums are computed, never what they
+//! add. They interchange the loops so several outputs accumulate side by
+//! side; `fdct` computes each first product `b[y][x]·c[u][x]` once and
+//! multiplies it by every `c[v][y]`, which is the same product the
+//! reference forms for each `v`, associated the same way; `idct` skips
+//! zero coefficients, whose `±0.0` terms change no sum; both round half
+//! away from zero by truncating to `i32` and comparing the exact
+//! fractional part with `±0.5`, which equals `f64::round`. A precomputed
+//! `c[u][x]·c[v][y]` table is not among them: `b·(c[u][x]·c[v][y])` is a
+//! different rounding of the same real product and moves `.5` boundaries.
+//! None of this may change a single rounded output, so every family below
+//! requires bit-equal results from both transforms:
 //!
 //! 1. residual blocks in −255..=255 (what `fdct` codes for P blocks);
 //! 2. intra blocks in 0..=255;
@@ -14,7 +22,15 @@
 //!    boundaries, where any change of association or a fused
 //!    multiply-add flips the rounded result (random blocks almost never
 //!    reach a boundary, so they barely test `idct`);
-//! 5. all 511 constant blocks.
+//! 5. blocks whose pixel sum is ≡ 4 (mod 8), of both signs, which put the
+//!    `fdct` DC coefficient next to a `.5` boundary on every case (random
+//!    blocks do so one time in eight). The DC sum itself is an exact
+//!    integer; `α(0)²` is `1/8 + 2⁻⁵⁵`, so DC lands within a few ulps
+//!    beyond the tie and must round away from zero on both signs;
+//! 6. all 511 constant blocks.
+//!
+//! Exact `.5` ties of the rounding are pinned by the unit test beside it
+//! in `mpeg4::dct`.
 //!
 //! This file rides in the no-panic clippy gate: no `unwrap`/`expect`.
 
@@ -113,6 +129,26 @@ fn arb_boundary_coefs() -> impl Strategy<Value = [i32; 64]> {
     })
 }
 
+/// Pixels in 0..=255, negated when the flag is set, whose sum is ≡ 4
+/// (mod 8): the last pixel is chosen to make it so.
+fn arb_dc_boundary_block() -> impl Strategy<Value = [i32; 64]> {
+    (
+        proptest::collection::vec(0i32..=255, 63),
+        0i32..=31,
+        any::<bool>(),
+    )
+        .prop_map(|(mut pixels, high, negative)| {
+            let partial: i32 = pixels.iter().sum();
+            pixels.push((4 - partial).rem_euclid(8) + 8 * high);
+            if negative {
+                for p in &mut pixels {
+                    *p = -*p;
+                }
+            }
+            block_of(pixels)
+        })
+}
+
 /// Asserts both transforms of `block` bit-equal to the reference.
 fn assert_matches_reference(what: &str, block: &[i32; 64]) {
     assert_eq!(
@@ -148,6 +184,16 @@ proptest! {
     #[test]
     fn rounding_boundary_blocks_match_the_reference(block in arb_boundary_coefs()) {
         assert_matches_reference("rounding-boundary block", &block);
+    }
+
+    #[test]
+    fn dc_boundary_blocks_match_the_reference(block in arb_dc_boundary_block()) {
+        assert_matches_reference("DC-boundary block", &block);
+        // Sum 8k + 4 gives DC just past k + 0.5, rounded to k + 1; the
+        // negated block rounds to −(k + 1).
+        let sum: i32 = block.iter().sum();
+        prop_assert_eq!(sum.rem_euclid(8), 4);
+        prop_assert_eq!(fdct(&block)[0], (sum + 4 * sum.signum()) / 8, "DC of sum {}", sum);
     }
 }
 

@@ -6,12 +6,18 @@
 //! `QualityMetrics` for every kind of approximation the sweeps and the
 //! explorer derive.
 //!
+//! An untraced exact search also stops summing a candidate once its
+//! running SAD reaches the best so far, so the first test covers every
+//! search algorithm, with and without half-sample refinement, under the
+//! exact SAD (where that early exit runs) and an approximate one (where
+//! it does not).
+//!
 //! This file rides in the no-panic clippy gate: no `unwrap`/`expect`.
 
 use std::sync::Arc;
 
 use rvliw::exp::workload::{golden_config, Workload};
-use rvliw::mpeg4::me::SearchAlgorithm;
+use rvliw::mpeg4::me::{MotionSearch, SearchAlgorithm};
 use rvliw::mpeg4::quality::motion_field_cost;
 use rvliw::mpeg4::types::{Frame, Mv};
 use rvliw::mpeg4::SyntheticSequence;
@@ -50,11 +56,42 @@ fn view(r: &EncodeReport) -> View {
     )
 }
 
+/// Every search algorithm, with and without half-sample refinement,
+/// under the exact SAD and one approximate mode.
+fn search_configs() -> Vec<EncoderConfig> {
+    let algorithms = [
+        SearchAlgorithm::Full { range: 8 },
+        SearchAlgorithm::Full { range: 20 },
+        SearchAlgorithm::ThreeStep,
+        SearchAlgorithm::Diamond,
+        SearchAlgorithm::Spiral {
+            range: 8,
+            threshold: 256,
+        },
+    ];
+    let mut configs = vec![golden_config(), EncoderConfig::default()];
+    for algorithm in algorithms {
+        for half_sample in [true, false] {
+            for approx in [ApproxSad::Exact, ApproxSad::SubsampledRows { step: 2 }] {
+                configs.push(EncoderConfig {
+                    search: MotionSearch {
+                        algorithm,
+                        half_sample,
+                        approx,
+                    },
+                    ..EncoderConfig::default()
+                });
+            }
+        }
+    }
+    configs
+}
+
 #[test]
 fn untraced_encode_equals_the_traced_encode_but_the_trace() {
     for seed in SEEDS {
         let w = workload(seed);
-        for config in [golden_config(), EncoderConfig::default()] {
+        for config in search_configs() {
             let traced = Encoder::new(config).encode(&w.frames);
             let untraced = Encoder::new(config).encode_untraced(&w.frames);
             assert!(traced.num_sad_calls() > 0, "seed {seed}: empty trace");
